@@ -4,9 +4,11 @@ Reads a YAML experiment configuration (keys carry explicit units in
 their names, e.g. ``pressure_mbar``), runs one experiment per process
 invocation, and writes plot-ready CSV/JSON plus a ``manifest.json``
 recording the config hash, seed, tool version, wall time and a checksum
-for every emitted file.  On failure a machine-readable error JSON is
-printed to stderr and the exit code is nonzero; a validation failure
-lists every violated bound.
+for every emitted file.  ``KEYS`` is the single list of config keys with
+their units, bounds and defaults.  The whole config is checked against
+it before any work starts: a validation failure exits 2 and lists every
+violation.  On a runtime failure a machine-readable error JSON is
+printed to stderr and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import os
 import sys
 import time
 import traceback
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -32,134 +36,214 @@ from .particles import silica_sphere
 TWO_PI = 2.0 * math.pi
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
 
 # ---------------------------------------------------------------------------
-# configuration schema: (lower, upper, scale to SI)
+# configuration schema
 
-BOUNDS = {
-    "pressure_mbar": (1e-12, 1e4, 100.0),
-    "temperature_K": (1e-3, 1e4, 1.0),
-    "accommodation": (0.0, 1.0, 1.0),
-    "radius_nm": (1.0, 1e4, 1e-9),
-    "density_kg_m3": (1.0, 3e4, 1.0),
-    "power_mW": (0.0, 1e5, 1e-3),
-    "waist_x_um": (0.05, 100.0, 1e-6),
-    "waist_y_um": (0.05, 100.0, 1e-6),
-    "wavelength_nm": (100.0, 1e5, 1e-9),
-    "mass_fg": (1e-6, 1e9, 1e-18),
-    "frequency_kHz": (1e-3, 1e6, TWO_PI * 1e3),   # linear kHz -> rad/s
-    "damping_Hz": (0.0, 1e9, TWO_PI),             # gamma / 2 pi -> rad/s
-    "dt_ns": (1e-3, 1e9, 1e-9),
-    "duration_ms": (1e-9, 1e6, 1e-3),
-    "n_traj": (1, 10_000_000, 1),
-    "record_every": (1, 1_000_000, 1),
-    "depth": (0.0, 1.0, 1.0),
-    "phase_rad": (-10.0, 10.0, 1.0),
-    "feedback_gain_um2": (0.0, 1e12, 1e12),       # 1/um^2 -> 1/m^2
-    "duffing_um2": (-1e12, 1e12, 1e12),
-    "n_points": (2, 100000, 1),
-    "n_bins": (5, 10000, 1),
-    "barrier_kT": (0.1, 100.0, 1.0),
-    "separation_nm": (1.0, 1e5, 1e-9),
-    "stiffness_fN_um": (1e-9, 1e9, 1e-9),         # fN/um -> N/m
-    "t_hot_K": (1e-3, 1e4, 1.0),
-    "t_cold_K": (1e-3, 1e4, 1.0),
-    "tau_hot_ms": (1e-9, 1e6, 1e-3),
-    "tau_cold_ms": (1e-9, 1e6, 1e-3),
-    "ratio": (1e-6, 1e6, 1.0),
-    "time_ms": (0.0, 1e6, 1e-3),
-    "p_min_mbar": (1e-12, 1e4, 100.0),
-    "p_max_mbar": (1e-12, 1e4, 100.0),
-    "relax_gamma_t": (1e-3, 100.0, 1.0),
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """One config key, as a subcommand body reads it.
+
+    `name` is the attribute holding the SI value; `kind` is float, int,
+    list (of floats, each bounded and scaled) or a tuple of allowed
+    values; config values within [lo, hi] are multiplied by `scale`.
+    """
+
+    name: str
+    kind: object
+    lo: float = -math.inf
+    hi: float = math.inf
+    scale: float = 1.0
+    default: object = REQUIRED
+
+
+KEYS = {
+    "particle.radius_nm": Key("radius", float, 1.0, 1e4, 1e-9),
+    "particle.density_kg_m3": Key("density", float, 1.0, 3e4, 1.0, 2198.0),
+    # env-sweep replaces the pressure of the gas at every sweep point
+    "gas.pressure_mbar": Key("pressure", float, 1e-12, 1e4, 100.0, 1e-2),
+    "gas.temperature_K": Key("temperature", float, 1e-3, 1e4, 1.0, 300.0),
+    "gas.accommodation": Key("accommodation", float, 0.0, 1.0, 1.0, 0.65),
+    "trap.power_mW": Key("power", float, 0.0, 1e5, 1e-3),
+    "trap.waist_x_um": Key("waist", float, 0.05, 100.0, 1e-6),
+    "trap.wavelength_nm": Key("wavelength", float, 100.0, 1e5, 1e-9),
+    "sweep.p_min_mbar": Key("p_min", float, 1e-12, 1e4, 100.0, 1e-9),
+    "sweep.p_max_mbar": Key("p_max", float, 1e-12, 1e4, 100.0, 1e3),
+    "sweep.n_points": Key("n_points", int, 2, 100_000, default=60),
+    "oscillator.mass_fg": Key("mass", float, 1e-6, 1e9, 1e-18),
+    # linear kHz -> rad/s
+    "oscillator.frequency_kHz": Key("omega0", float, 1e-3, 1e6, TWO_PI * 1e3),
+    # gamma / 2 pi -> rad/s
+    "oscillator.damping_Hz": Key("gamma", float, 0.0, 1e9, TWO_PI),
+    "oscillator.temperature_K": Key("temperature", float, 1e-3, 1e4, 1.0,
+                                    300.0),
+    # 1/um^2 -> 1/m^2
+    "oscillator.duffing_um2": Key("duffing_xi", float, -1e12, 1e12, 1e12, 0.0),
+    "simulation.dt_ns": Key("dt", float, 1e-3, 1e9, 1e-9),
+    "simulation.duration_ms": Key("duration", float, 1e-9, 1e6, 1e-3),
+    "simulation.n_traj": Key("n_traj", int, 1, 10_000_000),
+    "simulation.record_every": Key("record_every", int, 1, 1_000_000,
+                                   default=1),
+    "simulation.seed": Key("seed", int, 0, 2**63 - 1, default=0),
+    "psd.n_segments": Key("n_segments", int, 1, 100_000, default=8),
+    "modulation.phase_rad": Key("phase", float, -10.0, 10.0, 1.0, math.pi / 4),
+    "modulation.depths": Key("depths", list, 0.0, 1.0, 1.0,
+                             [0.002, 0.005, 0.01]),
+    "relax.ratio": Key("ratio", float, 1e-6, 1e6, 1.0, 0.1),
+    "fluctuation.feedback_gain_um2": Key("eta", float, 0.0, 1e12, 1e12, 0.0),
+    "fluctuation.depth": Key("eps0", float, 0.0, 1.0, 1.0, 0.0),
+    "fluctuation.phase_rad": Key("phase", float, -10.0, 10.0, 1.0,
+                                 -math.pi / 4),
+    "fluctuation.n_bins": Key("n_bins", int, 5, 10_000, default=40),
+    "squeeze.ratio": Key("ratio", float, 1e-6, 1e6, 1.0, 2.0),
+    "squeeze.time_ms": Key("t_start", float, 0.0, 1e6, 1e-3, 0.0),
+    "well.mass_fg": Key("mass", float, 1e-6, 1e9, 1e-18),
+    "well.temperature_K": Key("temperature", float, 1e-3, 1e4, 1.0, 300.0),
+    "well.barrier_kT": Key("barrier_kt", float, 0.1, 100.0),
+    "well.separation_nm": Key("separation", float, 1.0, 1e5, 1e-9),
+    "kramers.n_points": Key("n_points", int, 2, 100_000, default=40),
+    # Monte Carlo dampings (gamma / 2 pi); empty runs the theory alone
+    "kramers.mc_damping_Hz": Key("mc_gammas", list, 1e-3, 1e9, TWO_PI, []),
+    "engine.mass_fg": Key("mass", float, 1e-6, 1e9, 1e-18),
+    "engine.damping_Hz": Key("gamma", float, 0.0, 1e9, TWO_PI),
+    "engine.t_hot_K": Key("t_hot", float, 1e-3, 1e4),
+    "engine.t_cold_K": Key("t_cold", float, 1e-3, 1e4),
+    # fN/um -> N/m
+    "engine.k_max_stiffness_fN_um": Key("k_max", float, 1e-9, 1e9, 1e-9),
+    "engine.k_min_stiffness_fN_um": Key("k_min", float, 1e-9, 1e9, 1e-9),
+    "engine.tau_hot_ms": Key("tau_hot", float, 1e-9, 1e6, 1e-3),
+    "engine.tau_cold_ms": Key("tau_cold", float, 1e-9, 1e6, 1e-3),
+    "engine.regime": Key("regime", ("overdamped", "underdamped"),
+                         default="overdamped"),
 }
 
+SECTIONS = {key.split(".")[0] for key in KEYS}
 
-def _lookup_bounds(key: str):
-    if key in BOUNDS:
-        return BOUNDS[key]
-    for suffix, spec in BOUNDS.items():
-        if key.endswith(suffix):
-            return spec
-    return None
+# (larger, smaller) pairs, checked whenever a subcommand reads both
+ORDERED = (("sweep.p_max_mbar", "sweep.p_min_mbar"),
+           ("engine.k_max_stiffness_fN_um", "engine.k_min_stiffness_fN_um"),
+           ("engine.t_hot_K", "engine.t_cold_K"))
 
 
-class Config:
-    """Validated view of the YAML configuration."""
+def _section(name: str) -> tuple:
+    return tuple(k for k in KEYS if k.startswith(name + "."))
 
-    def __init__(self, raw: dict, seed_override=None):
-        self.raw = raw or {}
-        if seed_override is not None:
-            self.raw.setdefault("simulation", {})
-            self.raw["simulation"]["seed"] = int(seed_override)
 
-    def section(self, name: str) -> dict:
-        sec = self.raw.get(name, {})
-        if not isinstance(sec, dict):
-            raise ValidationError([f"section '{name}' must be a mapping"])
-        return sec
+OSCILLATOR = ("oscillator.mass_fg", "oscillator.frequency_kHz",
+              "oscillator.damping_Hz", "oscillator.temperature_K")
+RUN = ("simulation.dt_ns", "simulation.duration_ms", "simulation.n_traj")
+RECORDED = RUN + ("simulation.record_every",)
 
-    def get(self, section: str, key: str, default=None, violations=None):
-        sec = self.section(section)
-        if key not in sec:
-            if default is None:
-                msg = f"missing required key {section}.{key}"
-                if violations is not None:
-                    violations.append(msg)
-                    return None
-                raise ValidationError([msg])
-            value = default
+
+def _number(kind, spec: Key, value):
+    if isinstance(value, bool):
+        raise ValueError("is not numeric")
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError("is not numeric") from None
+    if kind is int:
+        if not x.is_integer():
+            raise ValueError("is not an integer")
+        x = value if isinstance(value, int) else int(x)
+    if not spec.lo <= x <= spec.hi:
+        raise ValueError(f"outside allowed range [{spec.lo:g}, {spec.hi:g}]")
+    return x if kind is int else x * spec.scale
+
+
+def _si(spec: Key, value):
+    """SI value of one config value; ValueError says what is wrong."""
+    if isinstance(spec.kind, tuple):
+        if value not in spec.kind:
+            raise ValueError(f"must be one of {', '.join(spec.kind)}")
+        return value
+    if spec.kind is list:
+        if not isinstance(value, list):
+            raise ValueError("must be a list")
+        return [_number(float, spec, item) for item in value]
+    return _number(spec.kind, spec, value)
+
+
+def validate(raw: dict, keys, extra=lambda values: (),
+             recorded: int = 0) -> SimpleNamespace:
+    """Check `raw` against KEYS; return the SI values a subcommand reads.
+
+    `keys` (plus simulation.seed) are read always, `extra(values)` names
+    the keys read only for some values of those, and `recorded` is the
+    number of float64 (n_traj, samples) arrays the run keeps in memory.
+    Unknown keys, type, bound, missing-key and cross-key violations and
+    a memory estimate above physical RAM are all collected into one
+    ValidationError.  The result holds each value under its Key.name.
+    """
+    violations = []
+    for section, entries in raw.items():
+        if section not in SECTIONS:
+            violations.append(f"unknown section '{section}'")
+        elif not isinstance(entries, dict):
+            violations.append(f"section '{section}' must be a mapping")
         else:
-            value = sec[key]
-        spec = _lookup_bounds(key)
-        if spec is None:
-            return value
-        lo, hi, scale = spec
+            violations += [f"unknown key {section}.{key}" for key in entries
+                           if f"{section}.{key}" not in KEYS]
+    values = {}
+
+    def read(key):
+        spec = KEYS[key]
+        section, name = key.split(".")
+        entries = raw.get(section, {})
+        if not isinstance(entries, dict):
+            return
+        if name not in entries and spec.default is REQUIRED:
+            violations.append(f"missing required key {key}")
+            return
+        value = entries.get(name, spec.default)
         try:
-            value = float(value)
-        except (TypeError, ValueError):
-            msg = f"{section}.{key} = {value!r} is not numeric"
-            if violations is not None:
-                violations.append(msg)
-                return None
-            raise ValidationError([msg])
-        if not (lo <= value <= hi):
-            msg = (f"{section}.{key} = {value:g} outside allowed range "
-                   f"[{lo:g}, {hi:g}]")
-            if violations is not None:
-                violations.append(msg)
-                return None
-            raise ValidationError([msg])
-        scaled = value * scale
-        if scale == 1 and isinstance(spec[0], int):
-            return int(scaled)
-        return scaled
+            values[key] = _si(spec, value)
+        except ValueError as exc:
+            violations.append(f"{key} = {value!r} {exc}")
 
-    @property
-    def seed(self) -> int:
-        return int(self.section("simulation").get("seed", 0))
+    for key in ("simulation.seed", *keys):
+        read(key)
+    for key in extra(values):
+        read(key)
+    for big, small in ORDERED:
+        if (big in values and small in values
+                and not values[big] > values[small]):
+            violations.append(f"{big} must exceed {small}")
+    if recorded and all(k in values for k in RECORDED):
+        n_steps = int(round(values["simulation.duration_ms"]
+                            / values["simulation.dt_ns"]))
+        samples = n_steps // values["simulation.record_every"] + 1
+        need = recorded * values["simulation.n_traj"] * samples * 8
+        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > ram:
+            violations.append(
+                f"simulation.n_traj: {recorded} recorded arrays of "
+                f"n_traj x {samples} samples need {need:.3g} bytes, more "
+                f"than the {ram:.3g} bytes of physical memory")
+    if violations:
+        raise ValidationError(violations)
+    return SimpleNamespace(**{KEYS[k].name: v for k, v in values.items()})
 
-    def hash(self) -> str:
-        return config_hash(self.raw)
 
-
-def _load_config(path: str, seed) -> Config:
+def _load_config(path: str, seed) -> dict:
     with open(path) as f:
         raw = yaml.safe_load(f)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ValidationError(["top-level config must be a mapping"])
-    return Config(raw, seed_override=seed)
-
-
-def _collect(violations):
-    if violations:
-        raise ValidationError(violations)
+    if seed is not None:
+        sim = raw.setdefault("simulation", {})
+        if isinstance(sim, dict):
+            sim["seed"] = seed
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +253,11 @@ def _collect(violations):
 class Emitter:
     """Writes data files and the run manifest for one invocation."""
 
-    def __init__(self, out_dir: str, fmt: str, cfg: Config):
+    def __init__(self, out_dir: str, fmt: str, cfg_hash: str, seed: int):
         self.out_dir = out_dir
         self.fmt = fmt
-        self.cfg = cfg
+        self.cfg_hash = cfg_hash
+        self.seed = seed
         self.t0 = time.time()
         self.outputs = []
         os.makedirs(out_dir, exist_ok=True)
@@ -191,14 +276,14 @@ class Emitter:
             path = os.path.join(self.out_dir, f"{name}.json")
             payload = {k: [self._num(v) for v in np.asarray(col).tolist()]
                        for k, col in columns.items()}
-            payload["config_hash"] = self.cfg.hash()
+            payload["config_hash"] = self.cfg_hash
             with open(path, "w") as f:
                 json.dump(payload, f, indent=1, sort_keys=True)
                 f.write("\n")
         else:
             path = os.path.join(self.out_dir, f"{name}.csv")
             with open(path, "w", newline="") as f:
-                f.write(f"# config_hash={self.cfg.hash()}\n")
+                f.write(f"# config_hash={self.cfg_hash}\n")
                 writer = csv.writer(f)
                 writer.writerow(keys)
                 for i in range(n):
@@ -209,7 +294,7 @@ class Emitter:
     def summary(self, name: str, payload: dict):
         path = os.path.join(self.out_dir, f"{name}.json")
         payload = dict(payload)
-        payload["config_hash"] = self.cfg.hash()
+        payload["config_hash"] = self.cfg_hash
         with open(path, "w") as f:
             json.dump(payload, f, indent=1, sort_keys=True, default=self._num)
             f.write("\n")
@@ -237,8 +322,8 @@ class Emitter:
     def finish(self, complete: bool = True):
         manifest = {
             "tool_version": __version__,
-            "config_hash": self.cfg.hash(),
-            "seed": self.cfg.seed,
+            "config_hash": self.cfg_hash,
+            "seed": self.seed,
             "wall_time_s": round(time.time() - self.t0, 3),
             "complete": complete,
             "outputs": self.outputs,
@@ -261,97 +346,6 @@ def _fail(exc: Exception, code: int):
     sys.exit(code)
 
 
-def _run(command, config, seed, threads, out, fmt):
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-    try:
-        cfg = _load_config(config, seed)
-    except ValidationError as exc:
-        _fail(exc, 2)
-    except Exception as exc:
-        _fail(exc, 2)
-    emitter = None
-    try:
-        emitter = Emitter(out, fmt, cfg)
-        command(cfg, emitter)
-        emitter.finish(complete=True)
-    except ValidationError as exc:
-        if emitter is not None and emitter.outputs:
-            emitter.finish(complete=False)
-        _fail(exc, 2)
-    except Exception as exc:
-        if emitter is not None:
-            emitter.finish(complete=False)
-        _fail(exc, 1)
-
-
-def common_options(f):
-    decorators = [
-        click.option("--config", required=True,
-                     type=click.Path(exists=True, dir_okay=False),
-                     help="YAML experiment configuration."),
-        click.option("--seed", type=int, default=None,
-                     help="Override simulation.seed from the config."),
-        click.option("--threads", type=int,
-                     default=lambda: int(os.environ.get("LEVITHERM_THREADS", 0)) or None,
-                     help="Cap BLAS/OpenMP thread count."),
-        click.option("--out", type=click.Path(file_okay=False), default=".",
-                     help="Output directory."),
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                     default="csv", help="Data file format."),
-    ]
-    for dec in reversed(decorators):
-        f = dec(f)
-    return f
-
-
-# ---------------------------------------------------------------------------
-# shared builders
-
-
-def _build_particle(cfg: Config, violations):
-    radius = cfg.get("particle", "radius_nm", violations=violations)
-    density = cfg.get("particle", "density_kg_m3", default=2198.0,
-                      violations=violations)
-    if violations:
-        return None
-    return silica_sphere(radius, density=density)
-
-
-def _build_gas(cfg: Config, violations, pressure=None):
-    p = pressure if pressure is not None else cfg.get(
-        "gas", "pressure_mbar", violations=violations)
-    t = cfg.get("gas", "temperature_K", default=300.0, violations=violations)
-    acc = cfg.get("gas", "accommodation", default=0.65,
-                  violations=violations)
-    if violations:
-        return None
-    return environment.nitrogen(p, temperature=t, accommodation=acc)
-
-
-def _build_oscillator(cfg: Config, violations):
-    """(mass, omega0, gamma, temperature) from the force-model section."""
-    mass = cfg.get("oscillator", "mass_fg", violations=violations)
-    omega0 = cfg.get("oscillator", "frequency_kHz", violations=violations)
-    gamma = cfg.get("oscillator", "damping_Hz", violations=violations)
-    temp = cfg.get("oscillator", "temperature_K", default=300.0,
-                   violations=violations)
-    return mass, omega0, gamma, temp
-
-
-def _sim_params(cfg: Config, violations):
-    dt = cfg.get("simulation", "dt_ns", violations=violations)
-    duration = cfg.get("simulation", "duration_ms", violations=violations)
-    n_traj = cfg.get("simulation", "n_traj", violations=violations)
-    record = cfg.get("simulation", "record_every", default=1,
-                     violations=violations)
-    if n_traj is not None and n_traj < 1:
-        violations.append("simulation.n_traj must be at least 1")
-    return dt, duration, n_traj, record
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -362,324 +356,263 @@ def main():
     """Levitated-particle stochastic dynamics toolkit."""
 
 
-@main.command("env-sweep")
-@common_options
-def env_sweep(config, seed, threads, out, fmt):
+OPTIONS = (
+    click.option("--config", required=True,
+                 type=click.Path(exists=True, dir_okay=False),
+                 help="YAML experiment configuration."),
+    click.option("--seed", type=int, default=None,
+                 help="Override simulation.seed from the config."),
+    click.option("--out", type=click.Path(file_okay=False), default=".",
+                 help="Output directory."),
+    click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                 default="csv", help="Data file format."),
+)
+
+
+def subcommand(name: str, keys, extra=lambda values: (), recorded: int = 0):
+    """Register `body(c, em)` as subcommand `name`; see `validate`.
+
+    The config is loaded and validated before `body` runs, so `c` holds
+    plain SI values and `em` is the Emitter of the output directory.
+    """
+    def register(body):
+        def command(config, seed, out, fmt):
+            try:
+                raw = _load_config(config, seed)
+                c = validate(raw, keys, extra, recorded)
+            except (OSError, ValueError, yaml.YAMLError) as exc:
+                _fail(exc, 2)
+            em = None
+            try:
+                em = Emitter(out, fmt, config_hash(raw), c.seed)
+                body(c, em)
+                em.finish(complete=True)
+            except Exception as exc:
+                if em is not None:
+                    em.finish(complete=False)
+                _fail(exc, 1)
+        command.__doc__ = body.__doc__
+        for option in reversed(OPTIONS):
+            command = option(command)
+        return main.command(name)(command)
+    return register
+
+
+@subcommand("env-sweep", _section("particle") + _section("gas")
+            + _section("trap") + _section("sweep"))
+def env_sweep(c, em):
     """Pressure sweep of damping, internal and center-of-mass temperature."""
-    def run(cfg: Config, em: Emitter):
-        v = []
-        particle = _build_particle(cfg, v)
-        gas = _build_gas(cfg, v, pressure=cfg.get("sweep", "p_min_mbar",
-                                                  default=1e-9, violations=v))
-        p_min = cfg.get("sweep", "p_min_mbar", default=1e-9, violations=v)
-        p_max = cfg.get("sweep", "p_max_mbar", default=1e3, violations=v)
-        n = cfg.get("sweep", "n_points", default=60, violations=v)
-        power = cfg.get("trap", "power_mW", violations=v)
-        waist = cfg.get("trap", "waist_x_um", violations=v)
-        wavelength = cfg.get("trap", "wavelength_nm", violations=v)
-        _collect(v)
-        if p_max <= p_min:
-            raise ValidationError(["sweep.p_max_mbar must exceed p_min_mbar"])
-        intensity = 2.0 * power / (math.pi * waist**2)
-        pressures_mbar = np.geomspace(p_min / 100.0, p_max / 100.0, int(n))
-        data = environment.pressure_sweep(particle, gas, intensity,
-                                          wavelength,
-                                          pressures_mbar=pressures_mbar)
-        em.table("env_sweep", data)
-    _run(run, config, seed, threads, out, fmt)
+    particle = silica_sphere(c.radius, density=c.density)
+    gas = environment.nitrogen(c.pressure, temperature=c.temperature,
+                               accommodation=c.accommodation)
+    intensity = 2.0 * c.power / (math.pi * c.waist**2)
+    pressures_mbar = np.geomspace(c.p_min / 100.0, c.p_max / 100.0,
+                                  c.n_points)
+    data = environment.pressure_sweep(particle, gas, intensity, c.wavelength,
+                                      pressures_mbar=pressures_mbar)
+    em.table("env_sweep", data)
 
 
-@main.command("simulate")
-@common_options
-def simulate_cmd(config, seed, threads, out, fmt):
+@subcommand("simulate", OSCILLATOR + ("oscillator.duffing_um2",) + RECORDED,
+            recorded=3)
+def simulate_cmd(c, em):
     """Harmonic (optionally Duffing) Langevin ensemble; summary statistics."""
-    def run(cfg: Config, em: Emitter):
-        v = []
-        mass, omega0, gamma, temp = _build_oscillator(cfg, v)
-        dt, duration, n_traj, record = _sim_params(cfg, v)
-        xi = cfg.get("oscillator", "duffing_um2", default=0.0, violations=v)
-        _collect(v)
-        force = ForceModel(mass=mass, omega0=omega0, duffing_xi=xi)
-        bath = BathModel(gamma=gamma, temperature=temp)
-        traj = langevin.simulate(force, bath, "thermal", dt, duration,
-                                 cfg.seed, n_traj=int(n_traj),
-                                 record_every=int(record))
-        em.table("trajectory_stats", {
-            "time_s": traj.time,
-            "q_mean_m": traj.q.mean(axis=0),
-            "q_var_m2": traj.q.var(axis=0),
-            "energy_mean_J": traj.energy.mean(axis=0),
-        })
-        em.summary("simulate_summary", {
-            "n_traj": int(traj.n_traj),
-            "q_var_m2": float(traj.q.var()),
-            "q_var_expected_m2": k_B * temp / (mass * omega0**2),
-            "mean_energy_J": float(traj.energy.mean()),
-            "equipartition_J": k_B * temp,
-        })
-    _run(run, config, seed, threads, out, fmt)
+    force = ForceModel(mass=c.mass, omega0=c.omega0, duffing_xi=c.duffing_xi)
+    bath = BathModel(gamma=c.gamma, temperature=c.temperature)
+    traj = langevin.simulate(force, bath, "thermal", c.dt, c.duration, c.seed,
+                             n_traj=c.n_traj, record_every=c.record_every)
+    em.table("trajectory_stats", {
+        "time_s": traj.time,
+        "q_mean_m": traj.q.mean(axis=0),
+        "q_var_m2": traj.q.var(axis=0),
+        "energy_mean_J": traj.energy.mean(axis=0),
+    })
+    em.summary("simulate_summary", {
+        "n_traj": int(traj.n_traj),
+        "q_var_m2": float(traj.q.var()),
+        "q_var_expected_m2": k_B * c.temperature / (c.mass * c.omega0**2),
+        "mean_energy_J": float(traj.energy.mean()),
+        "equipartition_J": k_B * c.temperature,
+    })
 
 
-@main.command("psd")
-@common_options
-def psd_cmd(config, seed, threads, out, fmt):
+@subcommand("psd", OSCILLATOR + RECORDED + _section("psd"), recorded=3)
+def psd_cmd(c, em):
     """Welch spectrum of a simulated ensemble plus a Lorentzian fit."""
-    def run(cfg: Config, em: Emitter):
-        v = []
-        mass, omega0, gamma, temp = _build_oscillator(cfg, v)
-        dt, duration, n_traj, record = _sim_params(cfg, v)
-        n_seg = cfg.get("psd", "n_segments", default=8, violations=v)
-        _collect(v)
-        force = ForceModel(mass=mass, omega0=omega0)
-        bath = BathModel(gamma=gamma, temperature=temp)
-        traj = langevin.simulate(force, bath, "thermal", dt, duration,
-                                 cfg.seed, n_traj=int(n_traj),
-                                 record_every=int(record))
-        spectrum = analysis.psd(traj, n_segments=int(n_seg))
-        em.table("psd", {
-            "omega_rad_s": spectrum.omega,
-            "psd_m2_s": spectrum.values,
-            "psd_model_m2_s": analysis.psd_analytic(
-                spectrum.omega, omega0, gamma, temp, mass),
-        })
-        fit = analysis.lorentzian_fit(spectrum, mass)
-        em.summary("psd_fit", {
-            "omega0_rad_s": fit.omega0,
-            "gamma_rad_s": fit.gamma,
-            "temperature_K": fit.t_cm,
-            "omega0_input_rad_s": omega0,
-            "gamma_input_rad_s": gamma,
-            "temperature_input_K": temp,
-        })
-    _run(run, config, seed, threads, out, fmt)
+    force = ForceModel(mass=c.mass, omega0=c.omega0)
+    bath = BathModel(gamma=c.gamma, temperature=c.temperature)
+    traj = langevin.simulate(force, bath, "thermal", c.dt, c.duration, c.seed,
+                             n_traj=c.n_traj, record_every=c.record_every)
+    spectrum = analysis.psd(traj, n_segments=c.n_segments)
+    em.table("psd", {
+        "omega_rad_s": spectrum.omega,
+        "psd_m2_s": spectrum.values,
+        "psd_model_m2_s": analysis.psd_analytic(
+            spectrum.omega, c.omega0, c.gamma, c.temperature, c.mass),
+    })
+    fit = analysis.lorentzian_fit(spectrum, c.mass)
+    em.summary("psd_fit", {
+        "omega0_rad_s": fit.omega0,
+        "gamma_rad_s": fit.gamma,
+        "temperature_K": fit.t_cm,
+        "omega0_input_rad_s": c.omega0,
+        "gamma_input_rad_s": c.gamma,
+        "temperature_input_K": c.temperature,
+    })
 
 
-@main.command("modulate")
-@common_options
-def modulate_cmd(config, seed, threads, out, fmt):
+@subcommand("modulate", OSCILLATOR + RECORDED + _section("modulation"),
+            recorded=3)
+def modulate_cmd(c, em):
     """Effective temperature under phase-locked parametric modulation."""
-    def run(cfg: Config, em: Emitter):
-        v = []
-        mass, omega0, gamma, temp = _build_oscillator(cfg, v)
-        dt, duration, n_traj, record = _sim_params(cfg, v)
-        phase = cfg.get("modulation", "phase_rad", default=math.pi / 4,
-                        violations=v)
-        depths = cfg.section("modulation").get("depths", [0.002, 0.005, 0.01])
-        _collect(v)
-        rows = {"depth": [], "t_measured_K": [], "t_predicted_K": []}
-        bath = BathModel(gamma=gamma, temperature=temp)
-        base = ForceModel(mass=mass, omega0=omega0)
-        for i, depth in enumerate(depths):
-            traj = langevin.simulate_parametric(
-                base, bath, "thermal", dt, duration, cfg.seed + i,
-                depth=float(depth), phase=phase, phase_locked=True,
-                n_traj=int(n_traj), record_every=int(record))
-            tail = traj.energy[:, traj.energy.shape[1] // 2:]
-            t_pred, _ = analysis.effective_temperature_modulated(
-                float(depth), phase, omega0, omega0, gamma, temp)
-            rows["depth"].append(float(depth))
-            rows["t_measured_K"].append(float(tail.mean() / k_B))
-            rows["t_predicted_K"].append(t_pred)
-        em.table("modulate", rows)
-    _run(run, config, seed, threads, out, fmt)
+    rows = {"depth": [], "t_measured_K": [], "t_predicted_K": []}
+    bath = BathModel(gamma=c.gamma, temperature=c.temperature)
+    base = ForceModel(mass=c.mass, omega0=c.omega0)
+    for i, depth in enumerate(c.depths):
+        traj = langevin.simulate_parametric(
+            base, bath, "thermal", c.dt, c.duration, c.seed + i,
+            depth=depth, phase=c.phase, phase_locked=True,
+            n_traj=c.n_traj, record_every=c.record_every)
+        tail = traj.energy[:, traj.energy.shape[1] // 2:]
+        t_pred, _ = analysis.effective_temperature_modulated(
+            depth, c.phase, c.omega0, c.omega0, c.gamma, c.temperature)
+        rows["depth"].append(depth)
+        rows["t_measured_K"].append(float(tail.mean() / k_B))
+        rows["t_predicted_K"].append(t_pred)
+    em.table("modulate", rows)
 
 
-@main.command("relax")
-@common_options
-def relax_cmd(config, seed, threads, out, fmt):
+@subcommand("relax", OSCILLATOR + RECORDED + _section("relax"), recorded=1)
+def relax_cmd(c, em):
     """Energy relaxation from a fixed initial energy toward the bath."""
-    def run(cfg: Config, em: Emitter):
-        v = []
-        mass, omega0, gamma, temp = _build_oscillator(cfg, v)
-        dt, duration, n_traj, record = _sim_params(cfg, v)
-        ratio = cfg.get("relax", "ratio", default=0.1, violations=v)
-        _collect(v)
-        e0 = ratio * k_B * temp
-        bath = BathModel(gamma=gamma, temperature=temp)
-        path = langevin.simulate_energy_sde(bath, omega0, mass, e0, dt,
-                                            duration, cfg.seed,
-                                            n_traj=int(n_traj),
-                                            record_every=int(record))
-        t_meas = path.energy.mean(axis=0) / k_B
-        t_pred = analysis.relaxation_temperature(path.time, e0 / k_B, temp,
-                                                 gamma)
-        em.table("relax", {
-            "time_s": path.time,
-            "t_measured_K": t_meas,
-            "t_predicted_K": t_pred,
-        })
-    _run(run, config, seed, threads, out, fmt)
+    e0 = c.ratio * k_B * c.temperature
+    bath = BathModel(gamma=c.gamma, temperature=c.temperature)
+    path = langevin.simulate_energy_sde(bath, c.omega0, c.mass, e0, c.dt,
+                                        c.duration, c.seed, n_traj=c.n_traj,
+                                        record_every=c.record_every)
+    em.table("relax", {
+        "time_s": path.time,
+        "t_measured_K": path.energy.mean(axis=0) / k_B,
+        "t_predicted_K": analysis.relaxation_temperature(
+            path.time, e0 / k_B, c.temperature, c.gamma),
+    })
 
 
-@main.command("fluctuation")
-@common_options
-def fluctuation_cmd(config, seed, threads, out, fmt):
+@subcommand("fluctuation", OSCILLATOR + RUN + _section("fluctuation"))
+def fluctuation_cmd(c, em):
     """Entropy-production fluctuation theorem for a relaxation step."""
-    def run(cfg: Config, em: Emitter):
-        v = []
-        mass, omega0, gamma, temp = _build_oscillator(cfg, v)
-        dt, duration, n_traj, _ = _sim_params(cfg, v)
-        eta = cfg.get("fluctuation", "feedback_gain_um2", default=0.0,
-                      violations=v)
-        eps0 = cfg.get("fluctuation", "depth", default=0.0, violations=v)
-        phase = cfg.get("fluctuation", "phase_rad", default=-math.pi / 4,
-                        violations=v)
-        n_bins = cfg.get("fluctuation", "n_bins", default=40, violations=v)
-        _collect(v)
-        dist = analysis.steady_state_distribution(temp, gamma, omega0, mass,
-                                                  eps0=eps0, phi=phase,
-                                                  eta=eta)
-        report = thermo.transient_ft_check(dist, gamma, duration, dt,
-                                           cfg.seed, int(n_traj),
-                                           n_bins=int(n_bins))
-        if not report.applicable:
-            em.summary("fluctuation_report", {"applicable": False,
-                                              "note": report.note})
-            return
-        em.table("fluctuation_histogram", {
-            "delta_s_kB": report.fit.x,
-            "log_ratio": report.fit.y,
-            "weight": report.fit.weights,
-        })
-        em.summary("fluctuation_report", {
-            "applicable": True,
-            "slope": report.fit.slope,
-            "intercept": report.fit.intercept,
-            "slope_stderr": report.fit.slope_stderr,
-            "n_traj": int(n_traj),
-        })
-    _run(run, config, seed, threads, out, fmt)
+    dist = analysis.steady_state_distribution(c.temperature, c.gamma,
+                                              c.omega0, c.mass, eps0=c.eps0,
+                                              phi=c.phase, eta=c.eta)
+    report = thermo.transient_ft_check(dist, c.gamma, c.duration, c.dt,
+                                       c.seed, c.n_traj, n_bins=c.n_bins)
+    if not report.applicable:
+        em.summary("fluctuation_report", {"applicable": False,
+                                          "note": report.note})
+        return
+    em.table("fluctuation_histogram", {
+        "delta_s_kB": report.fit.x,
+        "log_ratio": report.fit.y,
+        "weight": report.fit.weights,
+    })
+    em.summary("fluctuation_report", {
+        "applicable": True,
+        "slope": report.fit.slope,
+        "intercept": report.fit.intercept,
+        "slope_stderr": report.fit.slope_stderr,
+        "n_traj": c.n_traj,
+    })
 
 
-@main.command("kramers")
-@common_options
-def kramers_cmd(config, seed, threads, out, fmt):
+@subcommand("kramers", _section("well") + _section("kramers"),
+            extra=lambda values: RUN if values.get("kramers.mc_damping_Hz")
+            else ())
+def kramers_cmd(c, em):
     """Interwell hopping rates: turnover theory and optional Monte Carlo."""
-    def run(cfg: Config, em: Emitter):
-        v = []
-        mass = cfg.get("well", "mass_fg", violations=v)
-        temp = cfg.get("well", "temperature_K", default=300.0, violations=v)
-        barrier_kt = cfg.get("well", "barrier_kT", violations=v)
-        sep = cfg.get("well", "separation_nm", violations=v)
-        n = cfg.get("kramers", "n_points", default=40, violations=v)
-        gammas_mc = cfg.section("kramers").get("mc_damping_Hz", [])
-        duration = cfg.get("simulation", "duration_ms", default=0.0,
-                           violations=v)
-        dt = cfg.get("simulation", "dt_ns", default=1.0, violations=v)
-        n_traj = cfg.get("simulation", "n_traj", default=32, violations=v)
-        _collect(v)
-        q_m = sep / 2.0
-        b = barrier_kt * k_B * temp / q_m**4
-        spec = kramers.DoubleWellSpec(b=b, q_m=q_m, mass=mass)
-        omega_b = abs(spec.extrema[1].omega)
-        gammas = np.geomspace(1e-3 * omega_b, 10.0 * omega_b, int(n))
-        theory = [kramers.turnover_rate(spec, g, temp).r_turnover
-                  for g in gammas]
-        em.table("kramers_theory", {
-            "gamma_rad_s": gammas,
-            "rate_per_s": theory,
-        })
-        if gammas_mc and duration > 0:
-            rows = {"gamma_rad_s": [], "rate_mc_per_s": [],
-                    "rate_theory_per_s": [], "hops": []}
-            for i, g_hz in enumerate(gammas_mc):
-                g = TWO_PI * float(g_hz)
-                rate, hops = kramers.monte_carlo_rate(
-                    spec, g, temp, duration, dt, cfg.seed + i,
-                    n_traj=int(n_traj))
-                rows["gamma_rad_s"].append(g)
-                rows["rate_mc_per_s"].append(rate)
-                rows["rate_theory_per_s"].append(
-                    kramers.turnover_rate(spec, g, temp).r_turnover)
-                rows["hops"].append(int(hops))
-            em.table("kramers_mc", rows)
-    _run(run, config, seed, threads, out, fmt)
+    q_m = c.separation / 2.0
+    b = c.barrier_kt * k_B * c.temperature / q_m**4
+    spec = kramers.DoubleWellSpec(b=b, q_m=q_m, mass=c.mass)
+    omega_b = abs(spec.extrema[1].omega)
+    gammas = np.geomspace(1e-3 * omega_b, 10.0 * omega_b, c.n_points)
+    theory = [kramers.turnover_rate(spec, g, c.temperature).r_turnover
+              for g in gammas]
+    em.table("kramers_theory", {
+        "gamma_rad_s": gammas,
+        "rate_per_s": theory,
+    })
+    if not c.mc_gammas:
+        return
+    rows = {"gamma_rad_s": [], "rate_mc_per_s": [],
+            "rate_theory_per_s": [], "hops": []}
+    for i, g in enumerate(c.mc_gammas):
+        rate, hops = kramers.monte_carlo_rate(
+            spec, g, c.temperature, c.duration, c.dt, c.seed + i,
+            n_traj=c.n_traj)
+        rows["gamma_rad_s"].append(g)
+        rows["rate_mc_per_s"].append(rate)
+        rows["rate_theory_per_s"].append(
+            kramers.turnover_rate(spec, g, c.temperature).r_turnover)
+        rows["hops"].append(hops)
+    em.table("kramers_mc", rows)
 
 
-@main.command("engine")
-@common_options
-def engine_cmd(config, seed, threads, out, fmt):
+@subcommand("engine", _section("engine"),
+            extra=lambda values: ("simulation.dt_ns", "simulation.n_traj")
+            if values.get("engine.regime") == "underdamped" else ())
+def engine_cmd(c, em):
     """Cyclic two-bath heat engine; per-stroke CSV and a cycle summary."""
-    def run(cfg: Config, em: Emitter):
-        v = []
-        mass = cfg.get("engine", "mass_fg", violations=v)
-        gamma = cfg.get("engine", "damping_Hz", violations=v)
-        t_hot = cfg.get("engine", "t_hot_K", violations=v)
-        t_cold = cfg.get("engine", "t_cold_K", violations=v)
-        k_max = cfg.get("engine", "k_max_stiffness_fN_um", violations=v)
-        k_min = cfg.get("engine", "k_min_stiffness_fN_um", violations=v)
-        tau_hot = cfg.get("engine", "tau_hot_ms", violations=v)
-        tau_cold = cfg.get("engine", "tau_cold_ms", violations=v)
-        regime = cfg.section("engine").get("regime", "overdamped")
-        _collect(v)
-        if regime not in ("overdamped", "underdamped"):
-            raise ValidationError(
-                ["engine.regime must be overdamped or underdamped"])
-        spec = thermo.EngineCycleSpec(mass=mass, gamma=gamma, k_max=k_max,
-                                      k_min=k_min, t_hot=t_hot,
-                                      t_cold=t_cold, tau_hot=tau_hot,
-                                      tau_cold=tau_cold)
-        if regime == "overdamped":
-            result = thermo.overdamped_cycle(spec)
-            stderr = [0.0, 0.0]
-        else:
-            v2 = []
-            dt, _, n_traj, _ = _sim_params(cfg, v2)
-            _collect(v2)
-            result = thermo.underdamped_cycle_sde(spec, dt, cfg.seed,
-                                                  int(n_traj))
-            stderr = [result.detail["work_stderr"]] * 2
-        em.table("engine_strokes", {
-            "stroke": ["hot_expansion", "cold_compression"],
-            "work_J": list(result.work_strokes),
-            "heat_to_bath_J": list(result.heat_strokes),
-            "work_stderr_J": stderr,
-        })
-        em.summary("engine_cycle", {
-            "regime": regime,
-            "work_output_J": result.work_output,
-            "heat_in_J": result.heat_in,
-            "efficiency": result.efficiency,
-            "power_W": result.power,
-            "eta_carnot": result.eta_carnot,
-            "eta_curzon_ahlborn": result.eta_curzon_ahlborn,
-        })
-    _run(run, config, seed, threads, out, fmt)
+    spec = thermo.EngineCycleSpec(mass=c.mass, gamma=c.gamma, k_max=c.k_max,
+                                  k_min=c.k_min, t_hot=c.t_hot,
+                                  t_cold=c.t_cold, tau_hot=c.tau_hot,
+                                  tau_cold=c.tau_cold)
+    if c.regime == "overdamped":
+        result = thermo.overdamped_cycle(spec)
+        stderr = [0.0, 0.0]
+    else:
+        result = thermo.underdamped_cycle_sde(spec, c.dt, c.seed, c.n_traj)
+        stderr = [result.detail["work_stderr"]] * 2
+    em.table("engine_strokes", {
+        "stroke": ["hot_expansion", "cold_compression"],
+        "work_J": list(result.work_strokes),
+        "heat_to_bath_J": list(result.heat_strokes),
+        "work_stderr_J": stderr,
+    })
+    em.summary("engine_cycle", {
+        "regime": c.regime,
+        "work_output_J": result.work_output,
+        "heat_in_J": result.heat_in,
+        "efficiency": result.efficiency,
+        "power_W": result.power,
+        "eta_carnot": result.eta_carnot,
+        "eta_curzon_ahlborn": result.eta_curzon_ahlborn,
+    })
 
 
-@main.command("squeeze")
-@common_options
-def squeeze_cmd(config, seed, threads, out, fmt):
+@subcommand("squeeze", OSCILLATOR + RECORDED + _section("squeeze"),
+            recorded=3)
+def squeeze_cmd(c, em):
     """Quadrature statistics after a trap-frequency quench pulse."""
-    def run(cfg: Config, em: Emitter):
-        v = []
-        mass, omega0, gamma, temp = _build_oscillator(cfg, v)
-        dt, duration, n_traj, record = _sim_params(cfg, v)
-        ratio = cfg.get("squeeze", "ratio", default=2.0, violations=v)
-        t_start = cfg.get("squeeze", "time_ms", default=0.0, violations=v)
-        _collect(v)
-        omega_s = omega0 / ratio
-        tau = math.pi / (2.0 * omega_s)
-        force = ForceModel(mass=mass, omega0=omega0)
-        bath = BathModel(gamma=gamma, temperature=temp)
-        traj = langevin.simulate_quench(force, bath, "thermal", dt, duration,
-                                        cfg.seed, omega_s=omega_s,
-                                        t_start=t_start, tau=tau,
-                                        n_traj=int(n_traj),
-                                        record_every=int(record))
-        i_end = int(round((t_start + tau) / (traj.time[1] - traj.time[0])))
-        res = analysis.squeeze_quadratures(traj.q[:, i_end],
-                                           traj.p[:, i_end],
-                                           omega0, omega_s, tau, temp, mass)
-        em.summary("squeeze", {
-            "var_q_ratio": res.var_q_ratio,
-            "var_p_ratio": res.var_p_ratio,
-            "covariance_qp": res.covariance_qp,
-            "predicted_q_ratio": res.predicted_q_ratio,
-            "predicted_p_ratio": res.predicted_p_ratio,
-            "squeezing_parameter": res.r,
-        })
-    _run(run, config, seed, threads, out, fmt)
+    omega_s = c.omega0 / c.ratio
+    tau = math.pi / (2.0 * omega_s)
+    force = ForceModel(mass=c.mass, omega0=c.omega0)
+    bath = BathModel(gamma=c.gamma, temperature=c.temperature)
+    traj = langevin.simulate_quench(force, bath, "thermal", c.dt, c.duration,
+                                    c.seed, omega_s=omega_s,
+                                    t_start=c.t_start, tau=tau,
+                                    n_traj=c.n_traj,
+                                    record_every=c.record_every)
+    i_end = int(round((c.t_start + tau) / (traj.time[1] - traj.time[0])))
+    res = analysis.squeeze_quadratures(traj.q[:, i_end], traj.p[:, i_end],
+                                       c.omega0, omega_s, tau, c.temperature,
+                                       c.mass)
+    em.summary("squeeze", {
+        "var_q_ratio": res.var_q_ratio,
+        "var_p_ratio": res.var_p_ratio,
+        "covariance_qp": res.covariance_qp,
+        "predicted_q_ratio": res.predicted_q_ratio,
+        "predicted_p_ratio": res.predicted_p_ratio,
+        "squeezing_parameter": res.r,
+    })
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .constants import k_B
 from .langevin import (BathModel, CustomPotential, ForceModel,
-                       simulate_double_well)
+                       simulate_double_well, well_labels)
 
 
 @dataclass(frozen=True)
@@ -282,29 +282,15 @@ def hop_statistics(q: np.ndarray, minima: tuple, dt: float):
 
     A sample is labeled A (or C) on reaching the corresponding minimum
     and keeps its label until it reaches the other one, so recrossings
-    of the barrier top are not counted.  Returns (rate A->C, rate C->A,
-    total hop count).
+    of the barrier top are not counted (see `langevin.well_labels`).
+    Returns (rate A->C, rate C->A, total hop count).
     """
-    r_a, r_c = sorted(minima)
-    q = np.atleast_2d(q)
-    n_ac = n_ca = 0
-    t_a = t_c = 0.0
-    for row in q:
-        label = np.zeros(row.size, dtype=np.int8)
-        label[row <= r_a] = -1
-        label[row >= r_c] = 1
-        idx = np.where(label != 0, np.arange(row.size), 0)
-        np.maximum.accumulate(idx, out=idx)
-        filled = label[idx]
-        known = filled != 0
-        filled = filled[known]
-        if filled.size < 2:
-            continue
-        flips = np.diff(filled)
-        n_ac += int(np.count_nonzero(flips == 2))
-        n_ca += int(np.count_nonzero(flips == -2))
-        t_a += float(np.count_nonzero(filled == -1)) * dt
-        t_c += float(np.count_nonzero(filled == 1)) * dt
+    filled = well_labels(q, minima)
+    flips = np.diff(filled, axis=1)
+    n_ac = int(np.count_nonzero(flips == 2))
+    n_ca = int(np.count_nonzero(flips == -2))
+    t_a = np.count_nonzero(filled == -1) * dt
+    t_c = np.count_nonzero(filled == 1) * dt
     rate_ac = n_ac / t_a if t_a > 0 else 0.0
     rate_ca = n_ca / t_c if t_c > 0 else 0.0
     return rate_ac, rate_ca, n_ac + n_ca
@@ -321,35 +307,32 @@ def monte_carlo_rate(spec: DoubleWellSpec, gamma: float, temperature: float,
     time and the oscillation period filters out activated sloshing
     across the barrier top, and the flip fraction f at that lag gives
     the total rate through -ln(1 - 2 f) / lag for a symmetric two-state
-    process.  Also returns the raw hysteresis hop count.
+    process, so a tilted well (``spec.tilt != 0``) is refused.  Also
+    returns the raw hysteresis hop count.
     """
+    if spec.tilt != 0:
+        raise ValueError("monte_carlo_rate uses the symmetric two-state "
+                         "estimate and needs an untilted well (tilt = 0)")
     a, saddle, c = spec.extrema
+    minima = (a.position, c.position)
     q0 = np.where(np.arange(n_traj) % 2 == 0, a.position, c.position)
     # omega0 only sets the internal scaling here; the custom potential
     # replaces the harmonic force entirely.
     force = ForceModel(mass=spec.mass, omega0=a.omega)
     bath = BathModel(gamma, temperature)
-    traj, _ = simulate_double_well(
-        spec.as_custom_potential(), (a.position, c.position), force, bath,
+    traj, hops = simulate_double_well(
+        spec.as_custom_potential(), minima, force, bath,
         (q0, np.zeros(n_traj)), dt, duration, seed, n_traj=n_traj,
         record_every=record_every, allow_coarse_dt=True)
     dts = traj.time[1] - traj.time[0]
-    _, _, hops = hop_statistics(traj.q, (a.position, c.position), dts)
-
-    # forward-filled hysteresis labels (every row starts at a minimum)
-    qm = np.atleast_2d(traj.q)
-    label = np.zeros(qm.shape, dtype=np.int8)
-    label[qm <= a.position] = -1
-    label[qm >= c.position] = 1
-    idx = np.where(label != 0, np.arange(qm.shape[1]), 0)
-    np.maximum.accumulate(idx, axis=1, out=idx)
-    filled = np.take_along_axis(label, idx, axis=1)
+    # every row starts at a minimum, so every label is known
+    filled = well_labels(traj.q, minima)
 
     # lag long enough to decorrelate intrawell motion and sloshing
     lag_t = max(5.0 / gamma, 30.0 * 2.0 * math.pi / a.omega,
                 10.0 * gamma / saddle.omega**2)
     lag = int(round(lag_t / dts))
-    lag = min(max(lag, 1), max(1, qm.shape[1] // 20))
+    lag = min(max(lag, 1), max(1, filled.shape[1] // 20))
     while True:
         f = float(np.mean(filled[:, lag:] != filled[:, :-lag]))
         if f < 0.4 or lag == 1:
@@ -358,4 +341,4 @@ def monte_carlo_rate(spec: DoubleWellSpec, gamma: float, temperature: float,
     if f >= 0.5:
         raise RuntimeError("hop rate too fast for the chosen duration")
     rate = -math.log1p(-2.0 * f) / (lag * dts)
-    return rate, hops
+    return rate, int(hops.sum())

@@ -363,13 +363,6 @@ def simulate_parametric(force: ForceModel, bath: BathModel, init, dt: float,
                     seed, **kw)
 
 
-def simulate_feedback(force: ForceModel, bath: BathModel, init, dt: float,
-                      duration: float, seed: int, eta: float, **kw) -> Trajectory:
-    """Convenience wrapper attaching the q qdot feedback modulation."""
-    return simulate(replace(force, feedback_gain=eta), bath, init, dt,
-                    duration, seed, **kw)
-
-
 def simulate_quench(force: ForceModel, bath: BathModel, init, dt: float,
                     duration: float, seed: int, omega_s: float,
                     t_start: float, tau: float, **kw) -> Trajectory:
@@ -400,25 +393,29 @@ def simulate_double_well(potential: CustomPotential, minima: tuple,
     return traj, hops
 
 
-def count_well_hops(q: np.ndarray, minima: tuple) -> np.ndarray:
-    """Count transitions between the two wells with hysteresis.
+def well_labels(q: np.ndarray, minima: tuple) -> np.ndarray:
+    """Hysteresis well labels of sampled paths, shape (n_traj, n_samples).
 
-    A trajectory is assigned to well A (or C) when it reaches the
-    corresponding minimum position; each change of assignment counts as
-    one hop.  Samples between the minima keep the previous assignment.
+    A sample is labelled -1 (well A, lower minimum) or +1 (well C) once the
+    path reaches the corresponding minimum position, and keeps that label
+    until it reaches the other one, so barrier-top recrossings do not
+    change it.  Samples before either minimum is first reached are 0.
     """
     r_a, r_c = sorted(minima)
     q = np.atleast_2d(q)
-    label = np.zeros_like(q, dtype=np.int8)
+    label = np.zeros(q.shape, dtype=np.int8)
     label[q <= r_a] = -1
     label[q >= r_c] = 1
-    hops = np.zeros(q.shape[0], dtype=np.int64)
-    for i in range(q.shape[0]):
-        nz = label[i][label[i] != 0]
-        if nz.size < 2:
-            continue
-        hops[i] = int(np.count_nonzero(np.diff(nz) != 0))
-    return hops
+    idx = np.where(label != 0, np.arange(q.shape[1]), 0)
+    np.maximum.accumulate(idx, axis=1, out=idx)
+    return np.take_along_axis(label, idx, axis=1)
+
+
+def count_well_hops(q: np.ndarray, minima: tuple) -> np.ndarray:
+    """Per-trajectory count of changes of the hysteresis well label."""
+    filled = well_labels(q, minima)
+    flips = (filled[:, 1:] != filled[:, :-1]) & (filled[:, :-1] != 0)
+    return np.count_nonzero(flips, axis=1).astype(np.int64)
 
 
 @dataclass

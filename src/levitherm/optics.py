@@ -301,11 +301,3 @@ def circular_torque(trap: TrapSpec, particle: ParticleSpec,
     omega_rot = torque / (inertia * gamma_rot)
     return torque, omega_rot
 
-
-def curl_force_estimate(trap: TrapSpec, sigma_tot: float) -> float:
-    """Order-of-magnitude size of the neglected non-conservative curl force.
-
-    Diagnostic only; never enters the equations of motion.
-    """
-    f_scat = sigma_tot * trap.power / (trap.waist**2 * c_light)
-    return -2.0 * f_scat / (trap.waist**2 * trap.wavenumber**2)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -76,6 +77,76 @@ def test_validation_reports_all_violations(tmp_path):
     assert "n_traj" in joined
     # no data files are left behind on a validation failure
     assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+
+
+WELL = {"mass_fg": 10, "barrier_kT": 5, "separation_nm": 200}
+
+
+@pytest.mark.parametrize("command, overrides, keys", [
+    pytest.param("psd", {"psd": {"n_segments": "abc"}}, ["psd.n_segments"],
+                 id="non-numeric"),
+    pytest.param("modulate", {"modulation": {"depths": ["x"]}},
+                 ["modulation.depths"], id="non-numeric-list-item"),
+    pytest.param("kramers", {"well": WELL, "kramers": {"mc_damping_Hz": [-5]}},
+                 ["kramers.mc_damping_Hz"], id="negative-mc-damping"),
+    pytest.param("simulate", {"simulation": {"n_trajs": 50}},
+                 ["simulation.n_trajs"], id="unknown-key"),
+    pytest.param("simulate", {"simulation": {"n_traj": 2.7}},
+                 ["simulation.n_traj"], id="non-integer"),
+    pytest.param("simulate", {"simulation": {"seed": -1}},
+                 ["simulation.seed"], id="negative-seed"),
+    pytest.param("env-sweep", {"sweep": {"p_min_mbar": 10, "p_max_mbar": 1},
+                               "trap": {"power_mW": -1}},
+                 ["sweep.p_max_mbar", "trap.power_mW"], id="cross-key"),
+    pytest.param("engine", {"engine": {"regime": "adiabatic"}},
+                 ["engine.regime"], id="choice"),
+])
+def test_invalid_config_exits_2_before_any_work(tmp_path, command, overrides,
+                                                keys):
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "out"
+    res = run_cli([command, "--config", str(cfg), "--out", str(out)])
+    assert res.returncode == 2, res.stderr
+    err = json.loads(res.stderr)["error"]
+    assert err["type"] == "ValidationError"
+    for key in keys:
+        assert key in " ".join(err["violations"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mc_damping_hz, code", [([], 0), ([40000], 2)])
+def test_kramers_reads_simulation_only_for_monte_carlo(tmp_path,
+                                                       mc_damping_hz, code):
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    del cfg["simulation"]
+    cfg["well"] = WELL
+    cfg["kramers"] = {"n_points": 5, "mc_damping_Hz": mc_damping_hz}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    res = run_cli(["kramers", "--config", str(path), "--out", str(out)])
+    assert res.returncode == code, res.stderr
+    if code == 0:
+        names = {o["path"] for o in
+                 json.loads((out / "manifest.json").read_text())["outputs"]}
+        assert names == {"kramers_theory.csv"}
+    else:
+        assert "missing required key simulation.dt_ns" in res.stderr
+
+
+def test_memory_preflight_refuses_runs_larger_than_ram(tmp_path, monkeypatch,
+                                                       capsys):
+    from levitherm import cli
+    # a machine with 1 byte of RAM: the 50 x 2501 sample run cannot fit
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(["simulate", "--config", str(write_config(tmp_path)),
+                       "--out", str(out)], standalone_mode=False)
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "physical memory" in " ".join(err["violations"])
+    assert not out.exists()
 
 
 def test_simulate_outputs_and_manifest(tmp_path):

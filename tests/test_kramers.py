@@ -222,6 +222,14 @@ def test_monte_carlo_rate_matches_turnover():
     assert rate == pytest.approx(theory, rel=0.35)
 
 
+def test_monte_carlo_rate_refuses_a_tilted_well():
+    # the two-state estimate -ln(1 - 2f)/lag holds only for symmetric wells
+    spec = make_spec(barrier_kt=3.0, tilt=0.05 * KT300 / Q_M)
+    with pytest.raises(ValueError, match="tilt"):
+        kramers.monte_carlo_rate(spec, spec.extrema[1].omega, 300.0,
+                                 duration=1e-4, dt=1e-8, seed=1, n_traj=2)
+
+
 def test_escape_rate_arrhenius():
     assert kramers.escape_rate(5 * KT300, 300.0, 1e5) == pytest.approx(
         1e5 * math.exp(-5.0), rel=1e-12)

@@ -201,6 +201,30 @@ def test_count_well_hops_synthetic():
                            (-1.0, 1.0)).tolist() == [0]
 
 
+def _hops_by_row_loop(q, minima):
+    """Reference hysteresis hop count: one row and one sample at a time."""
+    r_a, r_c = sorted(minima)
+    counts = []
+    for row in np.atleast_2d(q):
+        well, hops = 0, 0
+        for x in row:
+            new = -1 if x <= r_a else (1 if x >= r_c else well)
+            hops += well != 0 and new != well
+            well = new
+        counts.append(hops)
+    return counts
+
+
+def test_vectorised_hop_count_matches_row_loop():
+    from levitherm import kramers
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        q = np.cumsum(rng.normal(size=(4, 80)), axis=1)
+        expected = _hops_by_row_loop(q, (1.0, -1.0))
+        assert count_well_hops(q, (1.0, -1.0)).tolist() == expected
+        assert kramers.hop_statistics(q, (1.0, -1.0), 0.1)[2] == sum(expected)
+
+
 def test_double_well_custom_potential_round_trip():
     # quartic double well integrates and reports energy consistently
     b, q_m = 1e6, 1e-7
