@@ -3,8 +3,9 @@
 Reads a YAML experiment configuration (keys carry explicit units in
 their names, e.g. ``pressure_mbar``), runs one experiment per process
 invocation, and writes plot-ready CSV/JSON plus a ``manifest.json``
-recording the config hash, seed, tool version, wall time and a checksum
-for every emitted file.  ``KEYS`` is the single list of config keys with
+recording the config hash, seed, tool version, wall time, a checksum
+for every emitted file and the warnings the run raised (which are also
+printed to stderr).  ``KEYS`` is the single list of config keys with
 their units, bounds and defaults.  The whole config is checked against
 it before any work starts: a validation failure exits 2 and lists every
 violation.  On a runtime failure a machine-readable error JSON is
@@ -21,6 +22,8 @@ import os
 import sys
 import time
 import traceback
+import warnings
+from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -171,6 +174,33 @@ def _si(spec: Key, value):
     return _number(spec.kind, spec, value)
 
 
+def _memory_preflight(values: dict, recorded: int) -> list:
+    """The memory an ensemble run needs, if more than physical RAM.
+
+    Counts one noise stream per trajectory, one block of noise draws and
+    `recorded` float64 arrays of n_traj x samples.  Without a duration
+    the noise block is taken at its largest, CHUNK_STEPS draws.
+    """
+    n_traj = values["simulation.n_traj"]
+    n_steps = langevin.CHUNK_STEPS
+    if all(k in values for k in RUN):
+        n_steps = int(round(values["simulation.duration_ms"]
+                            / values["simulation.dt_ns"]))
+    need = {"noise streams": n_traj * langevin.STREAM_BYTES,
+            "noise block": n_traj * min(langevin.CHUNK_STEPS, n_steps) * 8}
+    if recorded and all(k in values for k in RECORDED):
+        samples = n_steps // values["simulation.record_every"] + 1
+        need[f"{recorded} recorded arrays of n_traj x {samples} samples"] = (
+            recorded * n_traj * samples * 8)
+    total = sum(need.values())
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if total <= ram:
+        return []
+    parts = ", ".join(f"{name} {size:.3g}" for name, size in need.items())
+    return [f"simulation.n_traj: {parts} need {total:.3g} bytes, more than "
+            f"the {ram:.3g} bytes of physical memory"]
+
+
 def validate(raw: dict, keys, extra=lambda values: (),
              recorded: int = 0) -> SimpleNamespace:
     """Check `raw` against KEYS; return the SI values a subcommand reads.
@@ -178,9 +208,10 @@ def validate(raw: dict, keys, extra=lambda values: (),
     `keys` (plus simulation.seed) are read always, `extra(values)` names
     the keys read only for some values of those, and `recorded` is the
     number of float64 (n_traj, samples) arrays the run keeps in memory.
-    Unknown keys, type, bound, missing-key and cross-key violations and
-    a memory estimate above physical RAM are all collected into one
-    ValidationError.  The result holds each value under its Key.name.
+    Unknown keys, type, bound, missing-key and cross-key violations and,
+    for an ensemble run, a memory estimate above physical RAM (see
+    `_memory_preflight`) are all collected into one ValidationError.
+    The result holds each value under its Key.name.
     """
     violations = []
     for section, entries in raw.items():
@@ -216,17 +247,8 @@ def validate(raw: dict, keys, extra=lambda values: (),
         if (big in values and small in values
                 and not values[big] > values[small]):
             violations.append(f"{big} must exceed {small}")
-    if recorded and all(k in values for k in RECORDED):
-        n_steps = int(round(values["simulation.duration_ms"]
-                            / values["simulation.dt_ns"]))
-        samples = n_steps // values["simulation.record_every"] + 1
-        need = recorded * values["simulation.n_traj"] * samples * 8
-        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > ram:
-            violations.append(
-                f"simulation.n_traj: {recorded} recorded arrays of "
-                f"n_traj x {samples} samples need {need:.3g} bytes, more "
-                f"than the {ram:.3g} bytes of physical memory")
+    if "simulation.n_traj" in values:
+        violations += _memory_preflight(values, recorded)
     if violations:
         raise ValidationError(violations)
     return SimpleNamespace(**{KEYS[k].name: v for k, v in values.items()})
@@ -319,7 +341,8 @@ class Emitter:
             return value.tolist()
         return value
 
-    def finish(self, complete: bool = True):
+    def finish(self, complete: bool = True, warned=()):
+        """Write manifest.json; `warned` holds the run's warning records."""
         manifest = {
             "tool_version": __version__,
             "config_hash": self.cfg_hash,
@@ -327,11 +350,25 @@ class Emitter:
             "wall_time_s": round(time.time() - self.t0, 3),
             "complete": complete,
             "outputs": self.outputs,
+            "warnings": [{"category": w.category.__name__,
+                          "message": str(w.message)} for w in warned],
         }
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w") as f:
             json.dump(manifest, f, indent=1, sort_keys=True)
             f.write("\n")
+
+
+@contextmanager
+def _recording_warnings():
+    """Collect the warnings raised in the block; print them on exit."""
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield caught
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
 
 def _fail(exc: Exception, code: int):
@@ -382,14 +419,15 @@ def subcommand(name: str, keys, extra=lambda values: (), recorded: int = 0):
                 c = validate(raw, keys, extra, recorded)
             except (OSError, ValueError, yaml.YAMLError) as exc:
                 _fail(exc, 2)
-            em = None
+            em, caught = None, []
             try:
-                em = Emitter(out, fmt, config_hash(raw), c.seed)
-                body(c, em)
-                em.finish(complete=True)
+                with _recording_warnings() as caught:
+                    em = Emitter(out, fmt, config_hash(raw), c.seed)
+                    body(c, em)
+                em.finish(complete=True, warned=caught)
             except Exception as exc:
                 if em is not None:
-                    em.finish(complete=False)
+                    em.finish(complete=False, warned=caught)
                 _fail(exc, 1)
         command.__doc__ = body.__doc__
         for option in reversed(OPTIONS):

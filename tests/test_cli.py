@@ -149,6 +149,27 @@ def test_memory_preflight_refuses_runs_larger_than_ram(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "fluctuation"])
+def test_memory_preflight_counts_noise_streams(tmp_path, monkeypatch, capsys,
+                                               command):
+    from levitherm import cli
+    # 100 kB of RAM: 1000 x 2 recorded samples (48 kB) fit, but one noise
+    # stream per trajectory (about 1 MB) does not
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: 1024 if name == "SC_PAGE_SIZE" else 100)
+    cfg = write_config(tmp_path, {"simulation": {"n_traj": 1000,
+                                                 "duration_ms": 0.0004}})
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main([command, "--config", str(cfg), "--out", str(out)],
+                      standalone_mode=False)
+    assert exc.value.code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    joined = " ".join(err["violations"])
+    assert "noise streams" in joined and "physical memory" in joined
+    assert not out.exists()
+
+
 def test_simulate_outputs_and_manifest(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -230,6 +251,14 @@ def test_env_sweep_table(tmp_path):
     # damping grows with pressure across the sweep
     assert (float(rows[-1]["gamma_cm_rad_s"])
             > float(rows[0]["gamma_cm_rad_s"]))
+    # the high-pressure end leaves the Knudsen regime: the warning goes to
+    # stderr and into the manifest, not into the data file
+    message = "gas cooling formula used outside the Knudsen regime"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {"category": "UserWarning", "message": message} in \
+        manifest["warnings"]
+    assert message in res.stderr
+    assert message not in (out / "env_sweep.csv").read_text()
 
 
 def test_engine_summary(tmp_path):

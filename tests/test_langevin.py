@@ -133,8 +133,15 @@ def test_above_threshold_drive_blows_up():
     force, bath = make_models(
         gamma=OMEGA0 / q_factor,
         modulation=Modulation(depth=10.0 / q_factor, frequency=2 * OMEGA0))
-    with pytest.raises(IntegratorBlowupError):
+    with pytest.raises(IntegratorBlowupError) as info:
         simulate(force, bath, "thermal", DT, 0.1, seed=2, n_traj=2)
+    # the error names the first step that leaves a non-finite state: one
+    # step less runs clean, exactly that many steps fail there again
+    step = info.value.step
+    simulate(force, bath, "thermal", DT, (step - 1) * DT, seed=2, n_traj=2)
+    with pytest.raises(IntegratorBlowupError) as info:
+        simulate(force, bath, "thermal", DT, step * DT, seed=2, n_traj=2)
+    assert info.value.step == step
 
 
 def test_invalid_construction():
@@ -321,3 +328,182 @@ def test_config_hash_stable_and_sensitive():
     h3 = langevin.config_hash({"a": 2, "b": [1, 2]})
     assert h1 == h2
     assert h1 != h3
+
+
+# ---------------------------------------------------------------------------
+# kernel parity against the per-step reference loop
+
+
+def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
+                        record_every=1, cube=lambda q: q**3):
+    """The step loop `simulate` is checked against, one step at a time.
+
+    It evaluates every force term, Duffing included at xi = 0, at both
+    half kicks of every step, with the noise trajectory-major.  `cube`
+    is how the Duffing force cubes q.
+    """
+    m = force.mass
+    n_steps = int(round(duration / dt))
+    omega_steps = langevin._omega_per_step(force, dt, n_steps)
+    w_ref = force.omega0 if force.omega0 > 0 else 1.0
+    t_ref_temp = bath.temperature if bath.temperature > 0 else 300.0
+    x0 = math.sqrt(k_B * t_ref_temp / m) / w_ref
+    p0_scale = m * x0 * w_ref
+    h = dt * w_ref
+    gam = bath.gamma / w_ref
+    temp = bath.temperature / t_ref_temp
+    w0 = force.omega0 / w_ref
+    xi = force.duffing_xi * x0**2
+    eta = force.feedback_gain * x0**2
+    omega_nd = omega_steps / w_ref
+    ou_decay = math.exp(-gam * h)
+    ou_kick = math.sqrt(max(0.0, (1.0 - ou_decay**2) * temp))
+
+    streams = langevin.trajectory_streams(seed, n_traj)
+
+    def draw(count):
+        return np.stack([g.standard_normal(count) for g in streams])
+
+    if isinstance(init, str) and init == "thermal":
+        sig_q = math.sqrt(k_B * bath.temperature / m) / force.omega0 / x0
+        draws = draw(2)
+        q = sig_q * draws[:, 0]
+        p = math.sqrt(temp) * draws[:, 1]
+    else:
+        q0, p0 = init
+        q = np.broadcast_to(np.asarray(q0, dtype=float) / x0, (n_traj,)).copy()
+        p = np.broadcast_to(np.asarray(p0, dtype=float) / p0_scale,
+                            (n_traj,)).copy()
+    mod = force.modulation
+    f_ext = force.external_force
+    custom = force.potential
+
+    def epsilon(t_si, q_nd, p_nd):
+        eps = 0.0
+        if mod is not None:
+            if mod.phase_locked:
+                theta = np.arctan2(-p_nd / w0, q_nd)
+                eps = mod.depth * np.cos(2.0 * theta - 2.0 * mod.phase)
+            else:
+                eps = mod.depth * math.cos(mod.frequency * t_si + mod.phase)
+        if eta != 0.0:
+            eps = eps - (eta / w0) * q_nd * p_nd
+        return eps
+
+    def extra_force(t_si, q_nd, p_nd):
+        if custom is not None:
+            return np.asarray(custom.force(q_nd * x0)) * (x0 / (k_B * t_ref_temp))
+        f = -w0**2 * xi * cube(q_nd)
+        if mod is not None or eta != 0.0:
+            f = f + epsilon(t_si, q_nd, p_nd) * w0**2 * q_nd
+        if f_ext is not None:
+            f = f + f_ext(t_si) / (m * x0 * w_ref**2)
+        return f
+
+    n_samples = n_steps // record_every + 1
+    q_out = np.empty((n_traj, n_samples))
+    p_out = np.empty((n_traj, n_samples))
+    eps_out = np.zeros(n_samples)
+    fext_out = np.zeros(n_samples)
+    omega_out = np.empty(n_samples)
+
+    def record(k_sample, step, q_nd, p_nd):
+        q_out[:, k_sample] = q_nd
+        p_out[:, k_sample] = p_nd
+        omega_out[k_sample] = omega_steps[step]
+        t_si = step * dt
+        if mod is not None and not mod.phase_locked:
+            eps_out[k_sample] = mod.depth * math.cos(mod.frequency * t_si
+                                                     + mod.phase)
+        if f_ext is not None:
+            fext_out[k_sample] = f_ext(t_si)
+
+    record(0, 0, q, p)
+    k_sample = 1
+    step = 0
+    while step < n_steps:
+        chunk = min(langevin.CHUNK_STEPS, n_steps - step)
+        noise = draw(chunk)
+        for j in range(chunk):
+            t_si = (step + j) * dt
+            w = omega_nd[step + j]
+            p += 0.5 * h * extra_force(t_si, q, p)
+            if custom is None and w > 0:
+                th = 0.5 * h * w
+                c, s = math.cos(th), math.sin(th)
+                q, p = c * q + (s / w) * p, -w * s * q + c * p
+            else:
+                q = q + 0.5 * h * p
+            p = ou_decay * p + ou_kick * noise[:, j]
+            if custom is None and w > 0:
+                q, p = c * q + (s / w) * p, -w * s * q + c * p
+            else:
+                q = q + 0.5 * h * p
+            p += 0.5 * h * extra_force(t_si + dt, q, p)
+            if (step + j + 1) % record_every == 0:
+                record(k_sample, step + j + 1, q, p)
+                k_sample += 1
+        step += chunk
+
+    q_si = q_out * x0
+    p_si = p_out * p0_scale
+    if custom is not None:
+        energy = p_si**2 / (2.0 * m) + np.asarray(custom.energy(q_si))
+    else:
+        energy = (p_si**2 / (2.0 * m)
+                  + 0.5 * m * omega_out[None, :]**2 * q_si**2
+                  + 0.25 * force.duffing_xi * m * force.omega0**2 * q_si**4)
+    protocol = {"omega": omega_out, "epsilon": eps_out,
+                "external_force": fext_out}
+    return q_si, p_si, energy, protocol
+
+
+def _double_well():
+    b, q_m = 1e6, 1e-7
+    return CustomPotential(force=lambda q: -4.0 * b * q * (q**2 - q_m**2),
+                           energy=lambda q: b * (q**2 - q_m**2) ** 2)
+
+
+PARITY_CASES = {
+    "harmonic": {},
+    "duffing": {"duffing_xi": 3e14},
+    "open-loop": {"modulation": Modulation(0.05, 2 * OMEGA0, 0.3)},
+    "phase-locked": {"modulation": Modulation(0.05, phase=math.pi / 4,
+                                              phase_locked=True)},
+    "feedback": {"feedback_gain": 3e12},
+    "feedback-and-drive": {"modulation": Modulation(0.05, 2 * OMEGA0),
+                           "feedback_gain": 3e12},
+    "external-force": {"external_force": lambda t: 2e-15 * math.sin(1e5 * t)},
+    "stiffness-schedule": {"stiffness_schedule": ((30 * DT, OMEGA0 / 2),
+                                                  (70 * DT, OMEGA0))},
+    "double-well": {"potential": _double_well()},
+}
+
+
+@pytest.mark.parametrize("record_every, n_steps", [(1, 300), (3, 300),
+                                                   (1, langevin.CHUNK_STEPS + 37)])
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_kernel_matches_reference_loop(case, record_every, n_steps):
+    force, bath = make_models(**PARITY_CASES[case])
+    init = (1e-8, 0.0) if case == "double-well" else "thermal"
+    args = (force, bath, init, DT, n_steps * DT, 6)
+    kw = dict(n_traj=3, record_every=record_every)
+    traj = simulate(*args, **kw)
+    # q*q*q and q**3 differ in the last bit, so the Duffing kernel is held
+    # to the reference evaluated with the same product
+    cube = (lambda q: q * q * q) if case == "duffing" else (lambda q: q**3)
+    q, p, energy, protocol = _reference_simulate(*args, cube=cube, **kw)
+    assert np.array_equal(traj.q, q)
+    assert np.array_equal(traj.p, p)
+    assert np.array_equal(traj.energy, energy)
+    for name, values in protocol.items():
+        assert np.array_equal(traj.protocol[name], values), name
+    for a in (traj.q, traj.p, traj.energy):
+        assert a.flags.c_contiguous and a.shape == (3, n_steps // record_every + 1)
+    if case == "duffing":
+        # against q**3, each step may differ by a rounding of the force,
+        # far below one ulp of the state: n_steps ulps bound the drift
+        for ours, theirs in zip((traj.q, traj.p),
+                                _reference_simulate(*args, **kw)):
+            bound = n_steps * np.finfo(float).eps * np.abs(theirs).max()
+            assert np.abs(ours - theirs).max() <= bound
