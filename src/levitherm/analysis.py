@@ -23,7 +23,6 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 from scipy.optimize import least_squares
 from scipy.special import erfcx, i0e
-from scipy.stats import ncx2, truncnorm
 
 from .constants import hbar, k_B
 from .langevin import Trajectory
@@ -451,6 +450,8 @@ class SteadyStateDistribution:
         b = self.beta * self.quadratic
         if b == 0:
             return rng.exponential(1.0 / a, size=n)
+        from scipy.stats import truncnorm
+
         loc = -a / (2.0 * b)
         scale = 1.0 / math.sqrt(2.0 * b)
         return truncnorm.rvs(-loc / scale, np.inf, loc=loc, scale=scale,
@@ -522,6 +523,8 @@ def relaxation_cdf(energy, e0: float, t: float, gamma: float,
     2 c_t E follows a noncentral chi-squared with 2 degrees of freedom
     and noncentrality 2 c_t E0 e^{-gamma t}.
     """
+    from scipy.stats import ncx2
+
     beta = 1.0 / (k_B * temperature)
     decay = math.exp(-gamma * t)
     c_t = beta / (1.0 - decay)

@@ -174,22 +174,28 @@ def _si(spec: Key, value):
     return _number(spec.kind, spec, value)
 
 
-def _memory_preflight(values: dict, recorded: int) -> list:
+def _memory_preflight(values: dict, recorded: int, record_every) -> list:
     """The memory an ensemble run needs, if more than physical RAM.
 
-    Counts one noise stream per trajectory, one block of noise draws and
-    `recorded` float64 arrays of n_traj x samples.  Without a duration
-    the noise block is taken at its largest, CHUNK_STEPS draws.
+    Counts one noise stream per BLOCK trajectories, one block of noise
+    draws padded to whole stream blocks and `recorded` float64 arrays of
+    n_traj x samples, one sample per simulation.record_every steps or,
+    for a run that does not read that key, per `record_every` steps.
+    Without a duration the noise block is taken at its largest,
+    CHUNK_STEPS draws.
     """
     n_traj = values["simulation.n_traj"]
+    n_blocks = -(-n_traj // langevin.BLOCK)
     n_steps = langevin.CHUNK_STEPS
     if all(k in values for k in RUN):
         n_steps = int(round(values["simulation.duration_ms"]
                             / values["simulation.dt_ns"]))
-    need = {"noise streams": n_traj * langevin.STREAM_BYTES,
-            "noise block": n_traj * min(langevin.CHUNK_STEPS, n_steps) * 8}
-    if recorded and all(k in values for k in RECORDED):
-        samples = n_steps // values["simulation.record_every"] + 1
+    need = {"noise streams": n_blocks * langevin.STREAM_BYTES,
+            "noise block": (min(langevin.CHUNK_STEPS, n_steps)
+                            * n_blocks * langevin.BLOCK * 8)}
+    stride = values.get("simulation.record_every", record_every)
+    if recorded and stride and all(k in values for k in RUN):
+        samples = n_steps // stride + 1
         need[f"{recorded} recorded arrays of n_traj x {samples} samples"] = (
             recorded * n_traj * samples * 8)
     total = sum(need.values())
@@ -201,13 +207,15 @@ def _memory_preflight(values: dict, recorded: int) -> list:
             f"the {ram:.3g} bytes of physical memory"]
 
 
-def validate(raw: dict, keys, extra=lambda values: (),
-             recorded: int = 0) -> SimpleNamespace:
+def validate(raw: dict, keys, extra=lambda values: (), recorded: int = 0,
+             record_every: int | None = None) -> SimpleNamespace:
     """Check `raw` against KEYS; return the SI values a subcommand reads.
 
     `keys` (plus simulation.seed) are read always, `extra(values)` names
     the keys read only for some values of those, and `recorded` is the
-    number of float64 (n_traj, samples) arrays the run keeps in memory.
+    number of float64 (n_traj, samples) arrays the run keeps in memory,
+    sampled every simulation.record_every steps, or every `record_every`
+    steps if the subcommand fixes its own stride.
     Unknown keys, type, bound, missing-key and cross-key violations and,
     for an ensemble run, a memory estimate above physical RAM (see
     `_memory_preflight`) are all collected into one ValidationError.
@@ -248,7 +256,7 @@ def validate(raw: dict, keys, extra=lambda values: (),
                 and not values[big] > values[small]):
             violations.append(f"{big} must exceed {small}")
     if "simulation.n_traj" in values:
-        violations += _memory_preflight(values, recorded)
+        violations += _memory_preflight(values, recorded, record_every)
     if violations:
         raise ValidationError(violations)
     return SimpleNamespace(**{KEYS[k].name: v for k, v in values.items()})
@@ -406,7 +414,8 @@ OPTIONS = (
 )
 
 
-def subcommand(name: str, keys, extra=lambda values: (), recorded: int = 0):
+def subcommand(name: str, keys, extra=lambda values: (), recorded: int = 0,
+               record_every: int | None = None):
     """Register `body(c, em)` as subcommand `name`; see `validate`.
 
     The config is loaded and validated before `body` runs, so `c` holds
@@ -416,7 +425,7 @@ def subcommand(name: str, keys, extra=lambda values: (), recorded: int = 0):
         def command(config, seed, out, fmt):
             try:
                 raw = _load_config(config, seed)
-                c = validate(raw, keys, extra, recorded)
+                c = validate(raw, keys, extra, recorded, record_every)
             except (OSError, ValueError, yaml.YAMLError) as exc:
                 _fail(exc, 2)
             em, caught = None, []
@@ -508,9 +517,10 @@ def modulate_cmd(c, em):
     base = ForceModel(mass=c.mass, omega0=c.omega0)
     for i, depth in enumerate(c.depths):
         traj = langevin.simulate_parametric(
-            base, bath, "thermal", c.dt, c.duration, c.seed + i,
-            depth=depth, phase=c.phase, phase_locked=True,
-            n_traj=c.n_traj, record_every=c.record_every)
+            base, bath, "thermal", c.dt, c.duration,
+            langevin.derive_seed(c.seed, "modulate", i), depth=depth,
+            phase=c.phase, phase_locked=True, n_traj=c.n_traj,
+            record_every=c.record_every)
         tail = traj.energy[:, traj.energy.shape[1] // 2:]
         t_pred, _ = analysis.effective_temperature_modulated(
             depth, c.phase, c.omega0, c.omega0, c.gamma, c.temperature)
@@ -564,7 +574,7 @@ def fluctuation_cmd(c, em):
 
 @subcommand("kramers", _section("well") + _section("kramers"),
             extra=lambda values: RUN if values.get("kramers.mc_damping_Hz")
-            else ())
+            else (), recorded=3, record_every=kramers.MC_RECORD_EVERY)
 def kramers_cmd(c, em):
     """Interwell hopping rates: turnover theory and optional Monte Carlo."""
     q_m = c.separation / 2.0
@@ -584,8 +594,8 @@ def kramers_cmd(c, em):
             "rate_theory_per_s": [], "hops": []}
     for i, g in enumerate(c.mc_gammas):
         rate, hops = kramers.monte_carlo_rate(
-            spec, g, c.temperature, c.duration, c.dt, c.seed + i,
-            n_traj=c.n_traj)
+            spec, g, c.temperature, c.duration, c.dt,
+            langevin.derive_seed(c.seed, "kramers-mc", i), n_traj=c.n_traj)
         rows["gamma_rad_s"].append(g)
         rows["rate_mc_per_s"].append(rate)
         rows["rate_theory_per_s"].append(

@@ -296,9 +296,14 @@ def hop_statistics(q: np.ndarray, minima: tuple, dt: float):
     return rate_ac, rate_ca, n_ac + n_ca
 
 
+# Steps per recorded sample of `monte_carlo_rate`.
+MC_RECORD_EVERY = 4
+
+
 def monte_carlo_rate(spec: DoubleWellSpec, gamma: float, temperature: float,
                      duration: float, dt: float, seed: int, n_traj: int = 64,
-                     record_every: int = 4) -> tuple[float, int]:
+                     record_every: int = MC_RECORD_EVERY
+                     ) -> tuple[float, int]:
     """Total hopping rate R(A->C) + R(C->A) from Langevin ensembles.
 
     Trajectories start split between the two minima.  The rate comes

@@ -32,9 +32,13 @@ or sample; the SI arrays of a `Trajectory` are (n_traj, n_samples).
 
 All state is integrated in dimensionless internal units (lengths in
 sqrt(k_B T_ref / m) / W_ref, times in 1/W_ref) and converted back to SI
-on output.  Ensembles use one counter-based random stream per
-trajectory, derived deterministically from the master seed, so results
-are bit-reproducible regardless of chunking.
+on output.  Ensembles draw their noise from counter-based (Philox)
+random streams, one per block of BLOCK trajectories, spawned from the
+master seed: draw j of trajectory i is normal j * BLOCK + i % BLOCK of
+stream i // BLOCK.  A trajectory's noise therefore depends only on the
+seed and its index, so a smaller ensemble is a prefix of a larger one
+and results are bit-reproducible regardless of chunking.  `derive_seed`
+gives the master seeds of the runs that make up one experiment.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .constants import k_B
 
 SCHEMA_VERSION = 1
 # Steps integrated between noise-buffer refills; results do not depend
-# on this value because each trajectory consumes its stream in order.
+# on this value because each stream is consumed in order.
 CHUNK_STEPS = 1024
 
 
@@ -181,23 +185,46 @@ class Trajectory:
         return self.p / self.mass
 
 
+# Trajectories served by one noise stream of `trajectory_streams`.
+BLOCK = 64
 # Memory held per stream of `trajectory_streams` (Philox generator and its
 # SeedSequence): 968 B by tracemalloc, 1035 B of RSS at 2e5 streams.
 STREAM_BYTES = 1035
 
 
 def trajectory_streams(master_seed: int, n_traj: int) -> list:
-    """Independent counter-based generators, one per trajectory."""
+    """Independent counter-based generators, one per block of BLOCK
+    trajectories: ceil(n_traj / BLOCK) children of the master seed."""
     root = np.random.SeedSequence(master_seed)
-    return [np.random.Generator(np.random.Philox(s)) for s in root.spawn(n_traj)]
+    return [np.random.Generator(np.random.Philox(s))
+            for s in root.spawn(-(-n_traj // BLOCK))]
 
 
-def _draw_normals(streams, count: int) -> np.ndarray:
-    """Time-major block of draws: row j holds draw j of every stream."""
-    noise = np.empty((count, len(streams)))
-    for i, g in enumerate(streams):
-        noise[:, i] = g.standard_normal(count)
-    return noise
+def derive_seed(seed: int, *key) -> int:
+    """Master seed of one run within an experiment seeded by `seed`.
+
+    `key` names the run: a purpose string, then integer indices, e.g.
+    ("modulate", i).  The result is drawn from SeedSequence([seed, *key])
+    with each string read as the integer of its UTF-8 bytes, so distinct
+    seeds or keys give unrelated streams (with seed + i, run i + 1 of
+    seed s would repeat run i of seed s + 1).
+    """
+    entropy = [seed] + [int.from_bytes(k.encode(), "little")
+                        if isinstance(k, str) else k for k in key]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+def _draw_normals(streams, count: int, n_traj: int) -> np.ndarray:
+    """Time-major (count, n_traj) block of draws.
+
+    Each stream fills BLOCK columns in C order, so draw j of trajectory i
+    is normal j * BLOCK + i % BLOCK of stream i // BLOCK: a function of
+    (seed, i) alone, whatever n_traj or the chunking of the draws.
+    """
+    noise = np.empty((count, len(streams) * BLOCK))
+    for b, g in enumerate(streams):
+        noise[:, b * BLOCK:(b + 1) * BLOCK] = g.standard_normal((count, BLOCK))
+    return noise[:, :n_traj]
 
 
 def _omega_per_step(force: ForceModel, dt: float, n_steps: int) -> np.ndarray:
@@ -316,7 +343,7 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
         if bath.temperature <= 0 or force.omega0 <= 0:
             raise ValueError("thermal init needs T > 0 and omega0 > 0")
         sig_q = math.sqrt(k_B * bath.temperature / m) / force.omega0 / x0
-        draws = _draw_normals(streams, 2)
+        draws = _draw_normals(streams, 2, n_traj)
         np.multiply(sig_q, draws[0], out=q)
         np.multiply(math.sqrt(temp), draws[1], out=p)
     else:
@@ -385,7 +412,7 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
     step = 0
     while step < n_steps:
         chunk = min(CHUNK_STEPS, n_steps - step)
-        noise = _draw_normals(streams, chunk)
+        noise = _draw_normals(streams, chunk, n_traj)
         noise *= ou_kick
         start = x.copy(), dp.copy()
         advance(step, noise, False)
@@ -418,8 +445,11 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
         energy = (p_si**2 / (2.0 * m)
                   + 0.5 * m * omega_out[None, :]**2 * q_si**2)
         if force.duffing_xi != 0.0:
-            energy += (0.25 * force.duffing_xi * m * force.omega0**2
-                       * q_si**4)
+            # q^4 as q2 * q2: q_si**4 goes through the generic pow
+            q4 = q_si * q_si
+            q4 *= q4
+            q4 *= 0.25 * force.duffing_xi * m * force.omega0**2
+            energy += q4
     time = np.arange(n_samples) * (record_every * dt)
     protocol = {"omega": omega_out, "epsilon": eps_out,
                 "external_force": fext_out}
@@ -549,7 +579,7 @@ def simulate_energy_sde(bath: BathModel, omega0: float, mass: float,
     step = 0
     while step < n_steps:
         chunk = min(CHUNK_STEPS, n_steps - step)
-        noise = _draw_normals(streams, chunk)
+        noise = _draw_normals(streams, chunk, n_traj)
         for j in range(chunk):
             drift = -gam * ((1.0 + s) * x + 2.0 * c_hat * x**2 - 1.0)
             x = np.abs(x + drift * dt + kick * np.sqrt(x) * noise[j])

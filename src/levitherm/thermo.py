@@ -17,7 +17,8 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
 from .constants import k_B
-from .langevin import BathModel, ForceModel, Modulation, Trajectory, simulate
+from .langevin import (BathModel, ForceModel, Modulation, Trajectory,
+                       derive_seed, simulate)
 
 
 class ProtocolError(ValueError):
@@ -493,7 +494,8 @@ def differential_ft_driven(mass: float, omega0: float, gamma: float,
     fwd = run_force_ramp(mass, omega0, gamma, temperature, f_max, tau, dt,
                          seed, n_traj, allow_coarse_dt=allow_coarse_dt)
     rev = run_force_ramp(mass, omega0, gamma, temperature, f_max, tau, dt,
-                         seed + 1, n_traj, reverse=True,
+                         derive_seed(seed, "reverse-ramp"), n_traj,
+                         reverse=True,
                          allow_coarse_dt=allow_coarse_dt)
     w_f = work_conjugate_force(fwd)
     w_r = work_conjugate_force(rev)
@@ -741,7 +743,8 @@ def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,
                                    m, k0, k1, tau, dt))
             init = "thermal" if q is None else (q, p)
             traj = simulate(force, bath[idx == 0], init, dt, tau,
-                            seed + 1000 * cyc + idx, n_traj=n_traj,
+                            derive_seed(seed, "engine-stroke", cyc, idx),
+                            n_traj=n_traj,
                             allow_coarse_dt=allow_coarse_dt)
             q, p = traj.q[:, -1].copy(), traj.p[:, -1].copy()
             if cyc >= n_transient:

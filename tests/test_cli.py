@@ -153,11 +153,12 @@ def test_memory_preflight_refuses_runs_larger_than_ram(tmp_path, monkeypatch,
 def test_memory_preflight_counts_noise_streams(tmp_path, monkeypatch, capsys,
                                                command):
     from levitherm import cli
-    # 100 kB of RAM: 1000 x 2 recorded samples (48 kB) fit, but one noise
-    # stream per trajectory (about 1 MB) does not
+    # 1 kB of RAM: one trajectory's 2 recorded samples (48 B) and its
+    # noise block padded to a 64-column stream block (512 B) fit, but its
+    # noise stream (about 1 kB) does not
     monkeypatch.setattr(os, "sysconf",
-                        lambda name: 1024 if name == "SC_PAGE_SIZE" else 100)
-    cfg = write_config(tmp_path, {"simulation": {"n_traj": 1000,
+                        lambda name: 1024 if name == "SC_PAGE_SIZE" else 1)
+    cfg = write_config(tmp_path, {"simulation": {"n_traj": 1,
                                                  "duration_ms": 0.0004}})
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -168,6 +169,62 @@ def test_memory_preflight_counts_noise_streams(tmp_path, monkeypatch, capsys,
     joined = " ".join(err["violations"])
     assert "noise streams" in joined and "physical memory" in joined
     assert not out.exists()
+
+
+def test_memory_preflight_counts_one_stream_per_block(monkeypatch):
+    from levitherm import cli
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)
+    raw = {"simulation": {"dt_ns": 400, "duration_ms": 0.0004,
+                          "n_traj": 130}}
+    with pytest.raises(cli.ValidationError) as exc:
+        cli.validate(raw, cli.RUN)
+    # 130 trajectories take 3 streams of 1035 B and a noise block of one
+    # step padded to 3 x 64 columns
+    (message,) = exc.value.violations
+    assert "noise streams 3.1e+03, noise block 1.54e+03" in message
+
+
+def test_kramers_memory_preflight_counts_monte_carlo_paths(tmp_path):
+    # Monte Carlo keeps q, p and energy every 4th step: 100000 x 1666667
+    # samples, about 4e12 bytes
+    cfg = write_config(tmp_path, {
+        "well": WELL, "kramers": {"n_points": 5, "mc_damping_Hz": [40000]},
+        "simulation": {"n_traj": 100000, "duration_ms": 1000,
+                       "dt_ns": 150}})
+    out = tmp_path / "out"
+    res = run_cli(["kramers", "--config", str(cfg), "--out", str(out)])
+    assert res.returncode == 2, res.stderr
+    (violation,) = json.loads(res.stderr)["error"]["violations"]
+    assert violation.startswith("simulation.n_traj")
+    assert "3 recorded arrays of n_traj x 1666667 samples" in violation
+    assert not out.exists()
+
+
+def test_modulate_runs_do_not_reuse_the_streams_of_another_seed(tmp_path):
+    # with seed + i, depth 1 of --seed 7 repeated depth 0 of --seed 8
+    cfg = write_config(tmp_path, {"modulation": {"depths": [0.01, 0.01]},
+                                  "simulation": {"n_traj": 8}})
+    measured = {}
+    for seed in (7, 8):
+        out = tmp_path / str(seed)
+        res = run_cli(["modulate", "--config", str(cfg), "--out", str(out),
+                       "--seed", str(seed)])
+        assert res.returncode == 0, res.stderr
+        lines = (out / "modulate.csv").read_text().splitlines()
+        measured[seed] = [row["t_measured_K"]
+                          for row in csv.DictReader(lines[1:])]
+    assert measured[7][1] != measured[8][0]
+    assert measured[7][0] != measured[7][1]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported only by the functions that use it
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, levitherm.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_simulate_outputs_and_manifest(tmp_path):

@@ -46,13 +46,37 @@ def test_different_seed_differs():
 
 
 def test_trajectory_streams_independent_of_ensemble_size():
-    # stream k is a function of (seed, k) only, so a smaller ensemble is a
-    # prefix of a larger one
+    # the noise of trajectory k is a function of (seed, k) only, so a
+    # smaller ensemble is a prefix of a larger one, within one noise
+    # stream block and across blocks (64 trajectories each)
     force, bath = make_models()
-    small = simulate(force, bath, "thermal", DT, 1e-4, seed=3, n_traj=3)
-    large = simulate(force, bath, "thermal", DT, 1e-4, seed=3, n_traj=8)
-    assert np.array_equal(small.q, large.q[:3])
-    assert np.array_equal(small.p, large.p[:3])
+    runs = [simulate(force, bath, "thermal", DT, 1e-4, seed=3, n_traj=n)
+            for n in (3, 8, 70, 130)]
+    for small, large in zip(runs, runs[1:]):
+        assert np.array_equal(small.q, large.q[:small.n_traj])
+        assert np.array_equal(small.p, large.p[:small.n_traj])
+
+
+def test_noise_of_trajectory_i_is_column_of_its_block_stream():
+    # draw j of trajectory i is normal j * 64 + i % 64 of the Philox
+    # stream spawned as child i // 64 of SeedSequence(seed)
+    seed, n_traj, count = 12, 130, 5
+    children = np.random.SeedSequence(seed).spawn(3)
+    noise = langevin._draw_normals(langevin.trajectory_streams(seed, n_traj),
+                                   count, n_traj)
+    assert noise.shape == (count, n_traj)
+    force, bath = make_models()
+    traj = simulate(force, bath, "thermal", DT, 10 * DT, seed=seed,
+                    n_traj=n_traj)
+    sig_q = math.sqrt(k_B * 300.0 / MASS) / OMEGA0
+    sig_p = math.sqrt(MASS * k_B * 300.0)
+    for i in (0, 63, 64, 127, 128, 129):
+        g = np.random.Generator(np.random.Philox(children[i // 64]))
+        draws = g.standard_normal(count * 64)[i % 64::64]
+        assert np.array_equal(noise[:, i], draws)
+        # thermal start: draws 0 and 1 set q and p
+        assert traj.q[i, 0] == pytest.approx(sig_q * draws[0], rel=1e-12)
+        assert traj.p[i, 0] == pytest.approx(sig_p * draws[1], rel=1e-12)
 
 
 def test_record_every_subsamples_same_path():
@@ -66,12 +90,15 @@ def test_record_every_subsamples_same_path():
 
 def test_chunk_boundary_invisible():
     # a duration crossing the internal chunk size must agree with the
-    # same path truncated, step for step
+    # same path truncated, step for step, also over two noise blocks
     force, bath = make_models()
     n_long = langevin.CHUNK_STEPS + 100
-    long = simulate(force, bath, "thermal", DT, n_long * DT, seed=9, n_traj=2)
-    short = simulate(force, bath, "thermal", DT, 900 * DT, seed=9, n_traj=2)
-    assert np.array_equal(short.q, long.q[:, :901])
+    for n_traj in (2, 70):
+        long = simulate(force, bath, "thermal", DT, n_long * DT, seed=9,
+                        n_traj=n_traj)
+        short = simulate(force, bath, "thermal", DT, 900 * DT, seed=9,
+                         n_traj=n_traj)
+        assert np.array_equal(short.q, long.q[:, :901])
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +362,14 @@ def test_config_hash_stable_and_sensitive():
 
 
 def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
-                        record_every=1, cube=lambda q: q**3):
+                        record_every=1, cube=lambda q: q**3,
+                        quartic=lambda q: q**4):
     """The step loop `simulate` is checked against, one step at a time.
 
     It evaluates every force term, Duffing included at xi = 0, at both
     half kicks of every step, with the noise trajectory-major.  `cube`
-    is how the Duffing force cubes q.
+    is how the Duffing force cubes q, `quartic` how the Duffing energy
+    raises it to the fourth power.
     """
     m = force.mass
     n_steps = int(round(duration / dt))
@@ -359,10 +388,15 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
     ou_decay = math.exp(-gam * h)
     ou_kick = math.sqrt(max(0.0, (1.0 - ou_decay**2) * temp))
 
-    streams = langevin.trajectory_streams(seed, n_traj)
+    # one Philox stream per block of 64 trajectories; each draw fills a
+    # (count, 64) array in C order, and trajectory i reads column i % 64
+    # of stream i // 64
+    children = np.random.SeedSequence(seed).spawn(-(-n_traj // 64))
+    streams = [np.random.Generator(np.random.Philox(s)) for s in children]
 
     def draw(count):
-        return np.stack([g.standard_normal(count) for g in streams])
+        blocks = [g.standard_normal((count, 64)) for g in streams]
+        return np.stack([blocks[i // 64][:, i % 64] for i in range(n_traj)])
 
     if isinstance(init, str) and init == "thermal":
         sig_q = math.sqrt(k_B * bath.temperature / m) / force.omega0 / x0
@@ -452,7 +486,8 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
     else:
         energy = (p_si**2 / (2.0 * m)
                   + 0.5 * m * omega_out[None, :]**2 * q_si**2
-                  + 0.25 * force.duffing_xi * m * force.omega0**2 * q_si**4)
+                  + 0.25 * force.duffing_xi * m * force.omega0**2
+                  * quartic(q_si))
     protocol = {"omega": omega_out, "epsilon": eps_out,
                 "external_force": fext_out}
     return q_si, p_si, energy, protocol
@@ -487,23 +522,35 @@ def test_kernel_matches_reference_loop(case, record_every, n_steps):
     force, bath = make_models(**PARITY_CASES[case])
     init = (1e-8, 0.0) if case == "double-well" else "thermal"
     args = (force, bath, init, DT, n_steps * DT, 6)
-    kw = dict(n_traj=3, record_every=record_every)
+    # 70 trajectories span two noise stream blocks
+    kw = dict(n_traj=70, record_every=record_every)
     traj = simulate(*args, **kw)
-    # q*q*q and q**3 differ in the last bit, so the Duffing kernel is held
-    # to the reference evaluated with the same product
-    cube = (lambda q: q * q * q) if case == "duffing" else (lambda q: q**3)
-    q, p, energy, protocol = _reference_simulate(*args, cube=cube, **kw)
+    # q*q*q and q**3 differ in the last bit, as do (q*q)*(q*q) and q**4,
+    # so the Duffing kernel is held to the reference evaluated with the
+    # same products
+    powers = {}
+    if case == "duffing":
+        powers = dict(cube=lambda q: q * q * q,
+                      quartic=lambda q: (q * q) * (q * q))
+    q, p, energy, protocol = _reference_simulate(*args, **powers, **kw)
     assert np.array_equal(traj.q, q)
     assert np.array_equal(traj.p, p)
     assert np.array_equal(traj.energy, energy)
     for name, values in protocol.items():
         assert np.array_equal(traj.protocol[name], values), name
     for a in (traj.q, traj.p, traj.energy):
-        assert a.flags.c_contiguous and a.shape == (3, n_steps // record_every + 1)
+        assert a.flags.c_contiguous and a.shape == (70, n_steps // record_every + 1)
     if case == "duffing":
+        eps = np.finfo(float).eps
         # against q**3, each step may differ by a rounding of the force,
         # far below one ulp of the state: n_steps ulps bound the drift
         for ours, theirs in zip((traj.q, traj.p),
                                 _reference_simulate(*args, **kw)):
-            bound = n_steps * np.finfo(float).eps * np.abs(theirs).max()
+            bound = n_steps * eps * np.abs(theirs).max()
             assert np.abs(ours - theirs).max() <= bound
+        # on the same path, the energy with q**4 differs from the product
+        # by a few roundings of the quartic term, within 4 ulps
+        _, _, energy_pow, _ = _reference_simulate(
+            *args, cube=powers["cube"], **kw)
+        assert np.all(np.abs(traj.energy - energy_pow)
+                      <= 4 * eps * np.abs(energy_pow))
