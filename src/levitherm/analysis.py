@@ -171,7 +171,6 @@ class SpectralDensity:
     omega: np.ndarray
     values: np.ndarray
     n_segments: int
-    window: str
     dt: float
 
     def integral(self) -> float:
@@ -179,9 +178,8 @@ class SpectralDensity:
         return float(np.trapezoid(self.values, self.omega))
 
 
-def psd(traj: Trajectory, n_segments: int = 8,
-        window: str = "hann") -> SpectralDensity:
-    """Segment-averaged windowed periodogram (Welch, 50% overlap).
+def psd(traj: Trajectory, n_segments: int = 8) -> SpectralDensity:
+    """Segment-averaged Hann-windowed periodogram (Welch, 50% overlap).
 
     Averages over the ensemble as well as over segments, and normalizes
     to the two-sided angular-frequency convention so the spectrum
@@ -192,12 +190,7 @@ def psd(traj: Trajectory, n_segments: int = 8,
     n = q.shape[1]
     seg = max(8, int(2 * n / (n_segments + 1)))
     step = seg // 2
-    if window == "hann":
-        win = np.hanning(seg)
-    elif window == "boxcar":
-        win = np.ones(seg)
-    else:
-        raise ValueError("window must be 'hann' or 'boxcar'")
+    win = np.hanning(seg)
     norm = (win**2).sum() / dt
     acc = None
     count = 0
@@ -212,7 +205,7 @@ def psd(traj: Trajectory, n_segments: int = 8,
     freq = np.fft.fftshift(np.fft.fftfreq(seg, d=dt))
     # per-Hz two-sided density -> per-(rad/s) density
     return SpectralDensity(2.0 * math.pi * freq, power / (2.0 * math.pi),
-                           count, window, dt)
+                           count, dt)
 
 
 def psd_analytic(omega, omega0: float, gamma: float, temperature: float,
@@ -221,11 +214,6 @@ def psd_analytic(omega, omega0: float, gamma: float, temperature: float,
     omega = np.asarray(omega, dtype=float)
     return (gamma * k_B * temperature / (math.pi * mass)
             / ((omega**2 - omega0**2) ** 2 + gamma**2 * omega**2))
-
-
-def duffing_shifted_frequency(energy, omega0: float, xi: float, mass: float):
-    """Amplitude-dependent resonance W0 + 3 xi E / (4 m W0)."""
-    return omega0 + 3.0 * xi * np.asarray(energy) / (4.0 * mass * omega0)
 
 
 def nonlinearity_parameter(xi: float, omega0: float, gamma: float,
@@ -306,33 +294,26 @@ class LorentzianFit:
     covariance: np.ndarray
 
 
-def lorentzian_fit(spectrum: SpectralDensity, mass: float,
-                   guess: tuple | None = None,
-                   band: tuple | None = None) -> LorentzianFit:
+def lorentzian_fit(spectrum: SpectralDensity, mass: float) -> LorentzianFit:
     """Least-squares fit of the harmonic spectrum to (W0, gamma, T).
 
     The residual is taken in log space, which weights each bin by its
-    relative error; Welch bins have constant relative noise.  By default
-    the fit uses only frequencies below a quarter of the Nyquist rate:
+    relative error; Welch bins have constant relative noise.  The fit
+    uses only positive frequencies below a quarter of the Nyquist rate:
     the spectrum of the sampled process rolls off relative to the
     continuous-time line near Nyquist, and those bins would otherwise
-    dominate the log-space cost.  Pass `band=(lo, hi)` to override.
+    dominate the log-space cost.  The starting point is read off the
+    spectrum: peak position, area over peak height, and total power.
     """
-    if band is None:
-        band = (0.0, 0.25 * float(spectrum.omega.max()))
-    pos = (spectrum.omega > band[0]) & (spectrum.omega <= band[1])
-    w = spectrum.omega[pos]
-    s = spectrum.values[pos]
-    keep = s > 0
+    w, s = spectrum.omega, spectrum.values
+    keep = (w > 0.0) & (w <= 0.25 * float(w.max())) & (s > 0)
     w, s = w[keep], s[keep]
-    if guess is None:
-        w0_g = w[np.argmax(s)]
-        if w0_g < 3.0 * (w[1] - w[0]):
-            w0_g = w[np.argmax(s * w**2)]
-        area = np.trapezoid(s, w)
-        g_g = max(area / (math.pi * s.max() * 1.0), w[1] - w[0])
-        t_g = 2.0 * area * mass * w0_g**2 / k_B
-        guess = (w0_g, g_g, t_g)
+    w0_g = w[np.argmax(s)]
+    if w0_g < 3.0 * (w[1] - w[0]):
+        w0_g = w[np.argmax(s * w**2)]
+    area = np.trapezoid(s, w)
+    g_g = max(area / (math.pi * s.max()), w[1] - w[0])
+    t_g = 2.0 * area * mass * w0_g**2 / k_B
 
     log_s = np.log(s)
 
@@ -341,7 +322,7 @@ def lorentzian_fit(spectrum: SpectralDensity, mass: float,
         model = psd_analytic(w, w0, gam, temp, mass)
         return np.log(model) - log_s
 
-    sol = least_squares(resid, guess, method="lm", max_nfev=20000)
+    sol = least_squares(resid, (w0_g, g_g, t_g), method="lm", max_nfev=20000)
     if not sol.success or not np.all(np.isfinite(sol.x)):
         raise FitError(f"spectrum fit failed: {sol.message}; "
                        f"residual norm {np.linalg.norm(sol.fun):.3g}")

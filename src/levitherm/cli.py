@@ -535,8 +535,8 @@ def relax_cmd(c, em):
     """Energy relaxation from a fixed initial energy toward the bath."""
     e0 = c.ratio * k_B * c.temperature
     bath = BathModel(gamma=c.gamma, temperature=c.temperature)
-    path = langevin.simulate_energy_sde(bath, c.omega0, c.mass, e0, c.dt,
-                                        c.duration, c.seed, n_traj=c.n_traj,
+    path = langevin.simulate_energy_sde(bath, e0, c.dt, c.duration, c.seed,
+                                        n_traj=c.n_traj,
                                         record_every=c.record_every)
     em.table("relax", {
         "time_s": path.time,

@@ -39,6 +39,11 @@ stream i // BLOCK.  A trajectory's noise therefore depends only on the
 seed and its index, so a smaller ensemble is a prefix of a larger one
 and results are bit-reproducible regardless of chunking.  `derive_seed`
 gives the master seeds of the runs that make up one experiment.
+
+`simulate_energy_sde` integrates the reduced energy dynamics of free
+relaxation only; the energy law of a driven steady state is
+`analysis.steady_state_distribution`, and driven dynamics run through
+`simulate` with a `Modulation` or a feedback gain.
 """
 
 from __future__ import annotations
@@ -531,38 +536,21 @@ class EnergyPath:
     seed: int
 
 
-def simulate_energy_sde(bath: BathModel, omega0: float, mass: float,
-                        e0, dt: float, duration: float, seed: int,
-                        n_traj: int = 1, modulation: Modulation | None = None,
-                        feedback_gain: float = 0.0, omega: float | None = None,
+def simulate_energy_sde(bath: BathModel, e0, dt: float, duration: float,
+                        seed: int, n_traj: int = 1,
                         record_every: int = 1) -> EnergyPath:
-    """Integrate the reduced (period-averaged) dynamics of the energy.
+    """Integrate the reduced (period-averaged) energy dynamics of free
+    relaxation, the square-root (Cox-Ingersoll-Ross) diffusion
 
-    The energy follows the square-root diffusion
+        dE = -gamma (E - k_B T) dt + sqrt(2 gamma k_B T E) dW,
 
-        dE = -gamma [(1 + s) E + 2 c k_B T E^2 - k_B T] dt
-             + sqrt(2 gamma k_B T E) dW,
-        s = eps0 W0^2 sin(2 phi) / (gamma W),
-        c = eta W0 / (4 m gamma W^2),
-
-    equivalently an overdamped walker in the effective potential
-    (1 + s) y^2 + c y^4 - k_B T ln y for y = sqrt(E).  The E form is the
-    one integrated here because its drift stays bounded at the origin;
-    excursions below zero are reflected.  Without modulation or feedback
-    the stationary law is exponential with mean k_B T and the finite-time
-    transition density is the noncentral chi-squared form implemented in
-    the analysis module.
+    with excursions below zero reflected.  Its stationary law is
+    exponential with mean k_B T and its transition law is that of
+    `analysis.relaxation_cdf`.  Driven steady states are not modelled
+    here: their energy law is `analysis.steady_state_distribution`.
     """
     if bath.gamma <= 0 or bath.temperature <= 0:
         raise ValueError("energy dynamics require gamma > 0 and T > 0")
-    w = omega if omega is not None else omega0
-    s = 0.0
-    if modulation is not None:
-        s = (modulation.depth * omega0**2 * math.sin(2.0 * modulation.phase)
-             / (bath.gamma * w))
-    c_hat = feedback_gain * omega0 / (4.0 * mass * bath.gamma * w**2) \
-        * k_B * bath.temperature
-
     gam = bath.gamma
     n_steps = int(round(duration / dt))
     if dt * gam > 0.05:
@@ -581,8 +569,7 @@ def simulate_energy_sde(bath: BathModel, omega0: float, mass: float,
         chunk = min(CHUNK_STEPS, n_steps - step)
         noise = _draw_normals(streams, chunk, n_traj)
         for j in range(chunk):
-            drift = -gam * ((1.0 + s) * x + 2.0 * c_hat * x**2 - 1.0)
-            x = np.abs(x + drift * dt + kick * np.sqrt(x) * noise[j])
+            x = np.abs(x - gam * (x - 1.0) * dt + kick * np.sqrt(x) * noise[j])
             if (step + j + 1) % record_every == 0:
                 out[:, k_sample] = x
                 k_sample += 1

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
 from .constants import k_B
-from .langevin import (BathModel, ForceModel, Modulation, Trajectory,
-                       derive_seed, simulate)
+from .langevin import (BathModel, ForceModel, Trajectory, derive_seed,
+                       simulate, simulate_energy_sde)
 
 
 class ProtocolError(ValueError):
@@ -306,13 +306,19 @@ def _weighted_line(x, y, w):
     return slope, intercept, stderr
 
 
-def ft_slope(samples: np.ndarray, n_bins: int = 40,
-             min_count: int = 25) -> SlopeFit:
+# Fewest samples per side for a histogram bin to enter a fit; bins of the
+# Crooks fit.
+MIN_BIN_COUNT = 25
+CROOKS_BINS = 30
+
+
+def ft_slope(samples: np.ndarray, n_bins: int = 40) -> SlopeFit:
     """Detailed-balance slope of ln[P(x)/P(-x)] against x.
 
     Histograms the samples in bins symmetric about zero and regresses
-    the paired-bin log ratio, weighting each pair by its inverse counting
-    variance 1/n+ + 1/n-.  The fit range is limited to the symmetric
+    the paired-bin log ratio over pairs with MIN_BIN_COUNT samples on each
+    side, weighting each pair by its inverse counting variance
+    1/n+ + 1/n-.  The fit range is limited to the symmetric
     coverage of the data (both signs populated), which keeps the bins
     narrow when the distribution has a long one-sided tail.
     """
@@ -326,7 +332,7 @@ def ft_slope(samples: np.ndarray, n_bins: int = 40,
     n_neg = counts[:n_bins][::-1].astype(float)
     n_pos = counts[n_bins:].astype(float)
     centers = 0.5 * (edges[n_bins:-1] + edges[n_bins + 1:])
-    ok = (n_pos >= min_count) & (n_neg >= min_count)
+    ok = (n_pos >= MIN_BIN_COUNT) & (n_neg >= MIN_BIN_COUNT)
     if ok.sum() < 3:
         raise ValueError("not enough populated symmetric bins for a slope fit")
     y = np.log(n_pos[ok] / n_neg[ok])
@@ -338,12 +344,12 @@ def ft_slope(samples: np.ndarray, n_bins: int = 40,
 
 
 def crooks_crossing(work_forward: np.ndarray, work_reverse: np.ndarray,
-                    temperature: float, n_bins: int = 30,
-                    min_count: int = 25) -> tuple[float, float]:
+                    temperature: float) -> tuple[float, float]:
     """Free energy from the crossing of forward and reversed work histograms.
 
-    Fits ln[P_F(W) / P_R(-W)] = beta (W - dF) over the histogram overlap
-    and returns (dF_estimate, fitted_slope / beta); the second value
+    Fits ln[P_F(W) / P_R(-W)] = beta (W - dF) over the CROOKS_BINS bins of
+    the histogram overlap that hold MIN_BIN_COUNT samples of each, and
+    returns (dF_estimate, fitted_slope / beta); the second value
     should be close to 1 when the relation holds.
     """
     beta = 1.0 / (k_B * temperature)
@@ -353,10 +359,10 @@ def crooks_crossing(work_forward: np.ndarray, work_reverse: np.ndarray,
     hi = min(wf.max(), wr.max())
     if hi <= lo:
         raise ValueError("forward and reversed work histograms do not overlap")
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, CROOKS_BINS + 1)
     nf, _ = np.histogram(wf, bins=edges)
     nr, _ = np.histogram(wr, bins=edges)
-    ok = (nf >= min_count) & (nr >= min_count)
+    ok = (nf >= MIN_BIN_COUNT) & (nr >= MIN_BIN_COUNT)
     if ok.sum() < 3:
         raise ValueError("not enough overlap between work histograms")
     centers = 0.5 * (edges[:-1] + edges[1:])[ok]
@@ -415,25 +421,20 @@ class RelaxationEntropySamples:
 
 
 def relaxation_entropy_samples(dist, gamma: float, t_relax: float, dt: float,
-                               seed: int, n_traj: int,
-                               record_every: int | None = None
+                               seed: int, n_traj: int
                                ) -> RelaxationEntropySamples:
     """Entropy production of free relaxation from a driven steady state.
 
     Draws initial energies from `dist` (an `analysis.SteadyStateDistribution`),
     relaxes them under the undriven energy dynamics at the bath
     temperature, and evaluates the path entropy production with the
-    initial distribution as reference.
+    initial distribution as reference.  Only the endpoint is recorded.
     """
-    from .langevin import simulate_energy_sde
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xe0]))
     e0 = dist.sample(n_traj, rng)
     bath = BathModel(gamma=gamma, temperature=dist.temperature)
-    if record_every is None:
-        record_every = max(1, int(round(t_relax / dt)))
-    path = simulate_energy_sde(bath, dist.omega0, dist.mass, e0, dt, t_relax,
-                               seed, n_traj=n_traj, record_every=record_every)
+    path = simulate_energy_sde(bath, e0, dt, t_relax, seed, n_traj=n_traj,
+                               record_every=max(1, int(round(t_relax / dt))))
     e_t = path.energy[:, -1]
     ds_sys = stochastic_entropy_change(e0, e_t, dist)
     heat = -(e_t - e0)
@@ -568,12 +569,59 @@ class EngineResult:
     detail: dict = field(default_factory=dict)
 
 
+# Cycles `underdamped_cycle_sde` runs to reach the periodic state, and the
+# cycles it then averages over.
+N_TRANSIENT = 4
+N_CYCLES = 6
+
+
 def _stroke_k(spec_k0, spec_k1, tau):
     def k_of(t):
         return spec_k0 + (spec_k1 - spec_k0) * t / tau
-    def kdot():
-        return (spec_k1 - spec_k0) / tau
-    return k_of, kdot
+    return k_of
+
+
+def _periodic_state(spec: EngineCycleSpec, rhs_of, dim: int,
+                    n_per_stroke: int):
+    """Periodic state of the linear moment ODE rhs_of(k_of, temp)(t, y).
+
+    The one-cycle map is affine, y -> A y + b, so its fixed point follows
+    from dim + 1 propagations and one linear solve.  Returns the fixed
+    point, the state one cycle later, and that cycle's strokes on a dense
+    grid as (t, y, k_of, kdot, temp).
+    """
+    def propagate(y0, dense=False):
+        y = np.asarray(y0, dtype=float)
+        traces = []
+        for tau, k0, k1, temp in spec.strokes():
+            k_of = _stroke_k(k0, k1, tau)
+            t_eval = np.linspace(0.0, tau, n_per_stroke) if dense else None
+            sol = solve_ivp(rhs_of(k_of, temp), (0.0, tau), y, rtol=1e-11,
+                            atol=1e-30, t_eval=t_eval, method="DOP853")
+            y = sol.y[:, -1].copy()
+            if dense:
+                traces.append((sol.t, sol.y, k_of, (k1 - k0) / tau, temp))
+        return y, traces
+
+    b, _ = propagate(np.zeros(dim))
+    amat = np.column_stack([propagate(e)[0] - b for e in np.eye(dim)])
+    y_star = np.linalg.solve(np.eye(dim) - amat, b)
+    y_end, traces = propagate(y_star, dense=True)
+    return y_star, y_end, traces
+
+
+def _engine_result(spec: EngineCycleSpec, works, heats, kinetic: float = 0.0,
+                   **fields) -> EngineResult:
+    """Cycle totals from per-stroke work and heat, hot stroke first;
+    `kinetic` is hot-bath heat drawn outside the strokes."""
+    w_out = -sum(works)
+    q_in = -heats[0] + kinetic
+    return EngineResult(work_strokes=tuple(works), heat_strokes=tuple(heats),
+                        work_output=w_out, heat_in=q_in,
+                        efficiency=w_out / q_in if q_in > 0 else math.nan,
+                        power=w_out / spec.period,
+                        eta_carnot=spec.eta_carnot,
+                        eta_curzon_ahlborn=spec.eta_curzon_ahlborn, **fields)
 
 
 def overdamped_cycle(spec: EngineCycleSpec, n_per_stroke: int = 4000,
@@ -594,34 +642,16 @@ def overdamped_cycle(spec: EngineCycleSpec, n_per_stroke: int = 4000,
     """
     mu = 1.0 / (spec.mass * spec.gamma)
 
-    def propagate(sigma0, dense=False):
-        sig = sigma0
-        traces = []
-        for tau, k0, k1, temp in spec.strokes():
-            k_of, _ = _stroke_k(k0, k1, tau)
+    def rhs_of(k_of, temp):
+        def rhs(t, y):
+            return [-2.0 * mu * k_of(t) * y[0] + 2.0 * mu * k_B * temp]
+        return rhs
 
-            def rhs(t, y):
-                return [-2.0 * mu * k_of(t) * y[0] + 2.0 * mu * k_B * temp]
-
-            t_eval = np.linspace(0.0, tau, n_per_stroke) if dense else None
-            sol = solve_ivp(rhs, (0.0, tau), [sig], rtol=1e-11, atol=1e-30,
-                            t_eval=t_eval, method="DOP853")
-            sig = float(sol.y[0, -1])
-            if dense:
-                traces.append((sol.t, sol.y[0], k_of, temp, tau, k0, k1))
-        return sig, traces
-
-    # affine map sigma -> a sigma + b; fixed point b / (1 - a)
-    s_b, _ = propagate(0.0)
-    s_ab, _ = propagate(1.0)
-    a = s_ab - s_b
-    sigma_star = s_b / (1.0 - a)
-    sigma_end, traces = propagate(sigma_star, dense=True)
-
+    y_star, y_end, traces = _periodic_state(spec, rhs_of, 1, n_per_stroke)
     works, works_cf, heats = [], [], []
-    for t, sig, k_of, temp, tau, k0, k1 in traces:
+    for t, y, k_of, kdot, temp in traces:
+        sig = y[0]
         k_vals = k_of(t)
-        kdot = (k1 - k0) / tau
         w_quad = simpson(0.5 * kdot * sig, x=t)
         sigdot = -2.0 * mu * k_vals * sig + 2.0 * mu * k_B * temp
         w_cf = (simpson(sigdot**2 / sig, x=t) / (4.0 * mu)
@@ -632,19 +662,11 @@ def overdamped_cycle(spec: EngineCycleSpec, n_per_stroke: int = 4000,
         works_cf.append(w_cf)
         heats.append(w_quad - de)
 
-    w_out = -sum(works)
-    q_in = -heats[0]
-    if include_kinetic:
-        q_in += 0.5 * k_B * (spec.t_hot - spec.t_cold)
-    eff = w_out / q_in if q_in > 0 else math.nan
-    return EngineResult(work_strokes=tuple(works), heat_strokes=tuple(heats),
-                        work_output=w_out, heat_in=q_in, efficiency=eff,
-                        power=w_out / spec.period,
-                        eta_carnot=spec.eta_carnot,
-                        eta_curzon_ahlborn=spec.eta_curzon_ahlborn,
-                        work_closed_form=tuple(works_cf),
-                        detail={"sigma_start": sigma_star,
-                                "sigma_end": sigma_end})
+    kinetic = 0.5 * k_B * (spec.t_hot - spec.t_cold) if include_kinetic else 0.0
+    return _engine_result(spec, works, heats, kinetic,
+                          work_closed_form=tuple(works_cf),
+                          detail={"sigma_start": float(y_star[0]),
+                                  "sigma_end": float(y_end[0])})
 
 
 def underdamped_cycle_moments(spec: EngineCycleSpec,
@@ -658,112 +680,62 @@ def underdamped_cycle_moments(spec: EngineCycleSpec,
     """
     m, gam = spec.mass, spec.gamma
 
-    def propagate(y0, dense=False):
-        y = np.asarray(y0, dtype=float)
-        traces = []
-        for tau, k0, k1, temp in spec.strokes():
-            k_of, _ = _stroke_k(k0, k1, tau)
+    def rhs_of(k_of, temp):
+        def rhs(t, y):
+            sq, c, sv = y
+            kk = k_of(t)
+            return [2.0 * c,
+                    sv - (kk / m) * sq - gam * c,
+                    -2.0 * gam * sv - 2.0 * (kk / m) * c
+                    + 2.0 * gam * k_B * temp / m]
+        return rhs
 
-            def rhs(t, y):
-                sq, c, sv = y
-                kk = k_of(t)
-                return [2.0 * c,
-                        sv - (kk / m) * sq - gam * c,
-                        -2.0 * gam * sv - 2.0 * (kk / m) * c
-                        + 2.0 * gam * k_B * temp / m]
-
-            t_eval = np.linspace(0.0, tau, n_per_stroke) if dense else None
-            sol = solve_ivp(rhs, (0.0, tau), y, rtol=1e-11, atol=1e-30,
-                            t_eval=t_eval, method="DOP853")
-            y = sol.y[:, -1].copy()
-            if dense:
-                traces.append((sol.t, sol.y, k_of, temp, tau, k0, k1))
-        return y, traces
-
-    b, _ = propagate([0.0, 0.0, 0.0])
-    cols = [propagate(e)[0] - b for e in np.eye(3)]
-    amat = np.column_stack(cols)
-    y_star = np.linalg.solve(np.eye(3) - amat, b)
-    y_end, traces = propagate(y_star, dense=True)
-
+    y_star, y_end, traces = _periodic_state(spec, rhs_of, 3, n_per_stroke)
     works, heats = [], []
-    for t, y, k_of, temp, tau, k0, k1 in traces:
+    for t, y, k_of, kdot, temp in traces:
         sq, sv = y[0], y[2]
-        k_vals = k_of(t)
-        kdot = (k1 - k0) / tau
         w = simpson(0.5 * kdot * sq, x=t)
-        e = 0.5 * m * sv + 0.5 * k_vals * sq
+        e = 0.5 * m * sv + 0.5 * k_of(t) * sq
         works.append(w)
         heats.append(w - (e[-1] - e[0]))
-
-    w_out = -sum(works)
-    q_in = -heats[0]
-    eff = w_out / q_in if q_in > 0 else math.nan
-    return EngineResult(work_strokes=tuple(works), heat_strokes=tuple(heats),
-                        work_output=w_out, heat_in=q_in, efficiency=eff,
-                        power=w_out / spec.period,
-                        eta_carnot=spec.eta_carnot,
-                        eta_curzon_ahlborn=spec.eta_curzon_ahlborn,
-                        detail={"state_start": y_star, "state_end": y_end})
+    return _engine_result(spec, works, heats,
+                          detail={"state_start": y_star, "state_end": y_end})
 
 
 def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,
-                          n_traj: int, n_cycles: int = 6,
-                          n_transient: int = 4,
-                          hot_modulation: Modulation | None = None,
+                          n_traj: int,
                           allow_coarse_dt: bool = False) -> EngineResult:
     """Cycle energetics from a Langevin ensemble.
 
-    Runs `n_transient` cycles to reach the periodic state, then averages
-    per-stroke work and heat over the remaining cycles.  Stroke ramps
+    Runs N_TRANSIENT cycles to reach the periodic state, then averages
+    per-stroke work and heat over the next N_CYCLES cycles.  Stroke ramps
     are staircases on the integration grid, so the per-trajectory work
     is a sum of exact stiffness-jump terms.
-
-    If `hot_modulation` is given, the hot stroke keeps the cold bath and
-    synthesizes the hot one parametrically; the caller is responsible
-    for choosing depth and phase so the effective temperature matches
-    `spec.t_hot` (see `analysis.effective_temperature_modulated`).
     """
     m = spec.mass
-    if hot_modulation is not None:
-        bath = {True: BathModel(spec.gamma, spec.t_cold),
-                False: BathModel(spec.gamma, spec.t_cold)}
-    else:
-        bath = {True: BathModel(spec.gamma, spec.t_hot),
-                False: BathModel(spec.gamma, spec.t_cold)}
+    baths = (BathModel(spec.gamma, spec.t_hot),
+             BathModel(spec.gamma, spec.t_cold))
     q = p = None
-    works = np.zeros((n_cycles, 2))
-    heats = np.zeros((n_cycles, 2))
-    for cyc in range(n_transient + n_cycles):
+    works = np.zeros((N_CYCLES, 2))
+    heats = np.zeros((N_CYCLES, 2))
+    for cyc in range(N_TRANSIENT + N_CYCLES):
         for idx, (tau, k0, k1, temp) in enumerate(spec.strokes()):
-            mod = hot_modulation if idx == 0 else None
             force = ForceModel(mass=m, omega0=math.sqrt(k0 / m),
-                               modulation=mod,
                                stiffness_schedule=stiffness_staircase(
                                    m, k0, k1, tau, dt))
             init = "thermal" if q is None else (q, p)
-            traj = simulate(force, bath[idx == 0], init, dt, tau,
+            traj = simulate(force, baths[idx], init, dt, tau,
                             derive_seed(seed, "engine-stroke", cyc, idx),
                             n_traj=n_traj,
                             allow_coarse_dt=allow_coarse_dt)
             q, p = traj.q[:, -1].copy(), traj.p[:, -1].copy()
-            if cyc >= n_transient:
+            if cyc >= N_TRANSIENT:
                 rec = work_heat(traj)
-                works[cyc - n_transient, idx] = rec.mean_work
-                heats[cyc - n_transient, idx] = rec.mean_work - float(
+                works[cyc - N_TRANSIENT, idx] = rec.mean_work
+                heats[cyc - N_TRANSIENT, idx] = rec.mean_work - float(
                     rec.delta_energy.mean())
 
-    w_strokes = works.mean(axis=0)
-    h_strokes = heats.mean(axis=0)
-    w_out = -w_strokes.sum()
-    q_in = -h_strokes[0]
-    eff = w_out / q_in if q_in > 0 else math.nan
-    stderr = works.sum(axis=1).std(ddof=1) / math.sqrt(n_cycles)
-    return EngineResult(work_strokes=tuple(w_strokes),
-                        heat_strokes=tuple(h_strokes),
-                        work_output=w_out, heat_in=q_in, efficiency=eff,
-                        power=w_out / spec.period,
-                        eta_carnot=spec.eta_carnot,
-                        eta_curzon_ahlborn=spec.eta_curzon_ahlborn,
-                        detail={"work_stderr": float(stderr),
-                                "n_cycles": n_cycles})
+    stderr = works.sum(axis=1).std(ddof=1) / math.sqrt(N_CYCLES)
+    return _engine_result(spec, works.mean(axis=0), heats.mean(axis=0),
+                          detail={"work_stderr": float(stderr),
+                                  "n_cycles": N_CYCLES})

@@ -214,7 +214,7 @@ def test_energy_relaxation_distribution_and_rate():
     gamma = 2000.0
     e0 = 5.0 * KT300
     bath = BathModel(gamma=gamma, temperature=300.0)
-    path = simulate_energy_sde(bath, OMEGA0, MASS, e0, 2e-6, 3.0 / gamma,
+    path = simulate_energy_sde(bath, e0, 2e-6, 3.0 / gamma,
                                seed=71, n_traj=5000, record_every=25)
     for gt in (0.3, 1.0, 3.0):
         i = int(np.argmin(np.abs(path.time * gamma - gt)))

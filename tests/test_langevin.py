@@ -279,7 +279,7 @@ def test_double_well_custom_potential_round_trip():
 def test_energy_sde_stationary_exponential():
     gamma = 2000.0
     bath = BathModel(gamma=gamma, temperature=300.0)
-    path = simulate_energy_sde(bath, OMEGA0, MASS, KT300, 1e-5, 5e-3,
+    path = simulate_energy_sde(bath, KT300, 1e-5, 5e-3,
                                seed=4, n_traj=4000,
                                record_every=100)
     tail = path.energy[:, -1]
@@ -295,7 +295,7 @@ def test_energy_sde_transition_density_noncentral_chi2():
     t_relax = 0.5 / gamma
     e0 = 3.0 * KT300
     bath = BathModel(gamma=gamma, temperature=300.0)
-    path = simulate_energy_sde(bath, OMEGA0, MASS, e0, 2e-6, t_relax,
+    path = simulate_energy_sde(bath, e0, 2e-6, t_relax,
                                seed=17, n_traj=5000,
                                record_every=int(round(t_relax / 2e-6)))
     samples = path.energy[:, -1]
@@ -308,7 +308,7 @@ def test_energy_sde_mean_relaxation_curve():
     gamma = 2000.0
     e0 = 0.1 * KT300
     bath = BathModel(gamma=gamma, temperature=300.0)
-    path = simulate_energy_sde(bath, OMEGA0, MASS, e0, 2e-6, 2e-3,
+    path = simulate_energy_sde(bath, e0, 2e-6, 2e-3,
                                seed=23, n_traj=4000, record_every=100)
     expected = KT300 + (e0 - KT300) * np.exp(-gamma * path.time)
     meas = path.energy.mean(axis=0)
@@ -318,16 +318,16 @@ def test_energy_sde_mean_relaxation_curve():
 def test_energy_sde_guards():
     bath = BathModel(gamma=2000.0, temperature=300.0)
     with pytest.raises(ValueError, match="gamma dt"):
-        simulate_energy_sde(bath, OMEGA0, MASS, KT300, 1e-4, 1e-2, seed=0)
+        simulate_energy_sde(bath, KT300, 1e-4, 1e-2, seed=0)
     with pytest.raises(ValueError):
-        simulate_energy_sde(BathModel(0.0, 300.0), OMEGA0, MASS, KT300,
+        simulate_energy_sde(BathModel(0.0, 300.0), KT300,
                             1e-6, 1e-4, seed=0)
 
 
 def test_energy_sde_accepts_per_trajectory_start():
     bath = BathModel(gamma=2000.0, temperature=300.0)
     e0 = np.array([0.5, 1.0, 2.0]) * KT300
-    path = simulate_energy_sde(bath, OMEGA0, MASS, e0, 1e-5, 1e-4, seed=0,
+    path = simulate_energy_sde(bath, e0, 1e-5, 1e-4, seed=0,
                                n_traj=3)
     assert np.allclose(path.energy[:, 0], e0)
 
