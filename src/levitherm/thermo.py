@@ -224,7 +224,7 @@ def run_force_ramp(mass: float, omega0: float, gamma: float,
     if reverse:
         def f_ext(t):
             return f_max * (1.0 - t / tau)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0f0f]))
+        rng = np.random.default_rng(derive_seed(seed, "reverse-start"))
         q0 = f_max / k + math.sqrt(k_B * temperature / k) * rng.standard_normal(n_traj)
         p0 = math.sqrt(mass * k_B * temperature) * rng.standard_normal(n_traj)
         init = (q0, p0)
@@ -430,7 +430,7 @@ def relaxation_entropy_samples(dist, gamma: float, t_relax: float, dt: float,
     temperature, and evaluates the path entropy production with the
     initial distribution as reference.  Only the endpoint is recorded.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xe0]))
+    rng = np.random.default_rng(derive_seed(seed, "relax-start"))
     e0 = dist.sample(n_traj, rng)
     bath = BathModel(gamma=gamma, temperature=dist.temperature)
     path = simulate_energy_sde(bath, e0, dt, t_relax, seed, n_traj=n_traj,
