@@ -1,6 +1,8 @@
 """Stochastic integrator: reproducibility, exactness, guards, energy SDE."""
 
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,13 +164,28 @@ def test_above_threshold_drive_blows_up():
         modulation=Modulation(depth=10.0 / q_factor, frequency=2 * OMEGA0))
     with pytest.raises(IntegratorBlowupError) as info:
         simulate(force, bath, "thermal", DT, 0.1, seed=2, n_traj=2)
-    # the error names the first step that leaves a non-finite state: one
-    # step less runs clean, exactly that many steps fail there again
+    # the error names the first step that leaves the state bound: one
+    # step less runs clean, with no overflow and finite energies, and
+    # exactly that many steps fail there again
     step = info.value.step
-    simulate(force, bath, "thermal", DT, (step - 1) * DT, seed=2, n_traj=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        clean = simulate(force, bath, "thermal", DT, (step - 1) * DT, seed=2,
+                         n_traj=2)
+    assert np.isfinite(clean.energy).all()
     with pytest.raises(IntegratorBlowupError) as info:
         simulate(force, bath, "thermal", DT, step * DT, seed=2, n_traj=2)
     assert info.value.step == step
+
+
+def test_arguments_bound_by_name_keep_their_names():
+    # the benchmark tracer binds these arguments by name to count
+    # trajectory-steps and noise streams
+    for fn in (simulate, simulate_energy_sde):
+        assert {"dt", "duration", "n_traj"} <= set(
+            inspect.signature(fn).parameters)
+    assert "n_traj" in inspect.signature(
+        langevin.trajectory_streams).parameters
 
 
 def test_invalid_construction():

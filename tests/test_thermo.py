@@ -171,6 +171,30 @@ def test_crooks_crossing_gaussian_oracle():
     assert slope == pytest.approx(1.0, rel=0.03)
 
 
+def test_differential_ft_driven_force_ramp():
+    # linear force ramp over one period at Q = pi: dF = -4 kT and, from the
+    # mean equation of motion, about 0.5 kT of dissipated work
+    f_max = math.sqrt(8.0 * KT300 * K0)
+    rep = thermo.differential_ft_driven(MASS, OMEGA0, 2e5, 300.0, f_max,
+                                        tau=1e-5, dt=1e-7, seed=31,
+                                        n_traj=20_000)
+    df = thermo.delta_f_force_ramp(f_max, K0)
+    assert rep.delta_f == df
+    assert abs(rep.jarzynski.estimate - 1.0) < 4 * rep.jarzynski.stderr
+    # The Crooks fit weights bin pairs by n_f n_r / (n_f + n_r); with
+    # n_r = n_f exp(-x), x = (W - dF) / kT, their sum is the overlap
+    # sum_i 1 / (1 + exp(x_i)) over forward samples.  The weighted line
+    # then has slope error 1 / sqrt(S_xx) and crossing error
+    # sqrt(1 / sum + x_mean^2 / S_xx) kT.
+    x = (rep.work_forward - df) / KT300
+    w = 1.0 / (1.0 + np.exp(x))
+    x_mean = np.sum(w * x) / w.sum()
+    s_xx = np.sum(w * (x - x_mean) ** 2)
+    se_df = KT300 * math.sqrt(1.0 / w.sum() + x_mean**2 / s_xx)
+    assert abs(rep.crooks_delta_f - df) < 4 * se_df
+    assert abs(rep.crooks_slope - 1.0) < 4 / math.sqrt(s_xx)
+
+
 # ---------------------------------------------------------------------------
 # entropy production of relaxation
 
