@@ -68,29 +68,30 @@ def msd_free(t, gamma: float, temperature: float, mass: float):
     return 2.0 * k_B * temperature / (mass * gamma**2) * bracket
 
 
-def _damped_envelope(t, omega0: float, gamma: float):
-    """e^{-gamma t/2}(cos wt + (gamma/2w) sin wt) for any damping regime.
+def _damped_modes(t, omega0: float, gamma: float):
+    """(e^{-gamma t/2}, cos wt, sin(wt)/w) with w^2 = W0^2 - gamma^2/4.
 
-    The underdamped form continues analytically to the overdamped case
-    (trigonometric -> hyperbolic) and to critical damping (w -> 0).
+    The underdamped modes continue analytically to the overdamped case
+    (cosh wt, sinh(wt)/w) and to critical damping (1, t).
     """
     t = np.asarray(t, dtype=float)
     disc = omega0**2 - gamma**2 / 4.0
     decay = np.exp(-0.5 * gamma * t)
     if disc > 0:
         w = math.sqrt(disc)
-        return decay * (np.cos(w * t) + gamma / (2.0 * w) * np.sin(w * t)), w
+        return decay, np.cos(w * t), np.sin(w * t) / w
     if disc < 0:
         w = math.sqrt(-disc)
-        return decay * (np.cosh(w * t) + gamma / (2.0 * w) * np.sinh(w * t)), w
-    return decay * (1.0 + 0.5 * gamma * t), 0.0
+        return decay, np.cosh(w * t), np.sinh(w * t) / w
+    return decay, 1.0, t
 
 
 def msd_harmonic(t, omega0: float, gamma: float, temperature: float,
                  mass: float):
     """Position MSD of the trapped particle, valid in all damping regimes."""
-    env, _ = _damped_envelope(t, omega0, gamma)
-    return 2.0 * k_B * temperature / (mass * omega0**2) * (1.0 - env)
+    decay, c, s = _damped_modes(t, omega0, gamma)
+    return (2.0 * k_B * temperature / (mass * omega0**2)
+            * (1.0 - decay * (c + 0.5 * gamma * s)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +129,8 @@ def autocorrelation_qq(t, omega0, gamma, temperature, mass):
 
 def autocorrelation_vv(t, omega0, gamma, temperature, mass):
     """C_vv(t) = (k_B T/m) e^{-gamma t/2}(cos wt - (gamma/2w) sin wt)."""
-    t = np.asarray(t, dtype=float)
-    disc = omega0**2 - gamma**2 / 4.0
-    decay = np.exp(-0.5 * gamma * t)
-    if disc > 0:
-        w = math.sqrt(disc)
-        body = np.cos(w * t) - gamma / (2.0 * w) * np.sin(w * t)
-    elif disc < 0:
-        w = math.sqrt(-disc)
-        body = np.cosh(w * t) - gamma / (2.0 * w) * np.sinh(w * t)
-    else:
-        body = 1.0 - 0.5 * gamma * t
-    return k_B * temperature / mass * decay * body
+    decay, c, s = _damped_modes(t, omega0, gamma)
+    return k_B * temperature / mass * decay * (c - 0.5 * gamma * s)
 
 
 def autocorrelation_qv(t, omega0, gamma, temperature, mass):
@@ -148,16 +139,8 @@ def autocorrelation_qv(t, omega0, gamma, temperature, mass):
     The time derivative of C_qq; the mirrored cross correlation
     <v(0) q(t)> carries the opposite sign.
     """
-    t = np.asarray(t, dtype=float)
-    disc = omega0**2 - gamma**2 / 4.0
-    decay = np.exp(-0.5 * gamma * t)
-    if disc > 0:
-        w = math.sqrt(disc)
-        return -k_B * temperature / (mass * w) * decay * np.sin(w * t)
-    if disc < 0:
-        w = math.sqrt(-disc)
-        return -k_B * temperature / (mass * w) * decay * np.sinh(w * t)
-    return -k_B * temperature / mass * decay * t
+    decay, _, s = _damped_modes(t, omega0, gamma)
+    return -k_B * temperature / mass * decay * s
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +207,7 @@ def nonlinearity_parameter(xi: float, omega0: float, gamma: float,
 
 
 def psd_nonlinear(omega, omega0: float, gamma: float, temperature: float,
-                  xi: float, mass: float, rtol: float = 1e-6):
+                  xi: float, mass: float):
     """Thermally broadened Duffing spectrum.
 
     Averages the energy-shifted Lorentzian kernel
@@ -255,7 +238,7 @@ def psd_nonlinear(omega, omega0: float, gamma: float, temperature: float,
             width = abs(gamma / (2.0 * slope))
             cand = [u_res + k * width for k in (-8.0, -2.0, 0.0, 2.0, 8.0)]
             pts = sorted(u for u in cand if 0.0 < u < 50.0) or None
-        val, _ = quad(integrand, 0.0, 50.0, epsrel=rtol, limit=500,
+        val, _ = quad(integrand, 0.0, 50.0, epsrel=1e-6, limit=500,
                       points=pts)
         out[i] = gamma * kt / (math.pi * mass) * val
     return out if out.size > 1 else float(out[0])
@@ -540,7 +523,7 @@ class SqueezeResult:
 
 
 def squeeze_prediction(omega: float, omega_s: float, tau: float,
-                       temperature: float, mass: float):
+                       temperature: float):
     """Analytic quadrature statistics after a pulse at W_s of length tau.
 
     Propagating the thermal Gaussian through the pulse gives
@@ -570,7 +553,7 @@ def squeeze_quadratures(q: np.ndarray, p: np.ndarray, omega: float,
     var_q_th = k_B * temperature / (mass * omega**2)
     var_p_th = mass * k_B * temperature
     pred_q, pred_p, pred_cov = squeeze_prediction(omega, omega_s, tau,
-                                                  temperature, mass)
+                                                  temperature)
     r = 0.5 * math.log(omega / omega_s)
     return SqueezeResult(float(np.var(q) / var_q_th),
                          float(np.var(p) / var_p_th),

@@ -530,7 +530,8 @@ def modulate_cmd(c, em):
     em.table("modulate", rows)
 
 
-@subcommand("relax", OSCILLATOR + RECORDED + _section("relax"), recorded=1)
+@subcommand("relax", ("oscillator.damping_Hz", "oscillator.temperature_K")
+            + RECORDED + _section("relax"), recorded=1)
 def relax_cmd(c, em):
     """Energy relaxation from a fixed initial energy toward the bath."""
     e0 = c.ratio * k_B * c.temperature

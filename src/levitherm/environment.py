@@ -326,33 +326,26 @@ def effective_temperature(s_ff: float, gamma_cm: float, mass: float) -> float:
 def default_blackbody_polarizability(particle: ParticleSpec) -> float:
     """Imaginary polarizability averaged over the blackbody spectrum.
 
-    The silica value 0.1 * 4 pi eps0 a^3; override for other materials.
+    The silica value 0.1 * 4 pi eps0 a^3, used for every particle.
     """
     return 0.1 * 4.0 * math.pi * eps0 * particle.characteristic_radius**3
 
 
-def blackbody_spectral_rate(omega, temperature: float, alpha_bb_imag: float,
-                            kind: str = "absorption"):
-    """Spectral photon rate density rho(omega) (photons per s per rad/s).
+def blackbody_spectral_rate(omega, temperature: float, alpha_bb_imag: float):
+    """Spectral photon absorption rate density rho(omega) (per s per rad/s).
 
-    Absorption weights the cross section sigma_abs(omega) by the Planck
-    occupation; emission uses the Boltzmann factor exp(-hbar w / k_B T).
-    Both use the spectrum-averaged constant alpha_bb''.
+    Weights the cross section sigma_abs(omega), from the spectrum-averaged
+    constant alpha_bb'', by the Planck occupation.
     """
     omega = np.asarray(omega, dtype=float)
     sigma_abs = alpha_bb_imag * omega / (c_light * eps0)
     x = hbar * omega / (k_B * temperature)
-    if kind == "absorption":
-        occ = 1.0 / np.expm1(np.clip(x, 1e-300, 700.0))
-    elif kind == "emission":
-        occ = np.exp(-np.minimum(x, 700.0))
-    else:
-        raise ValueError("kind must be 'absorption' or 'emission'")
+    occ = 1.0 / np.expm1(np.clip(x, 1e-300, 700.0))
     return (omega / (math.pi * c_light)) ** 2 * sigma_abs * occ
 
 
-def blackbody_rates(particle: ParticleSpec, T_env: float, T_int: float,
-                    alpha_bb_imag: float | None = None) -> tuple[float, float]:
+def blackbody_rates(particle: ParticleSpec, T_env: float,
+                    T_int: float) -> tuple[float, float]:
     """Integrated blackbody absorption and emission powers (W).
 
     Both follow the fifth-power law
@@ -362,21 +355,19 @@ def blackbody_rates(particle: ParticleSpec, T_env: float, T_int: float,
     with T = T_env for absorption (positive) and T = T_int for emission
     (negative).  They cancel exactly at T_int = T_env.
     """
-    if alpha_bb_imag is None:
-        alpha_bb_imag = default_blackbody_polarizability(particle)
+    alpha_bb_imag = default_blackbody_polarizability(particle)
     pref = 24.0 * ZETA5 / (math.pi**2 * eps0 * c_light**3 * hbar**4) * alpha_bb_imag
     return pref * (k_B * T_env) ** 5, -pref * (k_B * T_int) ** 5
 
 
-def blackbody_power_quadrature(particle: ParticleSpec, temperature: float,
-                               alpha_bb_imag: float | None = None) -> float:
+def blackbody_power_quadrature(particle: ParticleSpec,
+                               temperature: float) -> float:
     """Absorbed blackbody power by direct quadrature of the spectral rate.
 
     Independent check of the closed form in `blackbody_rates`: integrates
     hbar omega rho_abs(omega) over omega in [0, 100 k_B T / hbar].
     """
-    if alpha_bb_imag is None:
-        alpha_bb_imag = default_blackbody_polarizability(particle)
+    alpha_bb_imag = default_blackbody_polarizability(particle)
     w_max = 100.0 * k_B * temperature / hbar
 
     def integrand(w):
@@ -423,38 +414,34 @@ T_INT_MAX = 5000.0
 
 
 def _power_balance(particle: ParticleSpec, gas: GasSpec, intensity: float,
-                   wavelength: float, T_env: float,
-                   alpha_bb_imag: float | None):
+                   wavelength: float):
     sigma_abs = optics.absorption_cross_section(particle, wavelength)
     absorbed = intensity * sigma_abs
 
     def terms(t_int):
         e_gas = gas_cooling_power(particle, gas, t_int)
-        e_abs, e_emis = blackbody_rates(particle, T_env, t_int, alpha_bb_imag)
+        e_abs, e_emis = blackbody_rates(particle, gas.temperature, t_int)
         return absorbed, e_gas, e_abs, e_emis
 
     return terms
 
 
 def internal_temperature(particle: ParticleSpec, gas: GasSpec, intensity: float,
-                         wavelength: float, T_env: float | None = None,
-                         alpha_bb_imag: float | None = None) -> InternalThermalState:
+                         wavelength: float) -> InternalThermalState:
     """Steady internal temperature from the surface power balance.
 
     Solves absorbed optical power + gas exchange + blackbody absorption
     + blackbody emission = 0 for T_int by bracketed root finding on
-    [T_env, 5000 K].  Above 5000 K the particle is considered destroyed
+    [T_gas, 5000 K]; the gas temperature is also the blackbody
+    environment's.  Above 5000 K the particle is considered destroyed
     and an error is raised with the bracket residuals.
     """
-    if T_env is None:
-        T_env = gas.temperature
-    terms = _power_balance(particle, gas, intensity, wavelength, T_env,
-                           alpha_bb_imag)
+    terms = _power_balance(particle, gas, intensity, wavelength)
 
     def residual(t_int):
         return sum(terms(t_int))
 
-    lo, hi = T_env, T_INT_MAX
+    lo, hi = gas.temperature, T_INT_MAX
     r_lo, r_hi = residual(lo), residual(hi)
     if r_lo <= 0:
         t_star = lo
@@ -469,14 +456,9 @@ def internal_temperature(particle: ParticleSpec, gas: GasSpec, intensity: float,
 
 def internal_temperature_evolution(particle: ParticleSpec, gas: GasSpec,
                                    intensity: float, wavelength: float,
-                                   T0: float, t_eval,
-                                   T_env: float | None = None,
-                                   alpha_bb_imag: float | None = None) -> np.ndarray:
+                                   T0: float, t_eval) -> np.ndarray:
     """Integrate m c dT_int/dt = sum of power terms from T_int(0) = T0."""
-    if T_env is None:
-        T_env = gas.temperature
-    terms = _power_balance(particle, gas, intensity, wavelength, T_env,
-                           alpha_bb_imag)
+    terms = _power_balance(particle, gas, intensity, wavelength)
     heat_cap = particle.mass * particle.heat_capacity
     t_eval = np.asarray(t_eval, dtype=float)
 

@@ -152,13 +152,12 @@ def rate_hd(spec: DoubleWellSpec, gamma: float, temperature: float,
             * math.exp(-spec.barrier(well) / (k_B * temperature)))
 
 
-def rate_hd_approx(spec: DoubleWellSpec, gamma: float, temperature: float,
-                   well: str = "A") -> float:
-    """1D strongly overdamped limit W^A W^B e^{-beta U} / (2 pi gamma)."""
-    a, saddle, c = spec.extrema
-    src = a if well == "A" else c
-    return (src.omega * saddle.omega / (2.0 * math.pi * gamma)
-            * math.exp(-spec.barrier(well) / (k_B * temperature)))
+def rate_hd_approx(spec: DoubleWellSpec, gamma: float,
+                   temperature: float) -> float:
+    """1D overdamped rate from well A, W^A W^B e^{-beta U} / (2 pi gamma)."""
+    a, saddle, _ = spec.extrema
+    return (a.omega * saddle.omega / (2.0 * math.pi * gamma)
+            * math.exp(-spec.barrier("A") / (k_B * temperature)))
 
 
 def action(spec: DoubleWellSpec, well: str = "A") -> float:

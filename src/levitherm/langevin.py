@@ -589,35 +589,27 @@ def config_hash(config: dict) -> str:
 
 
 def save_trajectory(traj: Trajectory, path: str, config: dict | None = None):
-    """Write a trajectory to .npz (columnar) or .csv (fallback).
+    """Write a trajectory to a columnar .npz file.
 
     The header records the schema version, a hash of the generating
     configuration and the master seed, so the file is traceable back to
-    a reproducible run.
+    a reproducible run.  Any other suffix raises ValueError, since numpy
+    would append .npz and `load_trajectory` would not find the file.
     """
+    if not str(path).endswith(".npz"):
+        raise ValueError(f"trajectory path must end in .npz: {path}")
     header = {"schema_version": SCHEMA_VERSION,
               "config_hash": config_hash(config or {}),
               "seed": traj.seed, "dt": traj.dt, "mass": traj.mass,
               "omega0": traj.omega0}
-    path = str(path)
-    if path.endswith(".csv"):
-        cols = [traj.time]
-        names = ["time_s"]
-        for i in range(traj.n_traj):
-            cols += [traj.q[i], traj.p[i], traj.energy[i]]
-            names += [f"q{i}_m", f"p{i}_kg_m_s", f"E{i}_J"]
-        data = np.column_stack(cols)
-        head = "# " + json.dumps(header) + "\n" + ",".join(names)
-        np.savetxt(path, data, delimiter=",", header=head, comments="")
-    else:
-        np.savez_compressed(path, header=json.dumps(header), time=traj.time,
-                            q=traj.q, p=traj.p, energy=traj.energy,
-                            **{f"protocol_{k}": v
-                               for k, v in traj.protocol.items()})
+    np.savez_compressed(path, header=json.dumps(header), time=traj.time,
+                        q=traj.q, p=traj.p, energy=traj.energy,
+                        **{f"protocol_{k}": v
+                           for k, v in traj.protocol.items()})
 
 
 def load_trajectory(path: str) -> Trajectory:
-    """Read a trajectory written by `save_trajectory` (.npz only)."""
+    """Read a trajectory written by `save_trajectory`."""
     with np.load(path) as f:
         header = json.loads(str(f["header"]))
         protocol = {k[len("protocol_"):]: f[k] for k in f.files

@@ -107,6 +107,6 @@ class ParticleSpec:
 
 
 def silica_sphere(radius: float, *, refractive_index: complex = 1.45 + 2.5e-9j,
-                  density: float = 2198.0, heat_capacity: float = 700.0) -> ParticleSpec:
+                  density: float = 2198.0) -> ParticleSpec:
     """Convenience constructor with standard fused-silica parameters."""
-    return ParticleSpec(Sphere(radius), density, refractive_index, heat_capacity)
+    return ParticleSpec(Sphere(radius), density, refractive_index)

@@ -106,8 +106,8 @@ class WorkHeatRecord:
         return float(self.heat.mean())
 
 
-def work_heat(traj: Trajectory, protocol: Protocol | None = None,
-              duffing_xi: float = 0.0) -> WorkHeatRecord:
+def work_heat(traj: Trajectory, protocol: Protocol | None = None
+              ) -> WorkHeatRecord:
     """Work and heat functionals of a sampled trajectory ensemble.
 
     The stiffness channel sums the jump contributions of the (piecewise
@@ -145,8 +145,6 @@ def work_heat(traj: Trajectory, protocol: Protocol | None = None,
     # during step i is k[i] (right-continuous protocol)
     q_mid = 0.5 * (q[:, :-1] + q[:, 1:])
     f_sys = -k[:-1] * q_mid + f_mid
-    if duffing_xi != 0.0:
-        f_sys = f_sys - traj.mass * traj.omega0**2 * duffing_xi * q_mid**3
     kinetic = traj.p**2 / (2.0 * traj.mass)
     heat = -(kinetic[:, -1] - kinetic[:, 0]) + np.sum(f_sys * dq, axis=1)
 
@@ -174,12 +172,11 @@ def work_conjugate_force(traj: Trajectory) -> np.ndarray:
 
 
 def stiffness_staircase(mass: float, k_start: float, k_end: float,
-                        duration: float, dt: float,
-                        t_offset: float = 0.0) -> tuple:
+                        duration: float, dt: float) -> tuple:
     """Per-step stiffness schedule approximating a linear ramp.
 
     Step j runs at the ramp value of its left edge and a final entry
-    pins k_end exactly at t_offset + duration.  Every stiffness change
+    pins k_end exactly at t = duration.  Every stiffness change
     then falls on a sampled grid point, so the jump bookkeeping in
     `work_heat` is exact for the simulated process and the endpoint free
     energies are those of the nominal ramp.
@@ -190,31 +187,29 @@ def stiffness_staircase(mass: float, k_start: float, k_end: float,
         raise ValueError("ramp must span at least one step")
     frac = np.arange(n) / n
     k_steps = k_start + (k_end - k_start) * frac
-    times = t_offset + np.arange(n) * dt
+    times = np.arange(n) * dt
     sched = [(float(t), math.sqrt(kk / mass))
              for t, kk in zip(times, k_steps)]
-    sched.append((t_offset + n * dt, math.sqrt(k_end / mass)))
+    sched.append((n * dt, math.sqrt(k_end / mass)))
     return tuple(sched)
 
 
 def run_stiffness_ramp(mass: float, gamma: float, temperature: float,
                        k_start: float, k_end: float, tau: float, dt: float,
-                       seed: int, n_traj: int,
-                       allow_coarse_dt: bool = False) -> Trajectory:
+                       seed: int, n_traj: int) -> Trajectory:
     """Equilibrate at k_start, then ramp the stiffness linearly to k_end."""
     omega0 = math.sqrt(k_start / mass)
     force = ForceModel(mass=mass, omega0=omega0,
                        stiffness_schedule=stiffness_staircase(
                            mass, k_start, k_end, tau, dt))
     bath = BathModel(gamma=gamma, temperature=temperature)
-    return simulate(force, bath, "thermal", dt, tau, seed, n_traj=n_traj,
-                    allow_coarse_dt=allow_coarse_dt)
+    return simulate(force, bath, "thermal", dt, tau, seed, n_traj=n_traj)
 
 
 def run_force_ramp(mass: float, omega0: float, gamma: float,
                    temperature: float, f_max: float, tau: float, dt: float,
-                   seed: int, n_traj: int, reverse: bool = False,
-                   allow_coarse_dt: bool = False) -> Trajectory:
+                   seed: int, n_traj: int, reverse: bool = False
+                   ) -> Trajectory:
     """Linear force ramp 0 -> f_max (or the time-reversed protocol).
 
     The reverse run starts from equilibrium in the tilted trap, i.e. a
@@ -234,8 +229,7 @@ def run_force_ramp(mass: float, omega0: float, gamma: float,
         init = "thermal"
     force = ForceModel(mass=mass, omega0=omega0, external_force=f_ext)
     bath = BathModel(gamma=gamma, temperature=temperature)
-    return simulate(force, bath, init, dt, tau, seed, n_traj=n_traj,
-                    allow_coarse_dt=allow_coarse_dt)
+    return simulate(force, bath, init, dt, tau, seed, n_traj=n_traj)
 
 
 def delta_f_stiffness(k_start: float, k_end: float, temperature: float) -> float:
@@ -481,8 +475,8 @@ class DrivenFTReport:
 
 def differential_ft_driven(mass: float, omega0: float, gamma: float,
                            temperature: float, f_max: float, tau: float,
-                           dt: float, seed: int, n_traj: int,
-                           allow_coarse_dt: bool = False) -> DrivenFTReport:
+                           dt: float, seed: int, n_traj: int
+                           ) -> DrivenFTReport:
     """Work fluctuation theorems for a linear force ramp on a harmonic trap.
 
     Uses the tilted-potential work convention (see
@@ -493,11 +487,10 @@ def differential_ft_driven(mass: float, omega0: float, gamma: float,
     k = mass * omega0**2
     df = delta_f_force_ramp(f_max, k)
     fwd = run_force_ramp(mass, omega0, gamma, temperature, f_max, tau, dt,
-                         seed, n_traj, allow_coarse_dt=allow_coarse_dt)
+                         seed, n_traj)
     rev = run_force_ramp(mass, omega0, gamma, temperature, f_max, tau, dt,
                          derive_seed(seed, "reverse-ramp"), n_traj,
-                         reverse=True,
-                         allow_coarse_dt=allow_coarse_dt)
+                         reverse=True)
     w_f = work_conjugate_force(fwd)
     w_r = work_conjugate_force(rev)
     jr = jarzynski_estimate(w_f, temperature, df)
@@ -703,8 +696,7 @@ def underdamped_cycle_moments(spec: EngineCycleSpec,
 
 
 def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,
-                          n_traj: int,
-                          allow_coarse_dt: bool = False) -> EngineResult:
+                          n_traj: int) -> EngineResult:
     """Cycle energetics from a Langevin ensemble.
 
     Runs N_TRANSIENT cycles to reach the periodic state, then averages
@@ -726,8 +718,7 @@ def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,
             init = "thermal" if q is None else (q, p)
             traj = simulate(force, baths[idx], init, dt, tau,
                             derive_seed(seed, "engine-stroke", cyc, idx),
-                            n_traj=n_traj,
-                            allow_coarse_dt=allow_coarse_dt)
+                            n_traj=n_traj)
             q, p = traj.q[:, -1].copy(), traj.p[:, -1].copy()
             if cyc >= N_TRANSIENT:
                 rec = work_heat(traj)

@@ -54,13 +54,13 @@ def test_msd_harmonic_limits():
 def test_msd_harmonic_damping_branches_continuous():
     # the analytic continuation across critical damping must be smooth
     t = np.linspace(0.0, 1e-5, 50)
-    under = analysis.msd_harmonic(t, OMEGA0, 2 * OMEGA0 * (1 - 1e-9),
-                                  300.0, MASS)
-    crit = analysis.msd_harmonic(t, OMEGA0, 2 * OMEGA0, 300.0, MASS)
-    over = analysis.msd_harmonic(t, OMEGA0, 2 * OMEGA0 * (1 + 1e-9),
-                                 300.0, MASS)
-    assert np.allclose(under, crit, rtol=1e-6, atol=1e-30)
-    assert np.allclose(over, crit, rtol=1e-6, atol=1e-30)
+    for fn in (analysis.msd_harmonic, analysis.autocorrelation_vv,
+               analysis.autocorrelation_qv):
+        under = fn(t, OMEGA0, 2 * OMEGA0 * (1 - 1e-9), 300.0, MASS)
+        crit = fn(t, OMEGA0, 2 * OMEGA0, 300.0, MASS)
+        over = fn(t, OMEGA0, 2 * OMEGA0 * (1 + 1e-9), 300.0, MASS)
+        assert np.allclose(under, crit, rtol=1e-6, atol=1e-30), fn.__name__
+        assert np.allclose(over, crit, rtol=1e-6, atol=1e-30), fn.__name__
 
 
 def test_msd_estimator_matches_free_formula():
@@ -317,7 +317,7 @@ def test_squeeze_prediction_quarter_period():
     omega, omega_s = OMEGA0, OMEGA0 / 2.0
     tau = math.pi / (2 * omega_s)
     var_q, var_p, cov = analysis.squeeze_prediction(omega, omega_s, tau,
-                                                    300.0, MASS)
+                                                    300.0)
     r = 0.5 * math.log(omega / omega_s)
     assert var_q == pytest.approx(math.exp(4 * r), rel=1e-9)   # 4.0
     assert var_p == pytest.approx(math.exp(-4 * r), rel=1e-9)  # 0.25
@@ -326,7 +326,7 @@ def test_squeeze_prediction_quarter_period():
 
 def test_squeeze_prediction_no_quench_is_identity():
     var_q, var_p, cov = analysis.squeeze_prediction(OMEGA0, OMEGA0, 1e-5,
-                                                    300.0, MASS)
+                                                    300.0)
     assert var_q == pytest.approx(1.0, rel=1e-12)
     assert var_p == pytest.approx(1.0, rel=1e-12)
     assert cov == pytest.approx(0.0, abs=1e-30)

@@ -134,6 +134,22 @@ def test_kramers_reads_simulation_only_for_monte_carlo(tmp_path,
         assert "missing required key simulation.dt_ns" in res.stderr
 
 
+def test_relax_reads_only_damping_and_temperature(tmp_path):
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    del cfg["oscillator"]["mass_fg"], cfg["oscillator"]["frequency_kHz"]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    tables = []
+    for config in (path, write_config(tmp_path, name="full.yaml")):
+        out = tmp_path / config.stem
+        res = run_cli(["relax", "--config", str(config), "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        # the first line carries the hash of the config, which differs
+        tables.append((out / "relax.csv").read_bytes().split(b"\n", 1))
+    assert tables[0][0] != tables[1][0]
+    assert tables[0][1] == tables[1][1]
+
+
 def test_memory_preflight_refuses_runs_larger_than_ram(tmp_path, monkeypatch,
                                                        capsys):
     from levitherm import cli

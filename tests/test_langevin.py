@@ -356,6 +356,10 @@ def test_energy_sde_accepts_per_trajectory_start():
 def test_save_load_round_trip(tmp_path):
     force, bath = make_models()
     traj = simulate(force, bath, "thermal", DT, 1e-4, seed=33, n_traj=3)
+    for suffix in (".csv", ".traj"):
+        with pytest.raises(ValueError, match=r"\.npz"):
+            langevin.save_trajectory(traj, str(tmp_path / f"run{suffix}"))
+    assert list(tmp_path.iterdir()) == []
     path = tmp_path / "run.npz"
     langevin.save_trajectory(traj, str(path), config={"seed": 33})
     back = langevin.load_trajectory(str(path))
