@@ -208,8 +208,7 @@ def run_stiffness_ramp(mass: float, gamma: float, temperature: float,
 
 def run_force_ramp(mass: float, omega0: float, gamma: float,
                    temperature: float, f_max: float, tau: float, dt: float,
-                   seed: int, n_traj: int, reverse: bool = False
-                   ) -> Trajectory:
+                   seed: int, n_traj: int, reverse: bool = False) -> Trajectory:
     """Linear force ramp 0 -> f_max (or the time-reversed protocol).
 
     The reverse run starts from equilibrium in the tilted trap, i.e. a
@@ -475,8 +474,7 @@ class DrivenFTReport:
 
 def differential_ft_driven(mass: float, omega0: float, gamma: float,
                            temperature: float, f_max: float, tau: float,
-                           dt: float, seed: int, n_traj: int
-                           ) -> DrivenFTReport:
+                           dt: float, seed: int, n_traj: int) -> DrivenFTReport:
     """Work fluctuation theorems for a linear force ramp on a harmonic trap.
 
     Uses the tilted-potential work convention (see

@@ -49,7 +49,7 @@ def _functions(trees: dict) -> dict:
     return {(path.stem, node.name): node
             for path, tree in trees.items() if path.parent == SRC
             for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            if isinstance(node, ast.FunctionDef)}
 
 
 def _callee_name(call: ast.Call):
@@ -71,8 +71,6 @@ class _Calls(ast.NodeVisitor):
         self.stack.append(node)
         self.generic_visit(node)
         self.stack.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Call(self, node):
         name = _callee_name(node)
