@@ -182,7 +182,10 @@ def _memory_preflight(values: dict, recorded: int, record_every) -> list:
     n_traj x samples, one sample per simulation.record_every steps or,
     for a run that does not read that key, per `record_every` steps.
     Without a duration the noise block is taken at its largest,
-    CHUNK_STEPS draws.
+    CHUNK_STEPS draws; a run without a time step draws its endpoints in
+    one exact transition, two draws.  The energy dynamics of `relax`
+    take two draws a step, so below CHUNK_STEPS steps their block is up
+    to twice the one counted.
     """
     n_traj = values["simulation.n_traj"]
     n_blocks = -(-n_traj // langevin.BLOCK)
@@ -190,9 +193,10 @@ def _memory_preflight(values: dict, recorded: int, record_every) -> list:
     if all(k in values for k in RUN):
         n_steps = int(round(values["simulation.duration_ms"]
                             / values["simulation.dt_ns"]))
+    rows = (min(langevin.CHUNK_STEPS, n_steps)
+            if "simulation.dt_ns" in values else 2)
     need = {"noise streams": n_blocks * langevin.STREAM_BYTES,
-            "noise block": (min(langevin.CHUNK_STEPS, n_steps)
-                            * n_blocks * langevin.BLOCK * 8)}
+            "noise block": rows * n_blocks * langevin.BLOCK * 8}
     stride = values.get("simulation.record_every", record_every)
     if recorded and stride and all(k in values for k in RUN):
         samples = n_steps // stride + 1
@@ -547,14 +551,16 @@ def relax_cmd(c, em):
     })
 
 
-@subcommand("fluctuation", OSCILLATOR + RUN + _section("fluctuation"))
+@subcommand("fluctuation", OSCILLATOR + ("simulation.duration_ms",
+                                         "simulation.n_traj")
+            + _section("fluctuation"))
 def fluctuation_cmd(c, em):
     """Entropy-production fluctuation theorem for a relaxation step."""
     dist = analysis.steady_state_distribution(c.temperature, c.gamma,
                                               c.omega0, c.mass, eps0=c.eps0,
                                               phi=c.phase, eta=c.eta)
-    report = thermo.transient_ft_check(dist, c.gamma, c.duration, c.dt,
-                                       c.seed, c.n_traj, n_bins=c.n_bins)
+    report = thermo.transient_ft_check(dist, c.gamma, c.duration, c.seed,
+                                       c.n_traj, n_bins=c.n_bins)
     if not report.applicable:
         em.summary("fluctuation_report", {"applicable": False,
                                           "note": report.note})

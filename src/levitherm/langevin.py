@@ -40,8 +40,9 @@ seed and its index, so a smaller ensemble is a prefix of a larger one
 and results are bit-reproducible regardless of chunking.  `derive_seed`
 gives the master seeds of the runs that make up one experiment.
 
-`simulate_energy_sde` integrates the reduced energy dynamics of free
-relaxation only; the energy law of a driven steady state is
+`simulate_energy_sde` samples the reduced energy dynamics of free
+relaxation only, by the exact transition of `energy_transition`, valid
+at any dt; the energy law of a driven steady state is
 `analysis.steady_state_distribution`, and driven dynamics run through
 `simulate` with a `Modulation` or a feedback gain.
 """
@@ -540,40 +541,63 @@ class EnergyPath:
     seed: int
 
 
+def energy_transition(x, gamma_h: float, noise) -> np.ndarray:
+    """Exact transition of the reduced energy dynamics over a time h.
+
+    `x` is E / k_B T, a scalar or one value per trajectory, `gamma_h`
+    is gamma h and `noise` holds two standard normals per trajectory in
+    its rows 0 and 1.  Returns
+
+        x' = (sqrt(c) z1 + sqrt(x e^{-gamma h}))^2 + c z2^2,
+        c = (1 - e^{-gamma h}) / 2,
+
+    the squared modulus of the oscillator's two slow quadratures, each
+    an exact Ornstein-Uhlenbeck step.  Its law is the scaled noncentral
+    chi-squared of `analysis.relaxation_cdf` for any h, and it is never
+    negative.
+    """
+    decay = math.exp(-gamma_h)
+    c = -0.5 * math.expm1(-gamma_h)
+    return ((math.sqrt(c) * noise[0] + np.sqrt(x * decay)) ** 2
+            + c * noise[1] ** 2)
+
+
 def simulate_energy_sde(bath: BathModel, e0, dt: float, duration: float,
                         seed: int, n_traj: int = 1,
                         record_every: int = 1) -> EnergyPath:
-    """Integrate the reduced (period-averaged) energy dynamics of free
+    """Sample the reduced (period-averaged) energy dynamics of free
     relaxation, the square-root (Cox-Ingersoll-Ross) diffusion
 
         dE = -gamma (E - k_B T) dt + sqrt(2 gamma k_B T E) dW,
 
-    with excursions below zero reflected.  Its stationary law is
-    exponential with mean k_B T and its transition law is that of
+    one exact `energy_transition` per step, valid at any dt.  Step j of
+    a chunk reads rows 2j and 2j + 1 of the chunk's noise block, so the
+    path of trajectory i depends only on (seed, i).  Its stationary law
+    is exponential with mean k_B T and its transition law is that of
     `analysis.relaxation_cdf`.  Driven steady states are not modelled
     here: their energy law is `analysis.steady_state_distribution`.
     """
     if bath.gamma <= 0 or bath.temperature <= 0:
         raise ValueError("energy dynamics require gamma > 0 and T > 0")
-    gam = bath.gamma
-    n_steps = int(round(duration / dt))
-    if dt * gam > 0.05:
-        raise ValueError("dt too coarse for the energy dynamics (gamma dt > 0.05)")
-    streams = trajectory_streams(seed, n_traj)
     # x = E / k_B T; e0 may be a scalar or per-trajectory array
     e0 = np.broadcast_to(np.asarray(e0, dtype=float), (n_traj,))
+    if not np.all(np.isfinite(e0) & (e0 >= 0)):
+        raise ValueError("starting energies must be finite and non-negative")
+    n_steps = int(round(duration / dt))
+    streams = trajectory_streams(seed, n_traj)
     x = e0 / (k_B * bath.temperature)
-    kick = math.sqrt(2.0 * gam * dt)
+    gamma_h = bath.gamma * dt
     n_samples = n_steps // record_every + 1
     out = np.empty((n_traj, n_samples))
     out[:, 0] = x
     k_sample = 1
     step = 0
     while step < n_steps:
-        chunk = min(CHUNK_STEPS, n_steps - step)
-        noise = _draw_normals(streams, chunk, n_traj)
+        # two rows per step keep the block within CHUNK_STEPS rows
+        chunk = min(CHUNK_STEPS // 2, n_steps - step)
+        noise = _draw_normals(streams, 2 * chunk, n_traj)
         for j in range(chunk):
-            x = np.abs(x - gam * (x - 1.0) * dt + kick * np.sqrt(x) * noise[j])
+            x = energy_transition(x, gamma_h, noise[2 * j:2 * j + 2])
             if (step + j + 1) % record_every == 0:
                 out[:, k_sample] = x
                 k_sample += 1

@@ -240,7 +240,7 @@ def test_fluctuation_theorem_slopes_and_jarzynski():
     # (a) relaxation from a quadratic-feedback steady state
     dist_fb = analysis.steady_state_distribution(300.0, gamma, OMEGA0, MASS,
                                                  eta=5e12)
-    rep_a = thermo.transient_ft_check(dist_fb, gamma, 5e-4, 2e-6, seed=5,
+    rep_a = thermo.transient_ft_check(dist_fb, gamma, 5e-4, seed=5,
                                       n_traj=100_000)
     assert rep_a.applicable
     assert abs(rep_a.fit.slope - 1.0) < 0.1
@@ -248,7 +248,7 @@ def test_fluctuation_theorem_slopes_and_jarzynski():
     dist_hot = analysis.steady_state_distribution(
         300.0, gamma, OMEGA0, MASS, eps0=0.003, phi=-math.pi / 4.0,
         omega=2.0 * OMEGA0)
-    rep_b = thermo.transient_ft_check(dist_hot, gamma, 5e-4, 2e-6, seed=55,
+    rep_b = thermo.transient_ft_check(dist_hot, gamma, 5e-4, seed=55,
                                       n_traj=100_000)
     assert abs(rep_b.fit.slope - 1.0) < 0.1
     # Jarzynski equality for a finite-time stiffness ramp

@@ -150,6 +150,31 @@ def test_relax_reads_only_damping_and_temperature(tmp_path):
     assert tables[0][1] == tables[1][1]
 
 
+def test_fluctuation_reads_no_time_step(tmp_path):
+    # the endpoints are drawn in one exact transition over the duration
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["simulation"]["n_traj"] = 40_000
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    del cfg["simulation"]["dt_ns"]
+    no_dt = tmp_path / "no_dt.yaml"
+    no_dt.write_text(yaml.safe_dump(cfg))
+    tables, reports = [], []
+    for config in (path, no_dt):
+        out = tmp_path / config.stem
+        res = run_cli(["fluctuation", "--config", str(config),
+                       "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        tables.append((out / "fluctuation_histogram.csv").read_bytes()
+                      .split(b"\n", 1))
+        report = json.loads((out / "fluctuation_report.json").read_text())
+        reports.append((report.pop("config_hash"), report))
+    assert tables[0][0] != tables[1][0]
+    assert tables[0][1] == tables[1][1]
+    assert reports[0][0] != reports[1][0]
+    assert reports[0][1] == reports[1][1]
+
+
 def test_memory_preflight_refuses_runs_larger_than_ram(tmp_path, monkeypatch,
                                                        capsys):
     from levitherm import cli

@@ -332,13 +332,74 @@ def test_energy_sde_mean_relaxation_curve():
     assert np.max(np.abs(meas - expected)) < 0.04 * KT300
 
 
+@pytest.mark.parametrize("dt, seed", [(1e-5, 31), (2.5e-4, 37)])
+def test_energy_sde_exact_at_coarse_steps(dt, seed):
+    # gamma dt = 0.02 (the reflected Euler scheme gave KS p = 3e-61
+    # here) and one step spanning the whole relaxation, gamma h = 0.5
+    from levitherm.analysis import relaxation_cdf
+    gamma = 2000.0
+    t_relax = 0.5 / gamma
+    e0 = 3.0 * KT300
+    bath = BathModel(gamma=gamma, temperature=300.0)
+    path = simulate_energy_sde(bath, e0, dt, t_relax, seed=seed,
+                               n_traj=20_000)
+    samples = path.energy[:, -1]
+    assert samples.min() >= 0.0
+    stat = stats.kstest(samples,
+                        lambda e: relaxation_cdf(e, e0, t_relax, gamma, 300.0))
+    assert stat.pvalue > 0.01
+
+
 def test_energy_sde_guards():
-    bath = BathModel(gamma=2000.0, temperature=300.0)
-    with pytest.raises(ValueError, match="gamma dt"):
-        simulate_energy_sde(bath, KT300, 1e-4, 1e-2, seed=0)
     with pytest.raises(ValueError):
         simulate_energy_sde(BathModel(0.0, 300.0), KT300,
                             1e-6, 1e-4, seed=0)
+
+
+@pytest.mark.parametrize("e0", [-KT300, math.nan, math.inf,
+                                np.array([KT300, -1e-30 * KT300])])
+def test_energy_sde_rejects_bad_start(e0):
+    bath = BathModel(gamma=2000.0, temperature=300.0)
+    with pytest.raises(ValueError, match="starting energies"):
+        simulate_energy_sde(bath, e0, 1e-5, 1e-4, seed=0, n_traj=np.size(e0))
+
+
+def test_energy_sde_record_every_subsamples_same_path():
+    bath = BathModel(gamma=2000.0, temperature=300.0)
+    fine = simulate_energy_sde(bath, KT300, 1e-5, 1e-3, seed=5, n_traj=3)
+    coarse = simulate_energy_sde(bath, KT300, 1e-5, 1e-3, seed=5, n_traj=3,
+                                 record_every=4)
+    assert np.array_equal(coarse.energy, fine.energy[:, ::4])
+    assert np.array_equal(coarse.time, fine.time[::4])
+
+
+def test_energy_sde_chunk_boundary_invisible():
+    # a duration crossing CHUNK_STEPS agrees with the same path truncated
+    # and with one exact transition per step on rows 2j, 2j + 1 of one
+    # noise block drawn at once, also over two noise stream blocks
+    gamma, dt, seed = 2000.0, 1e-6, 9
+    bath = BathModel(gamma=gamma, temperature=300.0)
+    n_long = langevin.CHUNK_STEPS + 100
+    for n_traj in (2, 70):
+        long = simulate_energy_sde(bath, KT300, dt, n_long * dt, seed=seed,
+                                   n_traj=n_traj)
+        short = simulate_energy_sde(bath, KT300, dt, 900 * dt, seed=seed,
+                                    n_traj=n_traj)
+        assert np.array_equal(short.energy, long.energy[:, :901])
+        noise = langevin._draw_normals(
+            langevin.trajectory_streams(seed, n_traj), 2 * n_long, n_traj)
+        x = np.ones(n_traj)
+        for j in range(n_long):
+            x = langevin.energy_transition(x, gamma * dt,
+                                           noise[2 * j:2 * j + 2])
+        assert np.array_equal(long.energy[:, -1], x * k_B * 300.0)
+
+
+def test_energy_sde_streams_independent_of_ensemble_size():
+    bath = BathModel(gamma=2000.0, temperature=300.0)
+    small, large = (simulate_energy_sde(bath, KT300, 1e-5, 2e-4, seed=3,
+                                        n_traj=n) for n in (70, 130))
+    assert small.energy.tobytes() == large.energy[:70].tobytes()
 
 
 def test_energy_sde_accepts_per_trajectory_start():

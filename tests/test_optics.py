@@ -192,18 +192,17 @@ def test_duffing_tensor_matches_symbolic_taylor(trap):
     u = -sympy.exp(-2 * x**2 / (wx**2 * s) - 2 * y**2 / (wy**2 * s)) / s
     coords = [x, y, z]
     subs = {wx: trap.waist_x, wy: trap.waist_y, z0: trap.rayleigh_range}
+    origin = {x: 0, y: 0, z: 0}
     oracle = np.empty((3, 3))
     for i, qi in enumerate(coords):
         f = -sympy.diff(u, qi)
-        series = sympy.expand(
-            f.series(x, 0, 4).removeO().series(y, 0, 4).removeO()
-            .series(z, 0, 4).removeO())
-        lin = series.coeff(qi, 1).subs({x: 0, y: 0, z: 0})
+        lin = sympy.diff(f, qi).subs(origin)
         for j, qj in enumerate(coords):
+            # Taylor coefficients of q_i^3 and of q_i q_j^2 in f_i
             if j == i:
-                cub = series.coeff(qi, 3).subs({x: 0, y: 0, z: 0})
+                cub = sympy.diff(f, qi, 3).subs(origin) / 6
             else:
-                cub = series.coeff(qi, 1).coeff(qj, 2).subs({x: 0, y: 0, z: 0})
+                cub = sympy.diff(f, qi, qj, 2).subs(origin) / 2
             oracle[i, j] = float(sympy.simplify(cub / lin).subs(subs))
     assert np.allclose(optics.duffing_coefficients(trap), oracle, rtol=1e-12)
 

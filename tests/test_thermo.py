@@ -221,7 +221,7 @@ def test_equilibrium_start_has_zero_entropy_production():
     eq = analysis.steady_state_distribution(300.0, 2000.0, OMEGA0, MASS)
     e = np.array([0.5, 1.0, 3.0]) * KT300
     assert np.allclose(thermo.total_entropy_relaxation(e, 2 * e, eq), 0.0)
-    rep = thermo.transient_ft_check(eq, 2000.0, 5e-4, 2e-6, seed=1,
+    rep = thermo.transient_ft_check(eq, 2000.0, 5e-4, seed=1,
                                     n_traj=10)
     assert not rep.applicable
     assert rep.fit is None
@@ -229,7 +229,7 @@ def test_equilibrium_start_has_zero_entropy_production():
 
 def test_transient_ft_feedback_relaxation():
     rep = thermo.transient_ft_check(make_feedback_dist(), 2000.0, 5e-4,
-                                    2e-6, seed=5, n_traj=40_000)
+                                    seed=5, n_traj=40_000)
     assert rep.applicable
     assert abs(rep.fit.slope - 1.0) < 0.12
     # second law on average
