@@ -104,7 +104,6 @@ KEYS = {
     "fluctuation.depth": Key("eps0", float, 0.0, 1.0, 1.0, 0.0),
     "fluctuation.phase_rad": Key("phase", float, -10.0, 10.0, 1.0,
                                  -math.pi / 4),
-    "fluctuation.n_bins": Key("n_bins", int, 5, 10_000, default=40),
     "squeeze.ratio": Key("ratio", float, 1e-6, 1e6, 1.0, 2.0),
     "squeeze.time_ms": Key("t_start", float, 0.0, 1e6, 1e-3, 0.0),
     "well.mass_fg": Key("mass", float, 1e-6, 1e9, 1e-18),
@@ -174,18 +173,18 @@ def _si(spec: Key, value):
     return _number(spec.kind, spec, value)
 
 
-def _memory_preflight(values: dict, recorded: int, record_every) -> list:
+def _memory_preflight(values: dict, recorded: int, record_every,
+                      draws_per_step: int) -> list:
     """The memory an ensemble run needs, if more than physical RAM.
 
     Counts one noise stream per BLOCK trajectories, one block of noise
     draws padded to whole stream blocks and `recorded` float64 arrays of
     n_traj x samples, one sample per simulation.record_every steps or,
     for a run that does not read that key, per `record_every` steps.
-    Without a duration the noise block is taken at its largest,
-    CHUNK_STEPS draws; a run without a time step draws its endpoints in
-    one exact transition, two draws.  The energy dynamics of `relax`
-    take two draws a step, so below CHUNK_STEPS steps their block is up
-    to twice the one counted.
+    A block holds `draws_per_step` draws for each of up to
+    CHUNK_STEPS // draws_per_step steps; without a duration it is taken
+    at its largest, and a run without a time step draws its endpoints in
+    one exact transition, two draws.
     """
     n_traj = values["simulation.n_traj"]
     n_blocks = -(-n_traj // langevin.BLOCK)
@@ -193,7 +192,8 @@ def _memory_preflight(values: dict, recorded: int, record_every) -> list:
     if all(k in values for k in RUN):
         n_steps = int(round(values["simulation.duration_ms"]
                             / values["simulation.dt_ns"]))
-    rows = (min(langevin.CHUNK_STEPS, n_steps)
+    rows = (draws_per_step
+            * min(langevin.CHUNK_STEPS // draws_per_step, n_steps)
             if "simulation.dt_ns" in values else 2)
     need = {"noise streams": n_blocks * langevin.STREAM_BYTES,
             "noise block": rows * n_blocks * langevin.BLOCK * 8}
@@ -212,14 +212,16 @@ def _memory_preflight(values: dict, recorded: int, record_every) -> list:
 
 
 def validate(raw: dict, keys, extra=lambda values: (), recorded: int = 0,
-             record_every: int | None = None) -> SimpleNamespace:
+             record_every: int | None = None,
+             draws_per_step: int = 1) -> SimpleNamespace:
     """Check `raw` against KEYS; return the SI values a subcommand reads.
 
     `keys` (plus simulation.seed) are read always, `extra(values)` names
     the keys read only for some values of those, and `recorded` is the
     number of float64 (n_traj, samples) arrays the run keeps in memory,
     sampled every simulation.record_every steps, or every `record_every`
-    steps if the subcommand fixes its own stride.
+    steps if the subcommand fixes its own stride; a time step of the run
+    draws `draws_per_step` normals per trajectory.
     Unknown keys, type, bound, missing-key and cross-key violations and,
     for an ensemble run, a memory estimate above physical RAM (see
     `_memory_preflight`) are all collected into one ValidationError.
@@ -260,7 +262,8 @@ def validate(raw: dict, keys, extra=lambda values: (), recorded: int = 0,
                 and not values[big] > values[small]):
             violations.append(f"{big} must exceed {small}")
     if "simulation.n_traj" in values:
-        violations += _memory_preflight(values, recorded, record_every)
+        violations += _memory_preflight(values, recorded, record_every,
+                                        draws_per_step)
     if violations:
         raise ValidationError(violations)
     return SimpleNamespace(**{KEYS[k].name: v for k, v in values.items()})
@@ -419,7 +422,7 @@ OPTIONS = (
 
 
 def subcommand(name: str, keys, extra=lambda values: (), recorded: int = 0,
-               record_every: int | None = None):
+               record_every: int | None = None, draws_per_step: int = 1):
     """Register `body(c, em)` as subcommand `name`; see `validate`.
 
     The config is loaded and validated before `body` runs, so `c` holds
@@ -429,7 +432,8 @@ def subcommand(name: str, keys, extra=lambda values: (), recorded: int = 0,
         def command(config, seed, out, fmt):
             try:
                 raw = _load_config(config, seed)
-                c = validate(raw, keys, extra, recorded, record_every)
+                c = validate(raw, keys, extra, recorded, record_every,
+                             draws_per_step)
             except (OSError, ValueError, yaml.YAMLError) as exc:
                 _fail(exc, 2)
             em, caught = None, []
@@ -535,7 +539,7 @@ def modulate_cmd(c, em):
 
 
 @subcommand("relax", ("oscillator.damping_Hz", "oscillator.temperature_K")
-            + RECORDED + _section("relax"), recorded=1)
+            + RECORDED + _section("relax"), recorded=1, draws_per_step=2)
 def relax_cmd(c, em):
     """Energy relaxation from a fixed initial energy toward the bath."""
     e0 = c.ratio * k_B * c.temperature
@@ -560,16 +564,11 @@ def fluctuation_cmd(c, em):
                                               c.omega0, c.mass, eps0=c.eps0,
                                               phi=c.phase, eta=c.eta)
     report = thermo.transient_ft_check(dist, c.gamma, c.duration, c.seed,
-                                       c.n_traj, n_bins=c.n_bins)
+                                       c.n_traj)
     if not report.applicable:
         em.summary("fluctuation_report", {"applicable": False,
                                           "note": report.note})
         return
-    em.table("fluctuation_histogram", {
-        "delta_s_kB": report.fit.x,
-        "log_ratio": report.fit.y,
-        "weight": report.fit.weights,
-    })
     em.summary("fluctuation_report", {
         "applicable": True,
         "slope": report.fit.slope,
@@ -643,21 +642,21 @@ def engine_cmd(c, em):
     })
 
 
-@subcommand("squeeze", OSCILLATOR + RECORDED + _section("squeeze"),
-            recorded=3)
+@subcommand("squeeze", OSCILLATOR + ("simulation.dt_ns", "simulation.n_traj")
+            + _section("squeeze"))
 def squeeze_cmd(c, em):
     """Quadrature statistics after a trap-frequency quench pulse."""
     omega_s = c.omega0 / c.ratio
     tau = math.pi / (2.0 * omega_s)
+    # the step the pulse ends on (see simulate_quench): run to it, keep it
+    n_end = round((c.t_start + tau) / c.dt)
     force = ForceModel(mass=c.mass, omega0=c.omega0)
     bath = BathModel(gamma=c.gamma, temperature=c.temperature)
-    traj = langevin.simulate_quench(force, bath, "thermal", c.dt, c.duration,
+    traj = langevin.simulate_quench(force, bath, "thermal", c.dt, n_end * c.dt,
                                     c.seed, omega_s=omega_s,
                                     t_start=c.t_start, tau=tau,
-                                    n_traj=c.n_traj,
-                                    record_every=c.record_every)
-    i_end = int(round((c.t_start + tau) / (traj.time[1] - traj.time[0])))
-    res = analysis.squeeze_quadratures(traj.q[:, i_end], traj.p[:, i_end],
+                                    n_traj=c.n_traj, record_every=n_end)
+    res = analysis.squeeze_quadratures(traj.q[:, -1], traj.p[:, -1],
                                        c.omega0, omega_s, tau, c.temperature,
                                        c.mass)
     em.summary("squeeze", {

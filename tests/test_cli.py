@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -100,6 +102,8 @@ WELL = {"mass_fg": 10, "barrier_kT": 5, "separation_nm": 200}
                  ["sweep.p_max_mbar", "trap.power_mW"], id="cross-key"),
     pytest.param("engine", {"engine": {"regime": "adiabatic"}},
                  ["engine.regime"], id="choice"),
+    pytest.param("fluctuation", {"fluctuation": {"n_bins": 40}},
+                 ["fluctuation.n_bins"], id="removed-key"),
 ])
 def test_invalid_config_exits_2_before_any_work(tmp_path, command, overrides,
                                                 keys):
@@ -134,6 +138,34 @@ def test_kramers_reads_simulation_only_for_monte_carlo(tmp_path,
         assert "missing required key simulation.dt_ns" in res.stderr
 
 
+def test_every_config_key_is_declared_by_some_subcommand(tmp_path,
+                                                         monkeypatch):
+    # the config counterpart of test_api_surface: KEYS keeps no entry that
+    # no subcommand reads
+    from levitherm import cli
+    declared = set()
+
+    def capture(raw, keys, extra, *args):
+        declared.update(keys)
+        # every value that can switch on the conditional keys of `extra`
+        for key, spec in cli.KEYS.items():
+            choices = (spec.kind if isinstance(spec.kind, tuple)
+                       else [[1.0]] if spec.kind is list else [])
+            for value in choices:
+                declared.update(extra({key: value}))
+        raise cli.ValidationError(["captured"])
+
+    monkeypatch.setattr(cli, "validate", capture)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("{}\n")
+    for name in cli.main.commands:
+        with pytest.raises(SystemExit):
+            cli.main.main([name, "--config", str(cfg), "--out",
+                           str(tmp_path / name)], standalone_mode=False)
+    # validate reads simulation.seed for every subcommand
+    assert set(cli.KEYS) - declared == {"simulation.seed"}
+
+
 def test_relax_reads_only_damping_and_temperature(tmp_path):
     cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
     del cfg["oscillator"]["mass_fg"], cfg["oscillator"]["frequency_kHz"]
@@ -159,20 +191,52 @@ def test_fluctuation_reads_no_time_step(tmp_path):
     del cfg["simulation"]["dt_ns"]
     no_dt = tmp_path / "no_dt.yaml"
     no_dt.write_text(yaml.safe_dump(cfg))
-    tables, reports = [], []
+    reports = []
     for config in (path, no_dt):
         out = tmp_path / config.stem
         res = run_cli(["fluctuation", "--config", str(config),
                        "--out", str(out)])
         assert res.returncode == 0, res.stderr
-        tables.append((out / "fluctuation_histogram.csv").read_bytes()
-                      .split(b"\n", 1))
         report = json.loads((out / "fluctuation_report.json").read_text())
         reports.append((report.pop("config_hash"), report))
-    assert tables[0][0] != tables[1][0]
-    assert tables[0][1] == tables[1][1]
     assert reports[0][0] != reports[1][0]
     assert reports[0][1] == reports[1][1]
+
+
+def test_fluctuation_fits_500_trajectories(tmp_path):
+    # 500 trajectories draw more than 20 samples of each sign
+    cfg = write_config(tmp_path, {"simulation": {"n_traj": 500}})
+    out = tmp_path / "out"
+    res = run_cli(["fluctuation", "--config", str(cfg), "--out", str(out)])
+    assert res.returncode == 0, res.stderr
+    names = {o["path"] for o in
+             json.loads((out / "manifest.json").read_text())["outputs"]}
+    assert names == {"fluctuation_report.json"}
+    report = json.loads((out / "fluctuation_report.json").read_text())
+    assert set(report) == {"applicable", "slope", "intercept",
+                           "slope_stderr", "n_traj", "config_hash"}
+    assert report["applicable"] is True
+    assert math.isfinite(report["slope_stderr"])
+    assert report["slope_stderr"] > 0
+
+
+def test_squeeze_reads_the_state_at_the_end_of_the_pulse(tmp_path):
+    # the pulse runs from 0.5 ms to 0.525 ms: a coarser record stride and
+    # a duration that ends inside the pulse leave the result unchanged
+    reports = []
+    for name, overrides in (("base", {}),
+                            ("stride", {"record_every": 3}),
+                            ("short", {"duration_ms": 0.51})):
+        cfg = write_config(tmp_path, {"simulation": overrides},
+                           name=f"{name}.yaml")
+        out = tmp_path / name
+        res = run_cli(["squeeze", "--config", str(cfg), "--out", str(out)])
+        assert res.returncode == 0, res.stderr
+        report = json.loads((out / "squeeze.json").read_text())
+        del report["config_hash"]
+        reports.append(report)
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
 
 
 def test_memory_preflight_refuses_runs_larger_than_ram(tmp_path, monkeypatch,
@@ -223,6 +287,34 @@ def test_memory_preflight_counts_one_stream_per_block(monkeypatch):
     # step padded to 3 x 64 columns
     (message,) = exc.value.violations
     assert "noise streams 3.1e+03, noise block 1.54e+03" in message
+
+
+def test_relax_memory_preflight_counts_its_largest_noise_block(
+        tmp_path, monkeypatch, capsys):
+    from levitherm import cli, langevin
+    # 64 trajectories x 600 steps of the energy dynamics, two draws a step
+    cfg = write_config(tmp_path, {"simulation": {"n_traj": 64,
+                                                 "duration_ms": 0.24}})
+    blocks = []
+    draw = langevin._draw_normals
+
+    def spy(streams, count, n_traj):
+        noise = draw(streams, count, n_traj)
+        blocks.append(noise.nbytes)
+        return noise
+
+    monkeypatch.setattr(langevin, "_draw_normals", spy)
+    cli.main.main(["relax", "--config", str(cfg), "--out",
+                   str(tmp_path / "run")], standalone_mode=False)
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(["relax", "--config", str(cfg), "--out",
+                       str(tmp_path / "out")], standalone_mode=False)
+    assert exc.value.code == 2
+    (violation,) = json.loads(capsys.readouterr().err)["error"]["violations"]
+    counted = re.search(r"noise block (\S+),", violation).group(1)
+    # the violation prints 3 significant digits
+    assert float(counted) >= float(f"{max(blocks):.3g}")
 
 
 def test_kramers_memory_preflight_counts_monte_carlo_paths(tmp_path):

@@ -158,6 +158,27 @@ def test_ft_slope_needs_symmetric_support():
         thermo.ft_slope(np.linspace(0.5, 3.0, 1000))
 
 
+def test_ft_slope_needs_20_samples_of_each_sign():
+    rng = np.random.default_rng(11)
+    positive = rng.exponential(1.0, 200)
+    negative = -rng.exponential(1.0, 20)
+    with pytest.raises(ValueError, match="straddle") as exc:
+        thermo.ft_slope(np.concatenate([positive, negative[:19]]))
+    assert "200 positive and 19 negative" in str(exc.value)
+    fit = thermo.ft_slope(np.concatenate([positive, negative]))
+    assert math.isfinite(fit.slope) and 0 < fit.slope_stderr < math.inf
+
+
+def test_crooks_crossing_refuses_work_that_does_not_overlap():
+    # W_F in [1, 2] kT and -W_R in [-2, -1] kT: a threshold separates the
+    # forward from the reversed samples, so no finite fit exists
+    rng = np.random.default_rng(12)
+    w_f = 1.0 + rng.uniform(size=500)
+    w_r = 1.0 + rng.uniform(size=500)
+    with pytest.raises(ValueError, match="separates"):
+        thermo.crooks_crossing(w_f, w_r, 1.0 / k_B)
+
+
 def test_crooks_crossing_gaussian_oracle():
     # Gaussian work pair satisfying the detailed relation with kT = 1:
     # mu_f = dF + sigma^2/2, mu_r = -dF + sigma^2/2
