@@ -162,7 +162,8 @@ class SpectralDensity:
 
 
 def psd(traj: Trajectory, n_segments: int = 8) -> SpectralDensity:
-    """Segment-averaged Hann-windowed periodogram (Welch, 50% overlap).
+    """Hann-windowed periodogram averaged over segments (Welch, 50%
+    overlap).
 
     Averages over the ensemble as well as over segments, and normalizes
     to the two-sided angular-frequency convention so the spectrum
@@ -428,12 +429,6 @@ class SteadyStateDistribution:
         q = np.sqrt(2.0 * e / (self.mass * self.omega0**2)) * np.cos(theta)
         p = -np.sqrt(2.0 * self.mass * e) * np.sin(theta)
         return q, p
-
-    def phase_space_density(self, q, p):
-        """P_qp(q, p) = (W0 / 2 pi) P_E(E(q, p))."""
-        e = (np.asarray(p) ** 2 / (2.0 * self.mass)
-             + 0.5 * self.mass * self.omega0**2 * np.asarray(q) ** 2)
-        return self.omega0 / (2.0 * math.pi) * self.pdf(e)
 
 
 def steady_state_distribution(temperature: float, gamma: float, omega0: float,

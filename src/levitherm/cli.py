@@ -178,9 +178,14 @@ def _memory_preflight(values: dict, recorded: int, record_every,
     """The memory an ensemble run needs, if more than physical RAM.
 
     Counts one noise stream per BLOCK trajectories, one block of noise
-    draws padded to whole stream blocks and `recorded` float64 arrays of
+    draws padded to whole stream blocks, `recorded` float64 arrays of
     n_traj x samples, one sample per simulation.record_every steps or,
-    for a run that does not read that key, per `record_every` steps.
+    for a run that does not read that key, per `record_every` steps, and
+    working vectors: one stream's draws before they are copied into the
+    block, 16 float64 per trajectory (the state, its copy at the start of
+    a chunk, force and transition temporaries) and, for a recorded run,
+    one float64 per step (the trap frequency) and 8 per sample (time,
+    protocol and energy temporaries).
     A block holds `draws_per_step` draws for each of up to
     CHUNK_STEPS // draws_per_step steps; without a duration it is taken
     at its largest, and a run without a time step draws its endpoints in
@@ -197,11 +202,14 @@ def _memory_preflight(values: dict, recorded: int, record_every,
             if "simulation.dt_ns" in values else 2)
     need = {"noise streams": n_blocks * langevin.STREAM_BYTES,
             "noise block": rows * n_blocks * langevin.BLOCK * 8}
+    work = rows * langevin.BLOCK + 16 * n_traj
     stride = values.get("simulation.record_every", record_every)
     if recorded and stride and all(k in values for k in RUN):
         samples = n_steps // stride + 1
         need[f"{recorded} recorded arrays of n_traj x {samples} samples"] = (
             recorded * n_traj * samples * 8)
+        work += n_steps + 1 + 8 * samples
+    need["working vectors"] = work * 8
     total = sum(need.values())
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if total <= ram:
@@ -522,12 +530,13 @@ def modulate_cmd(c, em):
     """Effective temperature under phase-locked parametric modulation."""
     rows = {"depth": [], "t_measured_K": [], "t_predicted_K": []}
     bath = BathModel(gamma=c.gamma, temperature=c.temperature)
-    base = ForceModel(mass=c.mass, omega0=c.omega0)
     for i, depth in enumerate(c.depths):
-        traj = langevin.simulate_parametric(
-            base, bath, "thermal", c.dt, c.duration,
-            langevin.derive_seed(c.seed, "modulate", i), depth=depth,
-            phase=c.phase, phase_locked=True, n_traj=c.n_traj,
+        force = ForceModel(mass=c.mass, omega0=c.omega0,
+                           modulation=langevin.Modulation(
+                               depth, phase=c.phase, phase_locked=True))
+        traj = langevin.simulate(
+            force, bath, "thermal", c.dt, c.duration,
+            langevin.derive_seed(c.seed, "modulate", i), n_traj=c.n_traj,
             record_every=c.record_every)
         tail = traj.energy[:, traj.energy.shape[1] // 2:]
         t_pred, _ = analysis.effective_temperature_modulated(

@@ -196,14 +196,13 @@ def action(spec: DoubleWellSpec, well: str = "A") -> float:
     return 2.0 * val
 
 
-def rate_ld(spec: DoubleWellSpec, gamma: float, temperature: float,
-            well: str = "A") -> float:
-    """Energy-diffusion (low damping) rate gamma S W e^{-beta U} / (2 pi k_B T)."""
-    a, saddle, c = spec.extrema
-    src = a if well == "A" else c
-    return (gamma * action(spec, well) * src.omega
+def rate_ld(spec: DoubleWellSpec, gamma: float, temperature: float) -> float:
+    """Energy-diffusion (low damping) rate out of well A,
+    gamma S W e^{-beta U} / (2 pi k_B T)."""
+    a = spec.extrema[0]
+    return (gamma * action(spec, "A") * a.omega
             / (2.0 * math.pi * k_B * temperature)
-            * math.exp(-spec.barrier(well) / (k_B * temperature)))
+            * math.exp(-spec.barrier("A") / (k_B * temperature)))
 
 
 def depopulation_factor(delta: float, temperature: float) -> float:
@@ -244,7 +243,6 @@ class RateResult:
     gamma: float
     r_turnover: float
     r_hd_total: float
-    r_ld_total: float
     upsilon_a: float
     upsilon_c: float
 
@@ -265,15 +263,20 @@ def turnover_rate(spec: DoubleWellSpec, gamma: float,
     u_sum = depopulation_factor(gamma * (s_a + s_c), temperature)
     hd = rate_hd(spec, gamma, temperature, "A") \
         + rate_hd(spec, gamma, temperature, "C")
-    ld = rate_ld(spec, gamma, temperature, "A") \
-        + rate_ld(spec, gamma, temperature, "C")
     factor = u_a * u_c / u_sum if u_sum > 0 else 0.0
-    return RateResult(gamma, factor * hd, hd, ld, u_a, u_c)
+    return RateResult(gamma, factor * hd, hd, u_a, u_c)
 
 
 def escape_rate(barrier: float, temperature: float, attempt: float) -> float:
     """Arrhenius escape rate R = R0 exp(-U / k_B T)."""
     return attempt * math.exp(-barrier / (k_B * temperature))
+
+
+def _well_changes(filled: np.ndarray) -> tuple[int, int]:
+    """Counts of A -> C and C -> A changes in hysteresis well labels."""
+    flips = np.diff(filled, axis=1)
+    return (int(np.count_nonzero(flips == 2)),
+            int(np.count_nonzero(flips == -2)))
 
 
 def hop_statistics(q: np.ndarray, minima: tuple, dt: float):
@@ -285,9 +288,7 @@ def hop_statistics(q: np.ndarray, minima: tuple, dt: float):
     Returns (rate A->C, rate C->A, total hop count).
     """
     filled = well_labels(q, minima)
-    flips = np.diff(filled, axis=1)
-    n_ac = int(np.count_nonzero(flips == 2))
-    n_ca = int(np.count_nonzero(flips == -2))
+    n_ac, n_ca = _well_changes(filled)
     t_a = np.count_nonzero(filled == -1) * dt
     t_c = np.count_nonzero(filled == 1) * dt
     rate_ac = n_ac / t_a if t_a > 0 else 0.0
@@ -312,7 +313,8 @@ def monte_carlo_rate(spec: DoubleWellSpec, gamma: float, temperature: float,
     across the barrier top, and the flip fraction f at that lag gives
     the total rate through -ln(1 - 2 f) / lag for a symmetric two-state
     process, so a tilted well (``spec.tilt != 0``) is refused.  Also
-    returns the raw hysteresis hop count.
+    returns the hop count of the same labels, by the rule of
+    `hop_statistics`.
     """
     if spec.tilt != 0:
         raise ValueError("monte_carlo_rate uses the symmetric two-state "
@@ -324,13 +326,12 @@ def monte_carlo_rate(spec: DoubleWellSpec, gamma: float, temperature: float,
     # replaces the harmonic force entirely.
     force = ForceModel(mass=spec.mass, omega0=a.omega)
     bath = BathModel(gamma, temperature)
-    traj, hops = simulate_double_well(
+    # every row starts at a minimum, so every label is known
+    filled = simulate_double_well(
         spec.as_custom_potential(), minima, force, bath,
         (q0, np.zeros(n_traj)), dt, duration, seed, n_traj=n_traj,
         record_every=record_every, allow_coarse_dt=True)
-    dts = traj.time[1] - traj.time[0]
-    # every row starts at a minimum, so every label is known
-    filled = well_labels(traj.q, minima)
+    dts = record_every * dt
 
     # lag long enough to decorrelate intrawell motion and sloshing
     lag_t = max(5.0 / gamma, 30.0 * 2.0 * math.pi / a.omega,
@@ -345,4 +346,4 @@ def monte_carlo_rate(spec: DoubleWellSpec, gamma: float, temperature: float,
     if f >= 0.5:
         raise RuntimeError("hop rate too fast for the chosen duration")
     rate = -math.log1p(-2.0 * f) / (lag * dts)
-    return rate, int(hops.sum())
+    return rate, sum(_well_changes(filled))

@@ -172,7 +172,7 @@ class Trajectory:
 
     `q`, `p` and `energy` have shape (n_traj, n_samples); `time` is the
     shared grid.  `protocol` holds per-sample control values (trap
-    frequency, realized modulation, external force).
+    frequency, external force).
     """
 
     time: np.ndarray
@@ -341,7 +341,6 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
     half_h = 0.5 * h
     gam = bath.gamma / w_ref
     temp = bath.temperature / t_ref_temp
-    omega_nd = (omega_steps / w_ref).tolist()
     ou_decay = math.exp(-gam * h)
     ou_kick = math.sqrt(max(0.0, (1.0 - ou_decay**2) * temp))
 
@@ -390,12 +389,14 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
             add(q, tmp[0], out=q)
 
     n_samples = n_steps // record_every + 1
-    rec = np.empty((n_samples, 2, n_traj))
-    rec[0] = x
+    # recorded q and p, each block (n_samples, n_traj)
+    rec = np.empty((2, n_samples, n_traj))
+    rec[:, 0] = x
 
     def advance(k0, noise, check):
         """Steps k0 .. k0 + len(noise) - 1; with `check`, raise at the
         first state outside STATE_BOUND."""
+        omega_nd = (omega_steps[k0:k0 + len(noise)] / w_ref).tolist()
         for j in range(len(noise)):
             k = k0 + j
             t_si = k * dt
@@ -403,7 +404,7 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
                 if not q_only:
                     kick(t_si)
                 add(p, dp, out=p)
-            w = omega_nd[k]
+            w = omega_nd[j]
             half_rotation_or_drift(w)
             # exact Ornstein-Uhlenbeck step; noise is pre-scaled by ou_kick
             mul(ou_decay, p, out=p)
@@ -413,7 +414,7 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
                 kick(t_si + dt)
                 add(p, dp, out=p)
             if (k + 1) % record_every == 0:
-                rec[(k + 1) // record_every] = x
+                rec[:, (k + 1) // record_every] = x
             if check and not np.abs(x).max() <= STATE_BOUND:
                 raise IntegratorBlowupError(k + 1)
 
@@ -431,50 +432,42 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
             x[:], dp[:] = start
             advance(step, noise, True)
         step += chunk
+        del noise    # free the block before the next one is drawn
 
-    # SI scaling, transposed to (n_traj, n_samples)
+    # SI scaling, transposed to (n_traj, n_samples); p then takes the
+    # recorded q block and the energy the recorded p block, so the three
+    # arrays need one allocation beyond the record
     shape = (n_traj, n_samples)
-    q_si = np.multiply(rec[:, 0].T, x0, out=np.empty(shape))
-    p_si = np.multiply(rec[:, 1].T, p0_scale, out=np.empty(shape))
-    del rec
-    sample_steps = range(0, n_steps + 1, record_every)
+    q_si = np.multiply(rec[0].T, x0, out=np.empty(shape))
+    p_si = np.multiply(rec[1].T, p0_scale, out=rec[0].reshape(shape))
+    energy = rec[1].reshape(shape)
     omega_out = np.ascontiguousarray(omega_steps[::record_every])
-    eps_out = np.zeros(n_samples)
+    stiffness = 0.5 * m * omega_out[None, :]**2
+    # row blocks of about 2**14 samples bound the temporaries
+    rows = max(1, 2**14 // n_samples)
+    for r in range(0, n_traj, rows):
+        q_r, e_r = q_si[r:r + rows], energy[r:r + rows]
+        np.square(p_si[r:r + rows], out=e_r)
+        e_r /= 2.0 * m
+        if custom is not None:
+            e_r += custom.energy(q_r)
+        else:
+            e_r += stiffness * np.square(q_r)
+            if force.duffing_xi != 0.0:
+                # q^4 as q2 * q2: q_si**4 goes through the generic pow
+                q4 = q_r * q_r
+                q4 *= q4
+                q4 *= 0.25 * force.duffing_xi * m * force.omega0**2
+                e_r += q4
     fext_out = np.zeros(n_samples)
-    mod, f_ext = force.modulation, force.external_force
-    for k_sample, step in enumerate(sample_steps):
-        t_si = step * dt
-        if mod is not None and not mod.phase_locked:
-            eps_out[k_sample] = mod.depth * math.cos(mod.frequency * t_si
-                                                     + mod.phase)
-        if f_ext is not None:
-            fext_out[k_sample] = f_ext(t_si)
-    if custom is not None:
-        energy = p_si**2 / (2.0 * m) + np.asarray(custom.energy(q_si))
-    else:
-        energy = (p_si**2 / (2.0 * m)
-                  + 0.5 * m * omega_out[None, :]**2 * q_si**2)
-        if force.duffing_xi != 0.0:
-            # q^4 as q2 * q2: q_si**4 goes through the generic pow
-            q4 = q_si * q_si
-            q4 *= q4
-            q4 *= 0.25 * force.duffing_xi * m * force.omega0**2
-            energy += q4
+    f_ext = force.external_force
+    if f_ext is not None:
+        for k_sample, step in enumerate(range(0, n_steps + 1, record_every)):
+            fext_out[k_sample] = f_ext(step * dt)
     time = np.arange(n_samples) * (record_every * dt)
-    protocol = {"omega": omega_out, "epsilon": eps_out,
-                "external_force": fext_out}
+    protocol = {"omega": omega_out, "external_force": fext_out}
     return Trajectory(time, q_si, p_si, energy, protocol, dt, m,
                       force.omega0, seed)
-
-
-def simulate_parametric(force: ForceModel, bath: BathModel, init, dt: float,
-                        duration: float, seed: int, depth: float,
-                        frequency: float = 0.0, phase: float = 0.0,
-                        phase_locked: bool = False, **kw) -> Trajectory:
-    """Convenience wrapper attaching a parametric drive to `force`."""
-    mod = Modulation(depth, frequency, phase, phase_locked)
-    return simulate(replace(force, modulation=mod), bath, init, dt, duration,
-                    seed, **kw)
 
 
 def simulate_quench(force: ForceModel, bath: BathModel, init, dt: float,
@@ -494,17 +487,16 @@ def simulate_quench(force: ForceModel, bath: BathModel, init, dt: float,
 def simulate_double_well(potential: CustomPotential, minima: tuple,
                          force_template: ForceModel, bath: BathModel, init,
                          dt: float, duration: float, seed: int,
-                         **kw) -> tuple[Trajectory, np.ndarray]:
-    """Integrate in a bistable potential and count interwell hops.
+                         **kw) -> np.ndarray:
+    """Integrate in a bistable potential; return the hysteresis well labels
+    of the recorded samples (see `well_labels`).
 
-    Returns the trajectory and the per-trajectory hop counts from the
-    hysteresis detector (a hop registers only on reaching the opposite
-    minimum, so barrier-top recrossings are not counted).
+    Only the labels are returned, so the recorded p and energy are freed
+    before the labels are formed.
     """
-    traj = simulate(replace(force_template, potential=potential), bath, init,
-                    dt, duration, seed, **kw)
-    hops = count_well_hops(traj.q, minima)
-    return traj, hops
+    q = simulate(replace(force_template, potential=potential), bath, init,
+                 dt, duration, seed, **kw).q
+    return well_labels(q, minima)
 
 
 def well_labels(q: np.ndarray, minima: tuple) -> np.ndarray:
@@ -523,13 +515,6 @@ def well_labels(q: np.ndarray, minima: tuple) -> np.ndarray:
     idx = np.where(label != 0, np.arange(q.shape[1]), 0)
     np.maximum.accumulate(idx, axis=1, out=idx)
     return np.take_along_axis(label, idx, axis=1)
-
-
-def count_well_hops(q: np.ndarray, minima: tuple) -> np.ndarray:
-    """Per-trajectory count of changes of the hysteresis well label."""
-    filled = well_labels(q, minima)
-    flips = (filled[:, 1:] != filled[:, :-1]) & (filled[:, :-1] != 0)
-    return np.count_nonzero(flips, axis=1).astype(np.int64)
 
 
 @dataclass
@@ -602,8 +587,11 @@ def simulate_energy_sde(bath: BathModel, e0, dt: float, duration: float,
                 out[:, k_sample] = x
                 k_sample += 1
         step += chunk
+        del noise    # free the block before the next one is drawn
     time = np.arange(n_samples) * (record_every * dt)
-    return EnergyPath(time, out * k_B * bath.temperature, seed)
+    out *= k_B
+    out *= bath.temperature
+    return EnergyPath(time, out, seed)
 
 
 def config_hash(config: dict) -> str:

@@ -26,51 +26,6 @@ class ProtocolError(ValueError):
     """Raised when a trajectory cannot support the requested bookkeeping."""
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One leg of a control protocol.
-
-    `stiffness` is either a constant (N/m) or a (k_start, k_end) pair
-    ramped linearly over the segment; a zero-duration segment encodes an
-    instantaneous jump.  `external_force` is f(t) in N with t local to
-    the segment.
-    """
-
-    duration: float
-    stiffness: float | tuple
-    temperature: float
-    external_force: object = None
-
-    def k_edges(self) -> tuple[float, float]:
-        if isinstance(self.stiffness, tuple):
-            return self.stiffness
-        return (self.stiffness, self.stiffness)
-
-
-@dataclass(frozen=True)
-class Protocol:
-    """Ordered control segments with basic sanity validation."""
-
-    segments: tuple
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("protocol needs at least one segment")
-        if self.total_duration <= 0:
-            raise ValueError("total protocol duration must be positive")
-        for seg in self.segments:
-            if seg.duration < 0:
-                raise ValueError("segment durations must be non-negative")
-            if min(seg.k_edges()) <= 0:
-                raise ValueError("stiffness must stay positive")
-            if seg.temperature <= 0:
-                raise ValueError("segment temperatures must be positive")
-
-    @property
-    def total_duration(self) -> float:
-        return sum(seg.duration for seg in self.segments)
-
-
 def _require_full_resolution(traj: Trajectory):
     if traj.time.size < 2:
         raise ProtocolError("trajectory too short for work/heat integrals")
@@ -102,13 +57,8 @@ class WorkHeatRecord:
     def mean_work(self) -> float:
         return float(self.work.mean())
 
-    @property
-    def mean_heat(self) -> float:
-        return float(self.heat.mean())
 
-
-def work_heat(traj: Trajectory, protocol: Protocol | None = None
-              ) -> WorkHeatRecord:
+def work_heat(traj: Trajectory) -> WorkHeatRecord:
     """Work and heat functionals of a sampled trajectory ensemble.
 
     The stiffness channel sums the jump contributions of the (piecewise
@@ -118,17 +68,9 @@ def work_heat(traj: Trajectory, protocol: Protocol | None = None
     the midpoint integral of f dq.  Heat is obtained from the kinetic
     energy balance, Q = -d(KE) + integral of F_sys o dq, which makes the
     first law an O(dt) consistency check rather than an identity.
-
-    When a `Protocol` is supplied its duration must match the trajectory
-    grid; otherwise the control values logged on the trajectory are
-    trusted as-is.
+    The control values are those logged on the trajectory.
     """
     _require_full_resolution(traj)
-    if protocol is not None:
-        span = traj.time[-1] - traj.time[0]
-        if abs(protocol.total_duration - span) > 0.5 * traj.dt:
-            raise ProtocolError("protocol duration does not match the "
-                                "trajectory grid")
     q = traj.q
     omega = traj.protocol["omega"]
     k = traj.mass * omega**2
@@ -219,10 +161,12 @@ def run_force_ramp(mass: float, omega0: float, gamma: float,
     if reverse:
         def f_ext(t):
             return f_max * (1.0 - t / tau)
-        rng = np.random.default_rng(derive_seed(seed, "reverse-start"))
-        q0 = f_max / k + math.sqrt(k_B * temperature / k) * rng.standard_normal(n_traj)
-        p0 = math.sqrt(mass * k_B * temperature) * rng.standard_normal(n_traj)
-        init = (q0, p0)
+        # as for the thermal start, trajectory i's draws depend only on
+        # (seed, i)
+        z = _draw_normals(trajectory_streams(
+            derive_seed(seed, "reverse-start"), n_traj), 2, n_traj)
+        init = (f_max / k + math.sqrt(k_B * temperature / k) * z[0],
+                math.sqrt(mass * k_B * temperature) * z[1])
     else:
         def f_ext(t):
             return f_max * t / tau
@@ -389,17 +333,6 @@ def total_entropy_relaxation(e0: np.ndarray, e_t: np.ndarray,
     e0 = np.asarray(e0, dtype=float)
     e_t = np.asarray(e_t, dtype=float)
     return beta * (s * (e_t - e0) + c * (e_t**2 - e0**2))
-
-
-def relative_entropy_relaxation(e0: np.ndarray, e_t: np.ndarray,
-                                dist) -> np.ndarray:
-    """Closed-form relative-entropy expression for a relaxation step.
-
-    This is the negative of `total_entropy_relaxation`; the detailed
-    fluctuation theorem tests use the direct -ln P0 construction, which
-    fixes the sign such that the mean production is non-negative.
-    """
-    return -total_entropy_relaxation(e0, e_t, dist)
 
 
 @dataclass

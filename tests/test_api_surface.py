@@ -8,6 +8,10 @@ caller's own parameter is set somewhere, so a knob threaded through
 several layers without any caller choosing a value still counts as
 unset.  Calls through `*args` or `**kwargs` set every parameter they
 could reach.
+
+A public function, method or property that no code in those trees
+names outside its own definition is dead code; the CLI subcommand
+bodies are reached through their registering decorator and exempt.
 """
 
 import ast
@@ -162,6 +166,68 @@ def unread_public_parameters() -> list:
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         out += [f"{mod}.{name}({p})" for p in _params(fn) if p not in read]
     return sorted(out)
+
+
+def _registered(fn: ast.FunctionDef) -> bool:
+    """True for a CLI subcommand body, reached through its decorator."""
+    return any(isinstance(d, ast.Call) and _callee_name(d) == "subcommand"
+               for d in fn.decorator_list)
+
+
+class _Names(ast.NodeVisitor):
+    """Every name used, with the function definitions enclosing the use."""
+
+    def __init__(self):
+        self.stack = []
+        self.uses = []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def _use(self, name):
+        self.uses.append((name, tuple(self.stack)))
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        self._use(node.name.rsplit(".", 1)[-1])
+
+
+def unnamed_public_code() -> list:
+    """Public module-level functions, methods and properties of the
+    package that no code names outside their own definition."""
+    trees = _trees()
+    defs = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not _registered(node):
+                defs.append((f"{path.stem}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{path.stem}.{node.name}.{item.name}", item)
+                         for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+    visitor = _Names()
+    for tree in trees.values():
+        visitor.visit(tree)
+    named = {}
+    for name, stack in visitor.uses:
+        named.setdefault(name, []).append(stack)
+    return sorted(label for label, fn in defs
+                  if not fn.name.startswith("_")
+                  and all(fn in stack for stack in named.get(fn.name, ())))
+
+
+def test_every_public_function_is_named_by_some_code():
+    assert unnamed_public_code() == []
 
 
 def test_every_optional_public_parameter_is_set_by_some_caller():

@@ -258,11 +258,12 @@ def test_memory_preflight_refuses_runs_larger_than_ram(tmp_path, monkeypatch,
 def test_memory_preflight_counts_noise_streams(tmp_path, monkeypatch, capsys,
                                                command):
     from levitherm import cli
-    # 1 kB of RAM: one trajectory's 2 recorded samples (48 B) and its
-    # noise block padded to a 64-column stream block (512 B) fit, but its
-    # noise stream (about 1 kB) does not
+    # 2.25 kB of RAM: one trajectory's 2 recorded samples (48 B), its
+    # noise block padded to a 64-column stream block (at most 1 kB) and
+    # its working vectors (at most 1.2 kB) fit, but its noise stream
+    # (about 1 kB) does not
     monkeypatch.setattr(os, "sysconf",
-                        lambda name: 1024 if name == "SC_PAGE_SIZE" else 1)
+                        lambda name: 2304 if name == "SC_PAGE_SIZE" else 1)
     cfg = write_config(tmp_path, {"simulation": {"n_traj": 1,
                                                  "duration_ms": 0.0004}})
     out = tmp_path / "out"
@@ -331,6 +332,52 @@ def test_kramers_memory_preflight_counts_monte_carlo_paths(tmp_path):
     assert violation.startswith("simulation.n_traj")
     assert "3 recorded arrays of n_traj x 1666667 samples" in violation
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, entry, overrides", [
+    # the benchmark's sizes: calibrate's psd step, relax at the same size,
+    # and one Monte Carlo damping of the hopping workload
+    ("psd", "langevin.simulate",
+     {"oscillator": {"damping_Hz": 5000},
+      "simulation": {"duration_ms": 2.0, "n_traj": 500}}),
+    ("relax", "langevin.simulate_energy_sde",
+     {"simulation": {"duration_ms": 2.0, "n_traj": 500}}),
+    ("kramers", "kramers.monte_carlo_rate",
+     {"well": WELL, "kramers": {"n_points": 5, "mc_damping_Hz": [40000]},
+      "simulation": {"dt_ns": 150, "duration_ms": 7.0, "n_traj": 64}}),
+])
+def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
+                                                   capsys, command, entry,
+                                                   overrides):
+    import importlib
+    import tracemalloc
+    from levitherm import cli
+    module_name, name = entry.split(".")
+    module = importlib.import_module(f"levitherm.{module_name}")
+    run, peaks = getattr(module, name), []
+
+    def traced(*args, **kw):
+        tracemalloc.start()
+        try:
+            return run(*args, **kw)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(module, name, traced)
+    cfg = write_config(tmp_path, overrides)
+    cli.main.main([command, "--config", str(cfg), "--out",
+                   str(tmp_path / "run")], standalone_mode=False)
+    assert len(peaks) == 1
+    # a machine one byte short of the measured peak is refused
+    monkeypatch.setattr(os, "sysconf", lambda key: peaks[0] - 1
+                        if key == "SC_PAGE_SIZE" else 1)
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main([command, "--config", str(cfg), "--out",
+                       str(tmp_path / "out")], standalone_mode=False)
+    assert exc.value.code == 2
+    (violation,) = json.loads(capsys.readouterr().err)["error"]["violations"]
+    assert "physical memory" in violation
 
 
 def test_modulate_runs_do_not_reuse_the_streams_of_another_seed(tmp_path):
@@ -418,7 +465,8 @@ def test_json_format(tmp_path):
 
 
 def test_runtime_failure_leaves_incomplete_manifest(tmp_path):
-    # far too few trajectories for the histogram fit
+    # far too few trajectories for the logistic fit: fewer than 20
+    # samples of each sign
     cfg = write_config(tmp_path, {"simulation": {"n_traj": 8}})
     out = tmp_path / "out"
     res = run_cli(["fluctuation", "--config", str(cfg), "--out", str(out)])

@@ -10,11 +10,10 @@ from scipy import stats
 
 from levitherm.constants import k_B
 from levitherm import langevin
+from levitherm.kramers import hop_statistics
 from levitherm.langevin import (BathModel, CustomPotential, ForceModel,
-                                IntegratorBlowupError, Modulation,
-                                count_well_hops, simulate,
-                                simulate_energy_sde, simulate_parametric,
-                                simulate_quench)
+                                IntegratorBlowupError, Modulation, simulate,
+                                simulate_energy_sde, simulate_quench)
 
 MASS = 1e-17
 OMEGA0 = 2.0 * math.pi * 1.0e5
@@ -232,11 +231,12 @@ def test_energy_uses_scheduled_stiffness():
 
 
 def test_phase_locked_modulation_cools_and_heats():
-    force, bath = make_models(gamma=OMEGA0 / 50.0)
-    common = dict(init="thermal", dt=DT, duration=4e-3, seed=14,
-                  depth=0.01, phase_locked=True, n_traj=200, record_every=10)
-    cold = simulate_parametric(force, bath, phase=math.pi / 4, **common)
-    hot = simulate_parametric(force, bath, phase=-math.pi / 4, **common)
+    def run(phase):
+        force, bath = make_models(gamma=OMEGA0 / 50.0, modulation=Modulation(
+            0.01, phase=phase, phase_locked=True))
+        return simulate(force, bath, "thermal", DT, 4e-3, seed=14,
+                        n_traj=200, record_every=10)
+    cold, hot = run(math.pi / 4), run(-math.pi / 4)
     tail = slice(200, None)
     assert cold.energy[:, tail].mean() < KT300 < hot.energy[:, tail].mean()
 
@@ -245,11 +245,16 @@ def test_phase_locked_modulation_cools_and_heats():
 # double well helpers
 
 
+def _hops_by_row(q, minima):
+    """Hop count of `hop_statistics`, one row at a time."""
+    return [hop_statistics(row[None], minima, 1.0)[2]
+            for row in np.atleast_2d(q)]
+
+
 def test_count_well_hops_synthetic():
     q = np.array([[-1.0, -0.2, 0.3, 1.0, 0.5, -1.0, -1.0, 1.0]])
-    assert count_well_hops(q, (-1.0, 1.0)).tolist() == [3]
-    assert count_well_hops(np.array([[0.0, 0.5, -0.5]]),
-                           (-1.0, 1.0)).tolist() == [0]
+    assert _hops_by_row(q, (-1.0, 1.0)) == [3]
+    assert _hops_by_row(np.array([[0.0, 0.5, -0.5]]), (-1.0, 1.0)) == [0]
 
 
 def _hops_by_row_loop(q, minima):
@@ -267,13 +272,12 @@ def _hops_by_row_loop(q, minima):
 
 
 def test_vectorised_hop_count_matches_row_loop():
-    from levitherm import kramers
     rng = np.random.default_rng(5)
     for _ in range(50):
         q = np.cumsum(rng.normal(size=(4, 80)), axis=1)
         expected = _hops_by_row_loop(q, (1.0, -1.0))
-        assert count_well_hops(q, (1.0, -1.0)).tolist() == expected
-        assert kramers.hop_statistics(q, (1.0, -1.0), 0.1)[2] == sum(expected)
+        assert _hops_by_row(q, (1.0, -1.0)) == expected
+        assert hop_statistics(q, (1.0, -1.0), 0.1)[2] == sum(expected)
 
 
 def test_double_well_custom_potential_round_trip():
@@ -519,7 +523,6 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
     n_samples = n_steps // record_every + 1
     q_out = np.empty((n_traj, n_samples))
     p_out = np.empty((n_traj, n_samples))
-    eps_out = np.zeros(n_samples)
     fext_out = np.zeros(n_samples)
     omega_out = np.empty(n_samples)
 
@@ -527,12 +530,8 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
         q_out[:, k_sample] = q_nd
         p_out[:, k_sample] = p_nd
         omega_out[k_sample] = omega_steps[step]
-        t_si = step * dt
-        if mod is not None and not mod.phase_locked:
-            eps_out[k_sample] = mod.depth * math.cos(mod.frequency * t_si
-                                                     + mod.phase)
         if f_ext is not None:
-            fext_out[k_sample] = f_ext(t_si)
+            fext_out[k_sample] = f_ext(step * dt)
 
     record(0, 0, q, p)
     k_sample = 1
@@ -570,8 +569,7 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
                   + 0.5 * m * omega_out[None, :]**2 * q_si**2
                   + 0.25 * force.duffing_xi * m * force.omega0**2
                   * quartic(q_si))
-    protocol = {"omega": omega_out, "epsilon": eps_out,
-                "external_force": fext_out}
+    protocol = {"omega": omega_out, "external_force": fext_out}
     return q_si, p_si, energy, protocol
 
 
@@ -618,6 +616,7 @@ def test_kernel_matches_reference_loop(case, record_every, n_steps):
     assert np.array_equal(traj.q, q)
     assert np.array_equal(traj.p, p)
     assert np.array_equal(traj.energy, energy)
+    assert traj.protocol.keys() == protocol.keys()
     for name, values in protocol.items():
         assert np.array_equal(traj.protocol[name], values), name
     for a in (traj.q, traj.p, traj.energy):
