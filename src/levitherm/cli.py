@@ -25,7 +25,7 @@ import traceback
 import warnings
 from contextlib import contextmanager
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -173,43 +173,81 @@ def _si(spec: Key, value):
     return _number(spec.kind, spec, value)
 
 
-def _memory_preflight(values: dict, recorded: int, record_every,
-                      draws_per_step: int) -> list:
+class Ensemble(NamedTuple):
+    """How the ensemble run of a subcommand uses memory; see
+    `_memory_preflight`.
+
+    The run keeps `recorded` float64 (n_traj, samples) arrays or, with
+    `labels`, one int8 well label per sample and trajectory, taking a
+    sample every simulation.record_every steps, or every `record_every`
+    steps if the subcommand fixes its own stride.  A time step draws
+    `draws_per_step` normals per trajectory, and the run holds `per_traj`
+    float64 per trajectory beyond the integrator's.  `steps(values)` is
+    the number of steps when the run does not integrate over
+    simulation.duration_ms, and `groups` names a list key: the run
+    integrates n_traj trajectories for each of its entries side by side.
+    """
+
+    recorded: int = 0
+    labels: bool = False
+    record_every: int | None = None
+    draws_per_step: int = 1
+    per_traj: int = 0
+    steps: Callable | None = None
+    groups: str | None = None
+
+
+def _memory_preflight(values: dict, run: Ensemble) -> list:
     """The memory an ensemble run needs, if more than physical RAM.
 
-    Counts one noise stream per BLOCK trajectories, one block of noise
-    draws padded to whole stream blocks, `recorded` float64 arrays of
-    n_traj x samples, one sample per simulation.record_every steps or,
-    for a run that does not read that key, per `record_every` steps, and
+    The width of the run is n_traj times its number of groups.  Counts
+    one noise stream per BLOCK trajectories of each group, one block of
+    noise draws padded to whole stream blocks, the recorded data, and
     working vectors: one stream's draws before they are copied into the
-    block, 16 float64 per trajectory (the state, its copy at the start of
-    a chunk, force and transition temporaries) and, for a recorded run,
-    one float64 per step (the trap frequency) and 8 per sample (time,
-    protocol and energy temporaries).
+    block and 16 + `run.per_traj` float64 per trajectory (the state, its
+    copy at the start of a chunk, force and transition temporaries).  A
+    recorded run adds one float64 per step (the trap frequency); a run
+    of float64 paths adds 8 per sample (time, protocol and energy
+    temporaries), a labelled run three float64 per trajectory and sample
+    of one chunk (the q samples, their SI values and the fill indices of
+    `langevin.well_labels`) and three bytes per sample and trajectory of
+    one group (the label comparisons of its rate and hop count).
     A block holds `draws_per_step` draws for each of up to
-    CHUNK_STEPS // draws_per_step steps; without a duration it is taken
+    CHUNK_STEPS // draws_per_step steps; without a step count it is taken
     at its largest, and a run without a time step draws its endpoints in
     one exact transition, two draws.
     """
     n_traj = values["simulation.n_traj"]
-    n_blocks = -(-n_traj // langevin.BLOCK)
+    n_groups = len(values[run.groups]) if run.groups in values else 1
+    width = n_traj * n_groups
+    n_blocks = n_groups * -(-n_traj // langevin.BLOCK)
     n_steps = langevin.CHUNK_STEPS
-    if all(k in values for k in RUN):
+    if run.steps is not None:
+        n_steps = run.steps(values) or n_steps
+    elif all(k in values for k in RUN):
         n_steps = int(round(values["simulation.duration_ms"]
                             / values["simulation.dt_ns"]))
-    rows = (draws_per_step
-            * min(langevin.CHUNK_STEPS // draws_per_step, n_steps)
+    rows = (run.draws_per_step
+            * min(langevin.CHUNK_STEPS // run.draws_per_step, n_steps)
             if "simulation.dt_ns" in values else 2)
     need = {"noise streams": n_blocks * langevin.STREAM_BYTES,
             "noise block": rows * n_blocks * langevin.BLOCK * 8}
-    work = rows * langevin.BLOCK + 16 * n_traj
-    stride = values.get("simulation.record_every", record_every)
-    if recorded and stride and all(k in values for k in RUN):
+    work = 8 * (rows * langevin.BLOCK + (16 + run.per_traj) * width)
+    stride = values.get("simulation.record_every", run.record_every)
+    if (run.recorded or run.labels) and stride and all(k in values
+                                                         for k in RUN):
         samples = n_steps // stride + 1
-        need[f"{recorded} recorded arrays of n_traj x {samples} samples"] = (
-            recorded * n_traj * samples * 8)
-        work += n_steps + 1 + 8 * samples
-    need["working vectors"] = work * 8
+        if run.labels:
+            need[f"well labels of {width} trajectories x {samples} "
+                 "samples"] = width * samples
+            chunk = min(samples, langevin.CHUNK_STEPS // stride + 1)
+            work += 24 * chunk * width + 3 * n_traj * samples
+        else:
+            need[f"{run.recorded} recorded arrays of n_traj x {samples} "
+                 "samples"] = run.recorded * n_traj * samples * 8
+            work += 64 * samples
+        work += 8 * (n_steps + 1)
+    need["working vectors"] = work
     total = sum(need.values())
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if total <= ram:
@@ -219,17 +257,13 @@ def _memory_preflight(values: dict, recorded: int, record_every,
             f"the {ram:.3g} bytes of physical memory"]
 
 
-def validate(raw: dict, keys, extra=lambda values: (), recorded: int = 0,
-             record_every: int | None = None,
-             draws_per_step: int = 1) -> SimpleNamespace:
+def validate(raw: dict, keys, extra=lambda values: (),
+             run: Ensemble = Ensemble()) -> SimpleNamespace:
     """Check `raw` against KEYS; return the SI values a subcommand reads.
 
     `keys` (plus simulation.seed) are read always, `extra(values)` names
-    the keys read only for some values of those, and `recorded` is the
-    number of float64 (n_traj, samples) arrays the run keeps in memory,
-    sampled every simulation.record_every steps, or every `record_every`
-    steps if the subcommand fixes its own stride; a time step of the run
-    draws `draws_per_step` normals per trajectory.
+    the keys read only for some values of those, and `run` says how the
+    subcommand's ensemble run uses memory.
     Unknown keys, type, bound, missing-key and cross-key violations and,
     for an ensemble run, a memory estimate above physical RAM (see
     `_memory_preflight`) are all collected into one ValidationError.
@@ -270,8 +304,7 @@ def validate(raw: dict, keys, extra=lambda values: (), recorded: int = 0,
                 and not values[big] > values[small]):
             violations.append(f"{big} must exceed {small}")
     if "simulation.n_traj" in values:
-        violations += _memory_preflight(values, recorded, record_every,
-                                        draws_per_step)
+        violations += _memory_preflight(values, run)
     if violations:
         raise ValidationError(violations)
     return SimpleNamespace(**{KEYS[k].name: v for k, v in values.items()})
@@ -429,8 +462,8 @@ OPTIONS = (
 )
 
 
-def subcommand(name: str, keys, extra=lambda values: (), recorded: int = 0,
-               record_every: int | None = None, draws_per_step: int = 1):
+def subcommand(name: str, keys, extra=lambda values: (),
+               run: Ensemble = Ensemble()):
     """Register `body(c, em)` as subcommand `name`; see `validate`.
 
     The config is loaded and validated before `body` runs, so `c` holds
@@ -440,8 +473,7 @@ def subcommand(name: str, keys, extra=lambda values: (), recorded: int = 0,
         def command(config, seed, out, fmt):
             try:
                 raw = _load_config(config, seed)
-                c = validate(raw, keys, extra, recorded, record_every,
-                             draws_per_step)
+                c = validate(raw, keys, extra, run)
             except (OSError, ValueError, yaml.YAMLError) as exc:
                 _fail(exc, 2)
             em, caught = None, []
@@ -477,7 +509,7 @@ def env_sweep(c, em):
 
 
 @subcommand("simulate", OSCILLATOR + ("oscillator.duffing_um2",) + RECORDED,
-            recorded=3)
+            run=Ensemble(recorded=3))
 def simulate_cmd(c, em):
     """Harmonic (optionally Duffing) Langevin ensemble; summary statistics."""
     force = ForceModel(mass=c.mass, omega0=c.omega0, duffing_xi=c.duffing_xi)
@@ -499,7 +531,8 @@ def simulate_cmd(c, em):
     })
 
 
-@subcommand("psd", OSCILLATOR + RECORDED + _section("psd"), recorded=3)
+@subcommand("psd", OSCILLATOR + RECORDED + _section("psd"),
+            run=Ensemble(recorded=3))
 def psd_cmd(c, em):
     """Welch spectrum of a simulated ensemble plus a Lorentzian fit."""
     force = ForceModel(mass=c.mass, omega0=c.omega0)
@@ -525,7 +558,7 @@ def psd_cmd(c, em):
 
 
 @subcommand("modulate", OSCILLATOR + RECORDED + _section("modulation"),
-            recorded=3)
+            run=Ensemble(recorded=3))
 def modulate_cmd(c, em):
     """Effective temperature under phase-locked parametric modulation."""
     rows = {"depth": [], "t_measured_K": [], "t_predicted_K": []}
@@ -548,7 +581,8 @@ def modulate_cmd(c, em):
 
 
 @subcommand("relax", ("oscillator.damping_Hz", "oscillator.temperature_K")
-            + RECORDED + _section("relax"), recorded=1, draws_per_step=2)
+            + RECORDED + _section("relax"),
+            run=Ensemble(recorded=1, draws_per_step=2))
 def relax_cmd(c, em):
     """Energy relaxation from a fixed initial energy toward the bath."""
     e0 = c.ratio * k_B * c.temperature
@@ -564,9 +598,11 @@ def relax_cmd(c, em):
     })
 
 
+# scipy's truncated-normal sampler holds about 52 float64 per drawn start
+# energy (tracemalloc, scipy 1.17); the entropy arrays and the fit need less
 @subcommand("fluctuation", OSCILLATOR + ("simulation.duration_ms",
                                          "simulation.n_traj")
-            + _section("fluctuation"))
+            + _section("fluctuation"), run=Ensemble(per_traj=52))
 def fluctuation_cmd(c, em):
     """Entropy-production fluctuation theorem for a relaxation step."""
     dist = analysis.steady_state_distribution(c.temperature, c.gamma,
@@ -589,7 +625,9 @@ def fluctuation_cmd(c, em):
 
 @subcommand("kramers", _section("well") + _section("kramers"),
             extra=lambda values: RUN if values.get("kramers.mc_damping_Hz")
-            else (), recorded=3, record_every=kramers.MC_RECORD_EVERY)
+            else (), run=Ensemble(labels=True,
+                                  record_every=kramers.MC_RECORD_EVERY,
+                                  groups="kramers.mc_damping_Hz"))
 def kramers_cmd(c, em):
     """Interwell hopping rates: turnover theory and optional Monte Carlo."""
     q_m = c.separation / 2.0
@@ -605,17 +643,16 @@ def kramers_cmd(c, em):
     })
     if not c.mc_gammas:
         return
-    rows = {"gamma_rad_s": [], "rate_mc_per_s": [],
-            "rate_theory_per_s": [], "hops": []}
-    for i, g in enumerate(c.mc_gammas):
-        rate, hops = kramers.monte_carlo_rate(
-            spec, g, c.temperature, c.duration, c.dt,
-            langevin.derive_seed(c.seed, "kramers-mc", i), n_traj=c.n_traj)
-        rows["gamma_rad_s"].append(g)
-        rows["rate_mc_per_s"].append(rate)
-        rows["rate_theory_per_s"].append(
-            kramers.turnover_rate(spec, g, c.temperature).r_turnover)
-        rows["hops"].append(hops)
+    results = kramers.monte_carlo_rates(
+        spec, c.mc_gammas, c.temperature, c.duration, c.dt,
+        [langevin.derive_seed(c.seed, "kramers-mc", i)
+         for i in range(len(c.mc_gammas))], n_traj=c.n_traj)
+    rows = {"gamma_rad_s": c.mc_gammas,
+            "rate_mc_per_s": [rate for rate, _ in results],
+            "rate_theory_per_s": [
+                kramers.turnover_rate(spec, g, c.temperature).r_turnover
+                for g in c.mc_gammas],
+            "hops": [hops for _, hops in results]}
     em.table("kramers_mc", rows)
 
 
@@ -651,14 +688,31 @@ def engine_cmd(c, em):
     })
 
 
+def _quench_pulse(omega0: float, ratio: float, t_start: float, dt: float):
+    """Squeezed frequency, pulse length and the step the pulse ends on
+    (see `langevin.simulate_quench`)."""
+    omega_s = omega0 / ratio
+    tau = math.pi / (2.0 * omega_s)
+    return omega_s, tau, round((t_start + tau) / dt)
+
+
+def _squeeze_steps(values: dict):
+    keys = ("oscillator.frequency_kHz", "squeeze.ratio", "squeeze.time_ms",
+            "simulation.dt_ns")
+    if all(k in values for k in keys):
+        return _quench_pulse(*(values[k] for k in keys))[2]
+    return None
+
+
+# the run ends on the step the pulse ends on and records q, p and energy
+# there and at the start: 6 float64 per trajectory
 @subcommand("squeeze", OSCILLATOR + ("simulation.dt_ns", "simulation.n_traj")
-            + _section("squeeze"))
+            + _section("squeeze"), run=Ensemble(per_traj=6,
+                                                steps=_squeeze_steps))
 def squeeze_cmd(c, em):
     """Quadrature statistics after a trap-frequency quench pulse."""
-    omega_s = c.omega0 / c.ratio
-    tau = math.pi / (2.0 * omega_s)
-    # the step the pulse ends on (see simulate_quench): run to it, keep it
-    n_end = round((c.t_start + tau) / c.dt)
+    # run to the step the pulse ends on and keep the state there
+    omega_s, tau, n_end = _quench_pulse(c.omega0, c.ratio, c.t_start, c.dt)
     force = ForceModel(mass=c.mass, omega0=c.omega0)
     bath = BathModel(gamma=c.gamma, temperature=c.temperature)
     traj = langevin.simulate_quench(force, bath, "thermal", c.dt, n_end * c.dt,

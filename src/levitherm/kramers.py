@@ -296,28 +296,32 @@ def hop_statistics(q: np.ndarray, minima: tuple, dt: float):
     return rate_ac, rate_ca, n_ac + n_ca
 
 
-# Steps per recorded sample of `monte_carlo_rate`.
+# Steps per recorded sample of `monte_carlo_rates`.
 MC_RECORD_EVERY = 4
 
 
-def monte_carlo_rate(spec: DoubleWellSpec, gamma: float, temperature: float,
-                     duration: float, dt: float, seed: int, n_traj: int = 64,
-                     record_every: int = MC_RECORD_EVERY
-                     ) -> tuple[float, int]:
-    """Total hopping rate R(A->C) + R(C->A) from Langevin ensembles.
+def monte_carlo_rates(spec: DoubleWellSpec, gammas, temperature: float,
+                      duration: float, dt: float, seeds, n_traj: int = 64,
+                      record_every: int = MC_RECORD_EVERY
+                      ) -> list[tuple[float, int]]:
+    """Total hopping rate R(A->C) + R(C->A) from Langevin ensembles, one
+    (rate, hop count) per damping in `gammas`.
 
-    Trajectories start split between the two minima.  The rate comes
-    from a two-state estimate on the hysteresis labels: sampling the
-    occupied well at a lag that exceeds both the intrawell relaxation
-    time and the oscillation period filters out activated sloshing
-    across the barrier top, and the flip fraction f at that lag gives
-    the total rate through -ln(1 - 2 f) / lag for a symmetric two-state
-    process, so a tilted well (``spec.tilt != 0``) is refused.  Also
-    returns the hop count of the same labels, by the rule of
-    `hop_statistics`.
+    Every damping is one group of `n_traj` trajectories with its own
+    seed from `seeds`, and all groups run side by side in one labelled
+    `simulate_double_well` ensemble; a group's result is the one a run
+    of that damping and seed alone gives.  Trajectories start split
+    between the two minima.  The rate comes from a two-state estimate
+    on the hysteresis labels: sampling the occupied well at a lag that
+    exceeds both the intrawell relaxation time and the oscillation
+    period filters out activated sloshing across the barrier top, and
+    the flip fraction f at that lag gives the total rate through
+    -ln(1 - 2 f) / lag for a symmetric two-state process, so a tilted
+    well (``spec.tilt != 0``) is refused.  The hop count is that of the
+    same labels, by the rule of `hop_statistics`.
     """
     if spec.tilt != 0:
-        raise ValueError("monte_carlo_rate uses the symmetric two-state "
+        raise ValueError("monte_carlo_rates uses the symmetric two-state "
                          "estimate and needs an untilted well (tilt = 0)")
     a, saddle, c = spec.extrema
     minima = (a.position, c.position)
@@ -325,25 +329,30 @@ def monte_carlo_rate(spec: DoubleWellSpec, gamma: float, temperature: float,
     # omega0 only sets the internal scaling here; the custom potential
     # replaces the harmonic force entirely.
     force = ForceModel(mass=spec.mass, omega0=a.omega)
-    bath = BathModel(gamma, temperature)
+    baths = [BathModel(g, temperature) for g in gammas]
+    width = n_traj * len(baths)
     # every row starts at a minimum, so every label is known
-    filled = simulate_double_well(
-        spec.as_custom_potential(), minima, force, bath,
-        (q0, np.zeros(n_traj)), dt, duration, seed, n_traj=n_traj,
-        record_every=record_every, allow_coarse_dt=True)
+    labels = simulate_double_well(
+        spec.as_custom_potential(), minima, force, baths,
+        (np.tile(q0, len(baths)), np.zeros(width)), dt, duration,
+        list(seeds), n_traj=width, record_every=record_every,
+        allow_coarse_dt=True)
     dts = record_every * dt
-
-    # lag long enough to decorrelate intrawell motion and sloshing
-    lag_t = max(5.0 / gamma, 30.0 * 2.0 * math.pi / a.omega,
-                10.0 * gamma / saddle.omega**2)
-    lag = int(round(lag_t / dts))
-    lag = min(max(lag, 1), max(1, filled.shape[1] // 20))
-    while True:
-        f = float(np.mean(filled[:, lag:] != filled[:, :-lag]))
-        if f < 0.4 or lag == 1:
-            break
-        lag //= 2
-    if f >= 0.5:
-        raise RuntimeError("hop rate too fast for the chosen duration")
-    rate = -math.log1p(-2.0 * f) / (lag * dts)
-    return rate, sum(_well_changes(filled))
+    results = []
+    for i, gamma in enumerate(gammas):
+        filled = labels[i * n_traj:(i + 1) * n_traj]
+        # lag long enough to decorrelate intrawell motion and sloshing
+        lag_t = max(5.0 / gamma, 30.0 * 2.0 * math.pi / a.omega,
+                    10.0 * gamma / saddle.omega**2)
+        lag = int(round(lag_t / dts))
+        lag = min(max(lag, 1), max(1, filled.shape[1] // 20))
+        while True:
+            f = float(np.mean(filled[:, lag:] != filled[:, :-lag]))
+            if f < 0.4 or lag == 1:
+                break
+            lag //= 2
+        if f >= 0.5:
+            raise RuntimeError("hop rate too fast for the chosen duration")
+        rate = -math.log1p(-2.0 * f) / (lag * dts)
+        results.append((rate, sum(_well_changes(filled))))
+    return results

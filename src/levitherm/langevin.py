@@ -29,6 +29,9 @@ force at the end of a step is reused as the next step's first half
 kick.  The state (q, p) is updated in place, and noise draws and
 recorded samples are held time-major, one row of the ensemble per step
 or sample; the SI arrays of a `Trajectory` are (n_traj, n_samples).
+One call can integrate several groups of trajectories side by side,
+each with its own damping and seed, and a double-well run can keep
+hysteresis well labels, formed chunk by chunk, instead of paths.
 
 All state is integrated in dimensionless internal units (lengths in
 sqrt(k_B T_ref / m) / W_ref, times in 1/W_ref) and converted back to SI
@@ -38,7 +41,9 @@ master seed: draw j of trajectory i is normal j * BLOCK + i % BLOCK of
 stream i // BLOCK.  A trajectory's noise therefore depends only on the
 seed and its index, so a smaller ensemble is a prefix of a larger one
 and results are bit-reproducible regardless of chunking.  `derive_seed`
-gives the master seeds of the runs that make up one experiment.
+gives the master seeds of the runs that make up one experiment; a group
+of a batched run draws from the streams of its own seed, so its path is
+that of the same run alone.
 
 `simulate_energy_sde` samples the reduced energy dynamics of free
 relaxation only, by the exact transition of `energy_transition`, valid
@@ -53,7 +58,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -224,17 +229,21 @@ def derive_seed(seed: int, *key) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _draw_normals(streams, count: int, n_traj: int) -> np.ndarray:
-    """Time-major (count, n_traj) block of draws.
+def _draw_normals(streams, count: int, n_traj: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Time-major (count, n_traj) block of draws, written into `out` (for
+    example a column slice of a wider block) when it is given.
 
-    Each stream fills BLOCK columns in C order, so draw j of trajectory i
+    Each stream draws BLOCK columns in C order, so draw j of trajectory i
     is normal j * BLOCK + i % BLOCK of stream i // BLOCK: a function of
     (seed, i) alone, whatever n_traj or the chunking of the draws.
     """
-    noise = np.empty((count, len(streams) * BLOCK))
+    if out is None:
+        out = np.empty((count, n_traj))
     for b, g in enumerate(streams):
-        noise[:, b * BLOCK:(b + 1) * BLOCK] = g.standard_normal((count, BLOCK))
-    return noise[:, :n_traj]
+        cols = out[:, b * BLOCK:(b + 1) * BLOCK]
+        cols[:] = g.standard_normal((count, BLOCK))[:, :cols.shape[1]]
+    return out
 
 
 def _omega_per_step(force: ForceModel, dt: float, n_steps: int) -> np.ndarray:
@@ -308,13 +317,21 @@ def _force_terms(force: ForceModel, x0: float, w_ref: float,
     return terms, bool(terms) and mod is None and eta == 0.0 and f_ext is None
 
 
-def simulate(force: ForceModel, bath: BathModel, init, dt: float,
-             duration: float, seed: int, n_traj: int = 1,
-             record_every: int = 1, allow_coarse_dt: bool = False) -> Trajectory:
+def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
+             dt: float, duration: float, seed: int | Sequence[int],
+             n_traj: int = 1, record_every: int = 1,
+             allow_coarse_dt: bool = False,
+             wells: tuple | None = None) -> Trajectory | np.ndarray:
     """Integrate the Langevin equation for an ensemble of trajectories.
 
     Parameters
     ----------
+    bath, seed : BathModel and int, or equal-length sequences of them
+        Sequences split the n_traj columns into as many equal groups, in
+        order.  Group g is damped at bath[g].gamma and draws its noise
+        from trajectory_streams(seed[g], n_traj // len(seed)), so its path
+        is the one a separate run with bath[g] and seed[g] gives.  The
+        baths must share one temperature.
     init : "thermal" or (q0, p0)
         Thermal draws position and momentum from the equilibrium Gaussian
         of the base harmonic trap at the bath temperature; a tuple sets
@@ -322,37 +339,62 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
         length n_traj are also accepted).
     record_every : int
         Keep every k-th step (plus the initial sample).
+    wells : (q_a, q_c), optional
+        Minimum positions (m) of a double well.  The run then keeps no
+        paths: it labels each chunk's samples by `well_labels`, carrying
+        every trajectory's label into the next chunk, and returns the
+        int8 labels, shape (n_traj, n_samples), instead of a Trajectory.
     """
+    baths = tuple(bath) if isinstance(bath, (list, tuple)) else (bath,)
+    seeds = tuple(seed) if isinstance(seed, (list, tuple)) else (seed,)
+    if len(seeds) != len(baths) or n_traj % len(baths):
+        raise ValueError("give one seed per bath, and n_traj a multiple "
+                         "of their number")
+    if len({b.temperature for b in baths}) != 1:
+        raise ValueError("the baths of one run must share a temperature")
+    width = n_traj // len(baths)
+    temperature = baths[0].temperature
     m = force.mass
     n_steps = int(round(duration / dt))
     if n_steps < 1:
         raise ValueError("duration must cover at least one step")
     omega_steps = _omega_per_step(force, dt, n_steps)
-    _check_dt(dt, float(omega_steps.max()), bath.gamma, allow_coarse_dt)
+    _check_dt(dt, float(omega_steps.max()), max(b.gamma for b in baths),
+              allow_coarse_dt)
 
     # Internal units: time in 1/w_ref, length in the thermal amplitude of
     # the reference trap (an arbitrary positive scale when T = 0).
     w_ref = force.omega0 if force.omega0 > 0 else 1.0
-    t_ref_temp = bath.temperature if bath.temperature > 0 else 300.0
+    t_ref_temp = temperature if temperature > 0 else 300.0
     x0 = math.sqrt(k_B * t_ref_temp / m) / w_ref
     p0_scale = m * x0 * w_ref
 
     h = dt * w_ref
     half_h = 0.5 * h
-    gam = bath.gamma / w_ref
-    temp = bath.temperature / t_ref_temp
-    ou_decay = math.exp(-gam * h)
-    ou_kick = math.sqrt(max(0.0, (1.0 - ou_decay**2) * temp))
+    temp = temperature / t_ref_temp
+    # OU decay and noise scale per group, as rows over the ensemble
+    decay = [math.exp(-(b.gamma / w_ref) * h) for b in baths]
+    ou_decay = np.repeat(decay, width)
+    ou_kick = np.repeat([math.sqrt(max(0.0, (1.0 - d**2) * temp))
+                         for d in decay], width)
 
     # state x = (q, p), one row each, so one ufunc updates both
     x = np.empty((2, n_traj))
     q, p = x
-    streams = trajectory_streams(seed, n_traj)
+    streams = [trajectory_streams(s, width) for s in seeds]
+
+    def draw(count):
+        noise = np.empty((count, n_traj))
+        for g, group in enumerate(streams):
+            _draw_normals(group, count, width,
+                          noise[:, g * width:(g + 1) * width])
+        return noise
+
     if isinstance(init, str) and init == "thermal":
-        if bath.temperature <= 0 or force.omega0 <= 0:
+        if temperature <= 0 or force.omega0 <= 0:
             raise ValueError("thermal init needs T > 0 and omega0 > 0")
-        sig_q = math.sqrt(k_B * bath.temperature / m) / force.omega0 / x0
-        draws = _draw_normals(streams, 2, n_traj)
+        sig_q = math.sqrt(k_B * temperature / m) / force.omega0 / x0
+        draws = draw(2)
         np.multiply(sig_q, draws[0], out=q)
         np.multiply(math.sqrt(temp), draws[1], out=p)
     else:
@@ -389,13 +431,21 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
             add(q, tmp[0], out=q)
 
     n_samples = n_steps // record_every + 1
-    # recorded q and p, each block (n_samples, n_traj)
-    rec = np.empty((2, n_samples, n_traj))
-    rec[:, 0] = x
+    if wells is None:
+        # recorded q and p, each block (n_samples, n_traj)
+        rec, kept = np.empty((2, n_samples, n_traj)), x
+        rec[:, 0] = x
+    else:
+        # the q samples of one chunk, labelled once the chunk is done
+        chunk_rows = min(n_samples, CHUNK_STEPS // record_every + 1)
+        rec, kept = np.empty((1, chunk_rows, n_traj)), x[:1]
+        labels = np.empty((n_traj, n_samples), dtype=np.int8)
+        labels[:, :1] = well_labels(q[:, None] * x0, wells)
 
-    def advance(k0, noise, check):
-        """Steps k0 .. k0 + len(noise) - 1; with `check`, raise at the
-        first state outside STATE_BOUND."""
+    def advance(k0, noise, base, check):
+        """Steps k0 .. k0 + len(noise) - 1, sample i stored in row
+        i - base of the record; with `check`, raise at the first state
+        outside STATE_BOUND."""
         omega_nd = (omega_steps[k0:k0 + len(noise)] / w_ref).tolist()
         for j in range(len(noise)):
             k = k0 + j
@@ -414,7 +464,7 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
                 kick(t_si + dt)
                 add(p, dp, out=p)
             if (k + 1) % record_every == 0:
-                rec[:, (k + 1) // record_every] = x
+                rec[:, (k + 1) // record_every - base] = kept
             if check and not np.abs(x).max() <= STATE_BOUND:
                 raise IntegratorBlowupError(k + 1)
 
@@ -423,16 +473,26 @@ def simulate(force: ForceModel, bath: BathModel, init, dt: float,
     step = 0
     while step < n_steps:
         chunk = min(CHUNK_STEPS, n_steps - step)
-        noise = _draw_normals(streams, chunk, n_traj)
+        noise = draw(chunk)
         noise *= ou_kick
+        # samples lo, lo + 1, ... fall in this chunk; a labelled run
+        # records them from row 0 of its chunk record
+        lo = step // record_every + 1
+        base = 0 if wells is None else lo
         start = x.copy(), dp.copy()
-        advance(step, noise, False)
+        advance(step, noise, base, False)
         if not np.abs(x).max() <= STATE_BOUND:
             # replay the chunk from its start to find the first bad step
             x[:], dp[:] = start
-            advance(step, noise, True)
+            advance(step, noise, base, True)
         step += chunk
         del noise    # free the block before the next one is drawn
+        if wells is not None:
+            hi = step // record_every + 1
+            labels[:, lo:hi] = well_labels(rec[0, :hi - lo].T * x0, wells,
+                                           labels[:, lo - 1])
+    if wells is not None:
+        return labels
 
     # SI scaling, transposed to (n_traj, n_samples); p then takes the
     # recorded q block and the energy the recorded p block, so the three
@@ -485,27 +545,31 @@ def simulate_quench(force: ForceModel, bath: BathModel, init, dt: float,
 
 
 def simulate_double_well(potential: CustomPotential, minima: tuple,
-                         force_template: ForceModel, bath: BathModel, init,
-                         dt: float, duration: float, seed: int,
-                         **kw) -> np.ndarray:
+                         force_template: ForceModel,
+                         bath: BathModel | Sequence[BathModel], init,
+                         dt: float, duration: float,
+                         seed: int | Sequence[int], **kw) -> np.ndarray:
     """Integrate in a bistable potential; return the hysteresis well labels
-    of the recorded samples (see `well_labels`).
-
-    Only the labels are returned, so the recorded p and energy are freed
-    before the labels are formed.
+    of the recorded samples (see `well_labels`), formed chunk by chunk
+    inside the step loop, so no path is kept.  `bath` and `seed` may be
+    sequences, one entry per group of trajectories (see `simulate`).
     """
-    q = simulate(replace(force_template, potential=potential), bath, init,
-                 dt, duration, seed, **kw).q
-    return well_labels(q, minima)
+    return simulate(replace(force_template, potential=potential), bath,
+                    init, dt, duration, seed, wells=minima, **kw)
 
 
-def well_labels(q: np.ndarray, minima: tuple) -> np.ndarray:
+def well_labels(q: np.ndarray, minima: tuple,
+                carry: np.ndarray | None = None) -> np.ndarray:
     """Hysteresis well labels of sampled paths, shape (n_traj, n_samples).
 
     A sample is labelled -1 (well A, lower minimum) or +1 (well C) once the
     path reaches the corresponding minimum position, and keeps that label
     until it reaches the other one, so barrier-top recrossings do not
-    change it.  Samples before either minimum is first reached are 0.
+    change it.  Samples before either minimum is first reached take the
+    trajectory's `carry` label, the last label of the samples before
+    these, or 0 without it; labelling a path piece by piece, each piece
+    carrying the last label of the one before, gives the labels of the
+    whole path.
     """
     r_a, r_c = sorted(minima)
     q = np.atleast_2d(q)
@@ -514,7 +578,11 @@ def well_labels(q: np.ndarray, minima: tuple) -> np.ndarray:
     label[q >= r_c] = 1
     idx = np.where(label != 0, np.arange(q.shape[1]), 0)
     np.maximum.accumulate(idx, axis=1, out=idx)
-    return np.take_along_axis(label, idx, axis=1)
+    filled = np.take_along_axis(label, idx, axis=1)
+    if carry is not None:
+        # a label stays 0 only before the first minimum is reached
+        filled = np.where(filled == 0, carry[:, None], filled)
+    return filled
 
 
 @dataclass

@@ -282,9 +282,10 @@ def test_monte_carlo_hopping_matches_turnover_over_three_decades():
         theory = kramers.turnover_rate(spec, g, 300.0).r_turnover
         lag_t = max(5.0 / g, 30.0 * 2.0 * math.pi / wa, 10.0 * g / wb**2)
         dur = max(300.0 / (theory * 64.0), 25.0 * lag_t)
-        rate, _ = kramers.monte_carlo_rate(spec, g, 300.0, duration=dur,
-                                           dt=dt, seed=909 + i, n_traj=64,
-                                           record_every=16)
+        # one damping per call: each has its own duration
+        ((rate, _),) = kramers.monte_carlo_rates(
+            spec, [g], 300.0, duration=dur, dt=dt, seeds=[909 + i],
+            n_traj=64, record_every=16)
         assert rate == pytest.approx(theory, rel=0.25), g / wb
 
 

@@ -319,8 +319,8 @@ def test_relax_memory_preflight_counts_its_largest_noise_block(
 
 
 def test_kramers_memory_preflight_counts_monte_carlo_paths(tmp_path):
-    # Monte Carlo keeps q, p and energy every 4th step: 100000 x 1666667
-    # samples, about 4e12 bytes
+    # Monte Carlo keeps a well label every 4th step: 100000 x 1666667
+    # samples, about 1.7e11 bytes
     cfg = write_config(tmp_path, {
         "well": WELL, "kramers": {"n_points": 5, "mc_damping_Hz": [40000]},
         "simulation": {"n_traj": 100000, "duration_ms": 1000,
@@ -330,27 +330,74 @@ def test_kramers_memory_preflight_counts_monte_carlo_paths(tmp_path):
     assert res.returncode == 2, res.stderr
     (violation,) = json.loads(res.stderr)["error"]["violations"]
     assert violation.startswith("simulation.n_traj")
-    assert "3 recorded arrays of n_traj x 1666667 samples" in violation
+    assert "well labels of 100000 trajectories x 1666667 samples" in violation
     assert not out.exists()
+
+
+def _preflight_terms(violation):
+    """The terms of a memory preflight violation, by name."""
+    terms = violation.split(": ", 1)[1].split(" need ")[0].split(", ")
+    return dict(term.rsplit(" ", 1) for term in terms)
+
+
+def test_kramers_memory_preflight_counts_every_damping(tmp_path, monkeypatch,
+                                                       capsys):
+    # the dampings run side by side: three of them triple the streams,
+    # the noise block and the labels of one
+    from levitherm import cli
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)
+    counted = []
+    for dampings in ([40000], [40000, 72000, 145000]):
+        cfg = write_config(tmp_path, {
+            "well": WELL, "kramers": {"mc_damping_Hz": dampings},
+            "simulation": {"dt_ns": 150, "duration_ms": 7.0, "n_traj": 64}})
+        with pytest.raises(SystemExit) as exc:
+            cli.main.main(["kramers", "--config", str(cfg), "--out",
+                           str(tmp_path / "out")], standalone_mode=False)
+        assert exc.value.code == 2
+        (violation,) = json.loads(capsys.readouterr().err)["error"][
+            "violations"]
+        counted.append(_preflight_terms(violation))
+    one, three = counted
+    assert one["noise streams"] == f"{1035:.3g}"
+    assert three["noise streams"] == f"{3 * 1035:.3g}"
+    # the violation prints 3 significant digits
+    assert float(three["noise block"]) == pytest.approx(
+        3 * float(one["noise block"]), rel=1e-2)
+    # 7 ms at 150 ns is 46667 steps, a label every 4th: 11666 + 1 samples
+    assert one["well labels of 64 trajectories x 11667 samples"] \
+        == f"{64 * 11667:.3g}"
+    assert three["well labels of 192 trajectories x 11667 samples"] \
+        == f"{192 * 11667:.3g}"
 
 
 @pytest.mark.parametrize("command, entry, overrides", [
     # the benchmark's sizes: calibrate's psd step, relax at the same size,
-    # and one Monte Carlo damping of the hopping workload
+    # the Monte Carlo dampings of the hopping workload, calibrate's
+    # squeeze step and thermo's fluctuation step
     ("psd", "langevin.simulate",
      {"oscillator": {"damping_Hz": 5000},
       "simulation": {"duration_ms": 2.0, "n_traj": 500}}),
     ("relax", "langevin.simulate_energy_sde",
      {"simulation": {"duration_ms": 2.0, "n_traj": 500}}),
-    ("kramers", "kramers.monte_carlo_rate",
-     {"well": WELL, "kramers": {"n_points": 5, "mc_damping_Hz": [40000]},
+    ("kramers", "kramers.monte_carlo_rates",
+     {"well": WELL, "kramers": {"n_points": 5,
+                                "mc_damping_Hz": [40000, 72000, 145000]},
       "simulation": {"dt_ns": 150, "duration_ms": 7.0, "n_traj": 64}}),
+    ("squeeze", "langevin.simulate_quench",
+     {"simulation": {"duration_ms": 0.1, "n_traj": 20000},
+      "squeeze": {"time_ms": 0.05}}),
+    ("fluctuation", "thermo.transient_ft_check",
+     {"simulation": {"dt_ns": 2000, "duration_ms": 0.5, "n_traj": 40000}}),
 ])
 def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
                                                    capsys, command, entry,
                                                    overrides):
     import importlib
     import tracemalloc
+    # the first fluctuation run of a process imports scipy.stats (about
+    # 15 MB under tracemalloc), a fixed cost that no run size changes
+    import scipy.stats  # noqa: F401
     from levitherm import cli
     module_name, name = entry.split(".")
     module = importlib.import_module(f"levitherm.{module_name}")
@@ -378,6 +425,9 @@ def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
     assert exc.value.code == 2
     (violation,) = json.loads(capsys.readouterr().err)["error"]["violations"]
     assert "physical memory" in violation
+    # nor is the noise block overcounted: squeeze, which reads no
+    # duration, draws only up to the step its pulse ends on (188 rows)
+    assert float(_preflight_terms(violation)["noise block"]) < 2 * peaks[0]
 
 
 def test_modulate_runs_do_not_reuse_the_streams_of_another_seed(tmp_path):

@@ -214,20 +214,39 @@ def test_monte_carlo_rate_matches_turnover():
     wb = spec.extrema[1].omega
     gamma = 0.3 * wb
     dt = 2.0 * math.pi / (40.0 * spec.extrema[0].omega)
-    rate, hops = kramers.monte_carlo_rate(spec, gamma, 300.0,
-                                          duration=1.5e-3, dt=dt, seed=77,
-                                          n_traj=24)
+    ((rate, hops),) = kramers.monte_carlo_rates(spec, [gamma], 300.0,
+                                                duration=1.5e-3, dt=dt,
+                                                seeds=[77], n_traj=24)
     assert hops > 100
     theory = kramers.turnover_rate(spec, gamma, 300.0).r_turnover
     assert rate == pytest.approx(theory, rel=0.35)
+
+
+def test_monte_carlo_groups_match_separate_runs_in_any_order():
+    # 70 trajectories a damping: two noise stream blocks each, the second
+    # padded; each damping's rate and hop count are those of its run alone
+    spec = make_spec(barrier_kt=3.0)
+    wb = spec.extrema[1].omega
+    dt = 2.0 * math.pi / (40.0 * spec.extrema[0].omega)
+    gammas, seeds = [0.3 * wb, 1.0 * wb], [5, 6]
+    kw = dict(duration=2200 * dt, dt=dt, n_traj=70)
+    batched = kramers.monte_carlo_rates(spec, gammas, 300.0, seeds=seeds,
+                                        **kw)
+    swapped = kramers.monte_carlo_rates(spec, gammas[::-1], 300.0,
+                                        seeds=seeds[::-1], **kw)
+    assert swapped == batched[::-1]
+    for gamma, seed, result in zip(gammas, seeds, batched):
+        assert kramers.monte_carlo_rates(spec, [gamma], 300.0, seeds=[seed],
+                                         **kw) == [result]
+    assert all(hops > 20 for _, hops in batched)
 
 
 def test_monte_carlo_rate_refuses_a_tilted_well():
     # the two-state estimate -ln(1 - 2f)/lag holds only for symmetric wells
     spec = make_spec(barrier_kt=3.0, tilt=0.05 * KT300 / Q_M)
     with pytest.raises(ValueError, match="tilt"):
-        kramers.monte_carlo_rate(spec, spec.extrema[1].omega, 300.0,
-                                 duration=1e-4, dt=1e-8, seed=1, n_traj=2)
+        kramers.monte_carlo_rates(spec, [spec.extrema[1].omega], 300.0,
+                                  duration=1e-4, dt=1e-8, seeds=[1], n_traj=2)
 
 
 def test_escape_rate_arrhenius():

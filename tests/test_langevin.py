@@ -293,6 +293,95 @@ def test_double_well_custom_potential_round_trip():
     assert np.allclose(traj.energy, expected, rtol=1e-12)
 
 
+# minima of `_double_well`
+WELLS = (-1e-7, 1e-7)
+
+
+def test_well_labels_carry_joins_pieces():
+    rng = np.random.default_rng(9)
+    q = np.cumsum(rng.normal(size=(6, 60)), axis=1)
+    whole = langevin.well_labels(q, (-1.5, 1.5))
+    for cut in range(1, 60):
+        head = langevin.well_labels(q[:, :cut], (-1.5, 1.5))
+        tail = langevin.well_labels(q[:, cut:], (-1.5, 1.5), head[:, -1])
+        assert np.array_equal(np.hstack([head, tail]), whole)
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 4])
+def test_labels_formed_in_the_step_loop_match_the_recorded_path(
+        record_every):
+    # three chunks and a part; 3 does not divide CHUNK_STEPS, so the
+    # samples of a chunk do not start on its first step
+    force, bath = make_models()
+    n_steps = 3 * langevin.CHUNK_STEPS + 37
+    # some trajectories start between the minima, unlabelled
+    init = (np.linspace(-2e-7, 2e-7, 70), 0.0)
+    args = (bath, init, DT, n_steps * DT, 8)
+    kw = dict(n_traj=70, record_every=record_every)
+    labels = langevin.simulate_double_well(_double_well(), WELLS, force,
+                                           *args, **kw)
+    traj = simulate(langevin.replace(force, potential=_double_well()),
+                    *args, **kw)
+    assert labels.dtype == np.int8
+    assert np.array_equal(labels, langevin.well_labels(traj.q, WELLS))
+    assert np.count_nonzero(np.diff(labels, axis=1)) > 70
+
+
+def test_groups_label_like_separate_runs():
+    # 70 trajectories a group: two noise stream blocks each, the second
+    # padded; each group's labels are those of its bath and seed alone,
+    # in either order
+    force, _ = make_models()
+    baths = [BathModel(OMEGA0 / 10.0, 300.0), BathModel(OMEGA0, 300.0)]
+    q0 = np.linspace(-2e-7, 2e-7, 70)
+    n_steps = langevin.CHUNK_STEPS + 37
+
+    def run(bath, seed, n_traj):
+        init = (np.tile(q0, n_traj // 70), 0.0)
+        return langevin.simulate_double_well(
+            _double_well(), WELLS, force, bath, init, DT, n_steps * DT,
+            seed, n_traj=n_traj, record_every=3)
+
+    batched = run(baths, [3, 4], 140)
+    swapped = run(baths[::-1], [4, 3], 140)
+    for g, (bath, seed) in enumerate(zip(baths, [3, 4])):
+        alone = run(bath, seed, 70)
+        assert np.array_equal(batched[70 * g:70 * (g + 1)], alone)
+        assert np.array_equal(swapped[70 * (1 - g):70 * (2 - g)], alone)
+
+
+def test_groups_need_one_seed_per_bath_and_one_temperature():
+    force, bath = make_models()
+    with pytest.raises(ValueError, match="one seed per bath"):
+        simulate(force, [bath, bath], "thermal", DT, 10 * DT, [1], n_traj=4)
+    with pytest.raises(ValueError, match="one seed per bath"):
+        simulate(force, [bath, bath], "thermal", DT, 10 * DT, [1, 2],
+                 n_traj=5)
+    with pytest.raises(ValueError, match="temperature"):
+        simulate(force, [bath, BathModel(bath.gamma, 4.0)], "thermal", DT,
+                 10 * DT, [1, 2], n_traj=4)
+
+
+def test_blowup_step_of_one_group_is_that_of_its_run_alone():
+    # the drive is above threshold at Q = 20 but not at Q = 1, so only the
+    # first group blows up, many chunks in; the labelled run replays that
+    # chunk and stops on the same step as the group alone, labelled or not
+    force, _ = make_models(modulation=Modulation(depth=1.5,
+                                                 frequency=2 * OMEGA0))
+    unstable = BathModel(OMEGA0 / 20.0, 300.0)
+    damped = BathModel(OMEGA0, 300.0)
+    steps = []
+    for bath, seed, n_traj, wells in ((unstable, 2, 2, None),
+                                      (unstable, 2, 2, WELLS),
+                                      ([unstable, damped], [2, 5], 4, WELLS)):
+        with pytest.raises(IntegratorBlowupError) as info:
+            simulate(force, bath, "thermal", DT, 0.01, seed, n_traj=n_traj,
+                     wells=wells)
+        steps.append(info.value.step)
+    assert steps[0] > 2 * langevin.CHUNK_STEPS
+    assert steps == [steps[0]] * 3
+
+
 # ---------------------------------------------------------------------------
 # energy dynamics
 
