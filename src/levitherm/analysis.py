@@ -22,7 +22,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 from scipy.optimize import least_squares
-from scipy.special import erfcx, i0e
+from scipy.special import erfcx, i0e, log_ndtr, ndtri_exp
 
 from .constants import hbar, k_B
 from .langevin import Trajectory
@@ -410,17 +410,16 @@ class SteadyStateDistribution:
         return 60.0 * scale
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Exact draws: a truncated Gaussian in E (exponential when c = 0)."""
+        """Exact draws: a truncated Gaussian in E, by its inverse CDF in log
+        space from one uniform each (exponential when c = 0)."""
         a = self.beta * self.linear
         b = self.beta * self.quadratic
         if b == 0:
             return rng.exponential(1.0 / a, size=n)
-        from scipy.stats import truncnorm
-
         loc = -a / (2.0 * b)
         scale = 1.0 / math.sqrt(2.0 * b)
-        return truncnorm.rvs(-loc / scale, np.inf, loc=loc, scale=scale,
-                             size=n, random_state=rng)
+        w = np.log(rng.random(n)) + log_ndtr(loc / scale)
+        return loc - scale * ndtri_exp(w)
 
     def sample_phase_space(self, n: int, rng: np.random.Generator):
         """(q, p) draws: energy from `sample`, phase uniform on the orbit."""

@@ -23,8 +23,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .constants import k_B
-from .langevin import (BathModel, CustomPotential, ForceModel,
-                       simulate_double_well, well_labels)
+from .langevin import (BathModel, ForceModel, simulate_double_well,
+                       well_labels)
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ class DoubleWellSpec:
         q = np.asarray(q, dtype=float)
         return self.b * (q**2 - self.q_m**2) ** 2 - self.tilt * q
 
-    def force(self, q):
-        q = np.asarray(q, dtype=float)
-        return -4.0 * self.b * q * (q**2 - self.q_m**2) + self.tilt
-
     def curvature(self, q) -> float:
         return 12.0 * self.b * q**2 - 4.0 * self.b * self.q_m**2
 
@@ -99,9 +95,6 @@ class DoubleWellSpec:
         """Barrier height U_B - U_well (J) seen from well 'A' or 'C'."""
         a, b_sad, c = self.extrema
         return b_sad.energy - (a.energy if well == "A" else c.energy)
-
-    def as_custom_potential(self) -> CustomPotential:
-        return CustomPotential(self.force, self.potential)
 
 
 def extremize(potential, q_grid) -> list[Extremum]:
@@ -326,14 +319,14 @@ def monte_carlo_rates(spec: DoubleWellSpec, gammas, temperature: float,
     a, saddle, c = spec.extrema
     minima = (a.position, c.position)
     q0 = np.where(np.arange(n_traj) % 2 == 0, a.position, c.position)
-    # omega0 only sets the internal scaling here; the custom potential
+    # omega0 only sets the internal scaling here; the double well
     # replaces the harmonic force entirely.
     force = ForceModel(mass=spec.mass, omega0=a.omega)
     baths = [BathModel(g, temperature) for g in gammas]
     width = n_traj * len(baths)
     # every row starts at a minimum, so every label is known
     labels = simulate_double_well(
-        spec.as_custom_potential(), minima, force, baths,
+        (spec.b, spec.q_m, spec.tilt), minima, force, baths,
         (np.tile(q0, len(baths)), np.zeros(width)), dt, duration,
         list(seeds), n_traj=width, record_every=record_every,
         allow_coarse_dt=True)

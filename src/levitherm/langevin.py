@@ -17,13 +17,13 @@ control forces, exact half rotation of the harmonic part, exact full
 Ornstein-Uhlenbeck step for damping and noise, then the mirror half
 steps.  For a pure harmonic trap the rotation and OU substeps are both
 exact, so the stationary state is sampled without discretization bias
-and the undamped oscillator conserves energy to round-off.  With a
-custom (for example double-well) potential the harmonic rotation is
-replaced by free drift, which recovers the standard BAOAB scheme.
+and the undamped oscillator conserves energy to round-off.  In the
+quartic double well of `ForceModel` the harmonic rotation is replaced
+by free drift, which recovers the standard BAOAB scheme.
 
 `simulate` runs one step kernel.  Before the first step it compiles the
-force model into its active terms only (custom potential, Duffing,
-drive and feedback, external force); a purely harmonic trap has none,
+force model into its active terms only (double well, Duffing, drive
+and feedback, external force); a purely harmonic trap has none,
 so it makes no kicks.  When every active term depends on q alone, the
 force at the end of a step is reused as the next step's first half
 kick.  The state (q, p) is updated in place, and noise draws and
@@ -120,14 +120,6 @@ class Modulation:
 
 
 @dataclass(frozen=True)
-class CustomPotential:
-    """User potential: `force(q)` in N and `energy(q)` in J, vectorized."""
-
-    force: Callable
-    energy: Callable
-
-
-@dataclass(frozen=True)
 class ForceModel:
     """Deterministic forces acting on the particle.
 
@@ -149,8 +141,9 @@ class ForceModel:
         Piecewise-constant trap frequency, right-continuous; before the
         first entry the frequency is `omega0`.  Switch times are snapped
         to the integration grid.
-    potential : CustomPotential, optional
-        Replaces the harmonic + Duffing potential entirely.
+    double_well : (b, q_m, tilt), optional
+        U(q) = b (q^2 - q_m^2)^2 - tilt q in SI, in place of the trap and
+        of every other term; `omega0` then sets only the internal units.
     """
 
     mass: float
@@ -160,15 +153,18 @@ class ForceModel:
     feedback_gain: float = 0.0
     external_force: Callable | None = None
     stiffness_schedule: tuple | None = None
-    potential: CustomPotential | None = None
+    double_well: tuple | None = None
 
     def __post_init__(self):
         if self.mass <= 0:
             raise ValueError("mass must be positive")
         if self.omega0 < 0:
             raise ValueError("omega0 must be non-negative")
-        if self.potential is not None and self.stiffness_schedule is not None:
-            raise ValueError("custom potential excludes a stiffness schedule")
+        if self.double_well is not None and any((
+                self.duffing_xi, self.modulation, self.feedback_gain,
+                self.external_force, self.stiffness_schedule)):
+            raise ValueError("a double well excludes every other force term "
+                             "and a stiffness schedule")
 
 
 @dataclass
@@ -278,12 +274,18 @@ def _force_terms(force: ForceModel, x0: float, w_ref: float,
     Each term maps (t_si, q, p) to a force; a kick adds them in list
     order.  The flag is true when every term depends on q alone, so the
     force at the end of a step is also the force at the start of the next.
-    A custom potential replaces every other term.
+    A double well is the only term of its model.
     """
-    if force.potential is not None:
-        custom_force = force.potential.force
-        scale = x0 / (k_B * t_ref_temp)
-        return [lambda t, q, p: np.asarray(custom_force(q * x0)) * scale], True
+    if force.double_well is not None:
+        # -U'(q) in units of k_B T_ref / x0: q (a1 + a3 q^2) + c0
+        b, q_m, tilt = force.double_well
+        kt = k_B * t_ref_temp
+        a1 = 4.0 * b * q_m**2 * x0**2 / kt
+        a3 = -4.0 * b * x0**4 / kt
+        if tilt == 0.0:
+            return [lambda t, q, p: q * (a1 + a3 * (q * q))], True
+        c0 = tilt * x0 / kt
+        return [lambda t, q, p: q * (a1 + a3 * (q * q)) + c0], True
     w0 = force.omega0 / w_ref
     xi = force.duffing_xi * x0**2
     eta = force.feedback_gain * x0**2
@@ -402,7 +404,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         q[:] = np.asarray(q0, dtype=float) / x0
         p[:] = np.asarray(p0, dtype=float) / p0_scale
 
-    custom = force.potential
+    well = force.double_well
     terms, q_only = _force_terms(force, x0, w_ref, t_ref_temp)
     first, rest = (terms[0], terms[1:]) if terms else (None, ())
     mul, add = np.multiply, np.add
@@ -418,7 +420,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         mul(half_h, f, out=dp)
 
     def half_rotation_or_drift(w):
-        if custom is None and w > 0:
+        if well is None and w > 0:
             if coef[0] != w:
                 th = half_h * w
                 s = math.sin(th)
@@ -509,8 +511,10 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         q_r, e_r = q_si[r:r + rows], energy[r:r + rows]
         np.square(p_si[r:r + rows], out=e_r)
         e_r /= 2.0 * m
-        if custom is not None:
-            e_r += custom.energy(q_r)
+        if well is not None:
+            b, q_m, tilt = well
+            e_r += b * np.square(np.square(q_r) - q_m**2)
+            e_r -= tilt * q_r
         else:
             e_r += stiffness * np.square(q_r)
             if force.duffing_xi != 0.0:
@@ -544,17 +548,18 @@ def simulate_quench(force: ForceModel, bath: BathModel, init, dt: float,
                     duration, seed, **kw)
 
 
-def simulate_double_well(potential: CustomPotential, minima: tuple,
+def simulate_double_well(double_well: tuple, minima: tuple,
                          force_template: ForceModel,
                          bath: BathModel | Sequence[BathModel], init,
                          dt: float, duration: float,
                          seed: int | Sequence[int], **kw) -> np.ndarray:
-    """Integrate in a bistable potential; return the hysteresis well labels
-    of the recorded samples (see `well_labels`), formed chunk by chunk
-    inside the step loop, so no path is kept.  `bath` and `seed` may be
-    sequences, one entry per group of trajectories (see `simulate`).
+    """Integrate in the double well (b, q_m, tilt) of `ForceModel`; return
+    the hysteresis well labels of the recorded samples (see `well_labels`),
+    formed chunk by chunk inside the step loop, so no path is kept.  `bath`
+    and `seed` may be sequences, one entry per group of trajectories (see
+    `simulate`).
     """
-    return simulate(replace(force_template, potential=potential), bath,
+    return simulate(replace(force_template, double_well=double_well), bath,
                     init, dt, duration, seed, wells=minima, **kw)
 
 

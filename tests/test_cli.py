@@ -395,9 +395,6 @@ def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
                                                    overrides):
     import importlib
     import tracemalloc
-    # the first fluctuation run of a process imports scipy.stats (about
-    # 15 MB under tracemalloc), a fixed cost that no run size changes
-    import scipy.stats  # noqa: F401
     from levitherm import cli
     module_name, name = entry.split(".")
     module = importlib.import_module(f"levitherm.{module_name}")

@@ -11,9 +11,9 @@ from scipy import stats
 from levitherm.constants import k_B
 from levitherm import langevin
 from levitherm.kramers import hop_statistics
-from levitherm.langevin import (BathModel, CustomPotential, ForceModel,
-                                IntegratorBlowupError, Modulation, simulate,
-                                simulate_energy_sde, simulate_quench)
+from levitherm.langevin import (BathModel, ForceModel, IntegratorBlowupError,
+                                Modulation, simulate, simulate_energy_sde,
+                                simulate_quench)
 
 MASS = 1e-17
 OMEGA0 = 2.0 * math.pi * 1.0e5
@@ -196,6 +196,14 @@ def test_invalid_construction():
         Modulation(depth=-0.1)
     with pytest.raises(ValueError):
         simulate(*make_models(), "thermal", DT, DT / 2, seed=0)
+    # a double well replaces the trap and every other force term
+    for other in ({"duffing_xi": 1e16}, {"modulation": Modulation(0.1)},
+                  {"feedback_gain": 1e14},
+                  {"external_force": lambda t: 1e-12},
+                  {"stiffness_schedule": ((0.0, OMEGA0),)}):
+        with pytest.raises(ValueError, match="double well excludes"):
+            ForceModel(mass=MASS, omega0=OMEGA0, double_well=DOUBLE_WELL,
+                       **other)
 
 
 def test_thermal_init_requires_temperature():
@@ -251,7 +259,7 @@ def _hops_by_row(q, minima):
             for row in np.atleast_2d(q)]
 
 
-def test_count_well_hops_synthetic():
+def test_hop_statistics_synthetic():
     q = np.array([[-1.0, -0.2, 0.3, 1.0, 0.5, -1.0, -1.0, 1.0]])
     assert _hops_by_row(q, (-1.0, 1.0)) == [3]
     assert _hops_by_row(np.array([[0.0, 0.5, -0.5]]), (-1.0, 1.0)) == [0]
@@ -280,20 +288,18 @@ def test_vectorised_hop_count_matches_row_loop():
         assert hop_statistics(q, (1.0, -1.0), 0.1)[2] == sum(expected)
 
 
-def test_double_well_custom_potential_round_trip():
+def test_double_well_round_trip():
     # quartic double well integrates and reports energy consistently
     b, q_m = 1e6, 1e-7
-    pot = CustomPotential(
-        force=lambda q: -4.0 * b * q * (q**2 - q_m**2),
-        energy=lambda q: b * (q**2 - q_m**2) ** 2)
     force, bath = make_models(gamma=OMEGA0 / 10.0)
-    traj = simulate(langevin.replace(force, potential=pot), bath,
-                    (q_m, 0.0), DT, 1e-4, seed=1, n_traj=2)
+    force = langevin.replace(force, double_well=(b, q_m, 0.0))
+    traj = simulate(force, bath, (q_m, 0.0), DT, 1e-4, seed=1, n_traj=2)
     expected = traj.p**2 / (2 * MASS) + b * (traj.q**2 - q_m**2) ** 2
     assert np.allclose(traj.energy, expected, rtol=1e-12)
 
 
-# minima of `_double_well`
+# (b, q_m, tilt) of an untilted double well, and its minima
+DOUBLE_WELL = (1e6, 1e-7, 0.0)
 WELLS = (-1e-7, 1e-7)
 
 
@@ -318,9 +324,9 @@ def test_labels_formed_in_the_step_loop_match_the_recorded_path(
     init = (np.linspace(-2e-7, 2e-7, 70), 0.0)
     args = (bath, init, DT, n_steps * DT, 8)
     kw = dict(n_traj=70, record_every=record_every)
-    labels = langevin.simulate_double_well(_double_well(), WELLS, force,
+    labels = langevin.simulate_double_well(DOUBLE_WELL, WELLS, force,
                                            *args, **kw)
-    traj = simulate(langevin.replace(force, potential=_double_well()),
+    traj = simulate(langevin.replace(force, double_well=DOUBLE_WELL),
                     *args, **kw)
     assert labels.dtype == np.int8
     assert np.array_equal(labels, langevin.well_labels(traj.q, WELLS))
@@ -339,7 +345,7 @@ def test_groups_label_like_separate_runs():
     def run(bath, seed, n_traj):
         init = (np.tile(q0, n_traj // 70), 0.0)
         return langevin.simulate_double_well(
-            _double_well(), WELLS, force, bath, init, DT, n_steps * DT,
+            DOUBLE_WELL, WELLS, force, bath, init, DT, n_steps * DT,
             seed, n_traj=n_traj, record_every=3)
 
     batched = run(baths, [3, 4], 140)
@@ -585,7 +591,7 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
                             (n_traj,)).copy()
     mod = force.modulation
     f_ext = force.external_force
-    custom = force.potential
+    well = force.double_well
 
     def epsilon(t_si, q_nd, p_nd):
         eps = 0.0
@@ -600,8 +606,13 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
         return eps
 
     def extra_force(t_si, q_nd, p_nd):
-        if custom is not None:
-            return np.asarray(custom.force(q_nd * x0)) * (x0 / (k_B * t_ref_temp))
+        if well is not None:
+            # -U'(q) in internal units, by the kernel's products
+            b, q_m, tilt = well
+            kt = k_B * t_ref_temp
+            a1 = 4.0 * b * q_m**2 * x0**2 / kt
+            a3 = -4.0 * b * x0**4 / kt
+            return q_nd * (a1 + a3 * (q_nd * q_nd)) + tilt * x0 / kt
         f = -w0**2 * xi * cube(q_nd)
         if mod is not None or eta != 0.0:
             f = f + epsilon(t_si, q_nd, p_nd) * w0**2 * q_nd
@@ -632,14 +643,14 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
             t_si = (step + j) * dt
             w = omega_nd[step + j]
             p += 0.5 * h * extra_force(t_si, q, p)
-            if custom is None and w > 0:
+            if well is None and w > 0:
                 th = 0.5 * h * w
                 c, s = math.cos(th), math.sin(th)
                 q, p = c * q + (s / w) * p, -w * s * q + c * p
             else:
                 q = q + 0.5 * h * p
             p = ou_decay * p + ou_kick * noise[:, j]
-            if custom is None and w > 0:
+            if well is None and w > 0:
                 q, p = c * q + (s / w) * p, -w * s * q + c * p
             else:
                 q = q + 0.5 * h * p
@@ -651,8 +662,9 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
 
     q_si = q_out * x0
     p_si = p_out * p0_scale
-    if custom is not None:
-        energy = p_si**2 / (2.0 * m) + np.asarray(custom.energy(q_si))
+    if well is not None:
+        b, q_m, tilt = well
+        energy = p_si**2 / (2.0 * m) + b * (q_si**2 - q_m**2)**2 - tilt * q_si
     else:
         energy = (p_si**2 / (2.0 * m)
                   + 0.5 * m * omega_out[None, :]**2 * q_si**2
@@ -660,12 +672,6 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
                   * quartic(q_si))
     protocol = {"omega": omega_out, "external_force": fext_out}
     return q_si, p_si, energy, protocol
-
-
-def _double_well():
-    b, q_m = 1e6, 1e-7
-    return CustomPotential(force=lambda q: -4.0 * b * q * (q**2 - q_m**2),
-                           energy=lambda q: b * (q**2 - q_m**2) ** 2)
 
 
 PARITY_CASES = {
@@ -680,7 +686,8 @@ PARITY_CASES = {
     "external-force": {"external_force": lambda t: 2e-15 * math.sin(1e5 * t)},
     "stiffness-schedule": {"stiffness_schedule": ((30 * DT, OMEGA0 / 2),
                                                   (70 * DT, OMEGA0))},
-    "double-well": {"potential": _double_well()},
+    "double-well": {"double_well": DOUBLE_WELL},
+    "tilted-double-well": {"double_well": (1e6, 1e-7, 5e-16)},
 }
 
 
@@ -689,7 +696,7 @@ PARITY_CASES = {
 @pytest.mark.parametrize("case", sorted(PARITY_CASES))
 def test_kernel_matches_reference_loop(case, record_every, n_steps):
     force, bath = make_models(**PARITY_CASES[case])
-    init = (1e-8, 0.0) if case == "double-well" else "thermal"
+    init = (1e-8, 0.0) if case.endswith("double-well") else "thermal"
     args = (force, bath, init, DT, n_steps * DT, 6)
     # 70 trajectories span two noise stream blocks
     kw = dict(n_traj=70, record_every=record_every)
