@@ -401,13 +401,18 @@ class SteadyStateDistribution:
                 - math.log(self.normalization))
 
     def mean(self) -> float:
-        val, _ = quad(lambda e: e * self.pdf(e), 0.0, self._e_max())
-        return val
-
-    def _e_max(self) -> float:
-        scale = 1.0 / (self.beta * self.linear) if self.linear > 0 else \
-            1.0 / math.sqrt(self.beta * self.quadratic)
-        return 60.0 * scale
+        """<E>: the mean of the Gaussian in E truncated to E >= 0,
+        loc + sigma sqrt(2/pi) / erfcx(alpha / sqrt 2), alpha = -loc / sigma
+        (1 / (beta (1+s)) when c = 0)."""
+        a = self.beta * self.linear
+        b = self.beta * self.quadratic
+        if b == 0:
+            return 1.0 / a
+        loc = -a / (2.0 * b)
+        scale = 1.0 / math.sqrt(2.0 * b)
+        alpha = -loc / scale
+        return loc + scale * math.sqrt(2.0 / math.pi) / float(
+            erfcx(alpha / math.sqrt(2.0)))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Exact draws: a truncated Gaussian in E, by its inverse CDF in log

@@ -23,6 +23,7 @@ import sys
 import time
 import traceback
 import warnings
+import zlib
 from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -33,7 +34,7 @@ import yaml
 
 from . import __version__, analysis, environment, kramers, langevin, thermo
 from .constants import k_B
-from .langevin import BathModel, ForceModel, config_hash
+from .langevin import BathModel, ForceModel
 from .particles import silica_sphere
 
 TWO_PI = 2.0 * math.pi
@@ -322,6 +323,12 @@ def _load_config(path: str, seed) -> dict:
         if isinstance(sim, dict):
             sim["seed"] = seed
     return raw
+
+
+def config_hash(config: dict) -> str:
+    """Stable hash of a JSON-serializable configuration record."""
+    blob = json.dumps(config, sort_keys=True, default=str).encode()
+    return f"{zlib.crc32(blob):08x}"
 
 
 # ---------------------------------------------------------------------------

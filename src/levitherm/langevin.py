@@ -29,6 +29,8 @@ force at the end of a step is reused as the next step's first half
 kick.  The state (q, p) is updated in place, and noise draws and
 recorded samples are held time-major, one row of the ensemble per step
 or sample; the SI arrays of a `Trajectory` are (n_traj, n_samples).
+A run keeps q and p only: the energy of a `Trajectory` is derived from
+them and its force model on first read.
 One call can integrate several groups of trajectories side by side,
 each with its own damping and seed, and a double-well run can keep
 hysteresis well labels, formed chunk by chunk, instead of paths.
@@ -54,17 +56,15 @@ at any dt; the energy law of a driven steady state is
 
 from __future__ import annotations
 
-import json
 import math
-import zlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .constants import k_B
 
-SCHEMA_VERSION = 1
 # Steps integrated between noise-buffer refills; results do not depend
 # on this value because each stream is consumed in order.
 CHUNK_STEPS = 1024
@@ -171,21 +171,27 @@ class ForceModel:
 class Trajectory:
     """Sampled phase-space paths of an ensemble.
 
-    `q`, `p` and `energy` have shape (n_traj, n_samples); `time` is the
-    shared grid.  `protocol` holds per-sample control values (trap
-    frequency, external force).
+    `q` and `p` have shape (n_traj, n_samples); `time` is the shared
+    grid.  `protocol` holds per-sample control values (trap frequency,
+    external force), and `force` is the model that made the paths.
     """
 
     time: np.ndarray
     q: np.ndarray
     p: np.ndarray
-    energy: np.ndarray
     protocol: dict
     dt: float
-    mass: float
-    omega0: float
+    force: ForceModel
     seed: int
     meta: dict = field(default_factory=dict)
+
+    @property
+    def mass(self) -> float:
+        return self.force.mass
+
+    @property
+    def omega0(self) -> float:
+        return self.force.omega0
 
     @property
     def n_traj(self) -> int:
@@ -194,6 +200,34 @@ class Trajectory:
     @property
     def velocity(self) -> np.ndarray:
         return self.p / self.mass
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        """E = p^2 / 2m + U(q) of every sample, shape (n_traj, n_samples),
+        with U the trap at the logged frequency plus the Duffing term, or
+        the double well; formed on first read and kept."""
+        force, m = self.force, self.force.mass
+        energy = np.empty(self.q.shape)
+        stiffness = 0.5 * m * self.protocol["omega"][None, :]**2
+        # row blocks of about 2**14 samples bound the temporaries
+        rows = max(1, 2**14 // energy.shape[1])
+        for r in range(0, energy.shape[0], rows):
+            q_r, e_r = self.q[r:r + rows], energy[r:r + rows]
+            np.square(self.p[r:r + rows], out=e_r)
+            e_r /= 2.0 * m
+            if force.double_well is not None:
+                b, q_m, tilt = force.double_well
+                e_r += b * np.square(np.square(q_r) - q_m**2)
+                e_r -= tilt * q_r
+            else:
+                e_r += stiffness * np.square(q_r)
+                if force.duffing_xi != 0.0:
+                    # q^4 as q2 * q2: q**4 goes through the generic pow
+                    q4 = q_r * q_r
+                    q4 *= q4
+                    q4 *= 0.25 * force.duffing_xi * m * force.omega0**2
+                    e_r += q4
+        return energy
 
 
 # Trajectories served by one noise stream of `trajectory_streams`.
@@ -434,13 +468,14 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
 
     n_samples = n_steps // record_every + 1
     if wells is None:
-        # recorded q and p, each block (n_samples, n_traj)
-        rec, kept = np.empty((2, n_samples, n_traj)), x
-        rec[:, 0] = x
+        # recorded q and p, two time-major (n_samples, n_traj) buffers
+        rec_q = np.empty((n_samples, n_traj))
+        rec_p = np.empty((n_samples, n_traj))
+        rec_q[0], rec_p[0] = q, p
     else:
         # the q samples of one chunk, labelled once the chunk is done
         chunk_rows = min(n_samples, CHUNK_STEPS // record_every + 1)
-        rec, kept = np.empty((1, chunk_rows, n_traj)), x[:1]
+        rec_q, rec_p = np.empty((chunk_rows, n_traj)), None
         labels = np.empty((n_traj, n_samples), dtype=np.int8)
         labels[:, :1] = well_labels(q[:, None] * x0, wells)
 
@@ -466,7 +501,10 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
                 kick(t_si + dt)
                 add(p, dp, out=p)
             if (k + 1) % record_every == 0:
-                rec[:, (k + 1) // record_every - base] = kept
+                i = (k + 1) // record_every - base
+                rec_q[i] = q
+                if rec_p is not None:
+                    rec_p[i] = p
             if check and not np.abs(x).max() <= STATE_BOUND:
                 raise IntegratorBlowupError(k + 1)
 
@@ -491,38 +529,17 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         del noise    # free the block before the next one is drawn
         if wells is not None:
             hi = step // record_every + 1
-            labels[:, lo:hi] = well_labels(rec[0, :hi - lo].T * x0, wells,
+            labels[:, lo:hi] = well_labels(rec_q[:hi - lo].T * x0, wells,
                                            labels[:, lo - 1])
     if wells is not None:
         return labels
 
-    # SI scaling, transposed to (n_traj, n_samples); p then takes the
-    # recorded q block and the energy the recorded p block, so the three
-    # arrays need one allocation beyond the record
+    # SI scaling, transposed to (n_traj, n_samples): q into a new array,
+    # p into the q record's buffer, so the p record is freed on return
     shape = (n_traj, n_samples)
-    q_si = np.multiply(rec[0].T, x0, out=np.empty(shape))
-    p_si = np.multiply(rec[1].T, p0_scale, out=rec[0].reshape(shape))
-    energy = rec[1].reshape(shape)
+    q_si = np.multiply(rec_q.T, x0, out=np.empty(shape))
+    p_si = np.multiply(rec_p.T, p0_scale, out=rec_q.reshape(shape))
     omega_out = np.ascontiguousarray(omega_steps[::record_every])
-    stiffness = 0.5 * m * omega_out[None, :]**2
-    # row blocks of about 2**14 samples bound the temporaries
-    rows = max(1, 2**14 // n_samples)
-    for r in range(0, n_traj, rows):
-        q_r, e_r = q_si[r:r + rows], energy[r:r + rows]
-        np.square(p_si[r:r + rows], out=e_r)
-        e_r /= 2.0 * m
-        if well is not None:
-            b, q_m, tilt = well
-            e_r += b * np.square(np.square(q_r) - q_m**2)
-            e_r -= tilt * q_r
-        else:
-            e_r += stiffness * np.square(q_r)
-            if force.duffing_xi != 0.0:
-                # q^4 as q2 * q2: q_si**4 goes through the generic pow
-                q4 = q_r * q_r
-                q4 *= q4
-                q4 *= 0.25 * force.duffing_xi * m * force.omega0**2
-                e_r += q4
     fext_out = np.zeros(n_samples)
     f_ext = force.external_force
     if f_ext is not None:
@@ -530,8 +547,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
             fext_out[k_sample] = f_ext(step * dt)
     time = np.arange(n_samples) * (record_every * dt)
     protocol = {"omega": omega_out, "external_force": fext_out}
-    return Trajectory(time, q_si, p_si, energy, protocol, dt, m,
-                      force.omega0, seed)
+    return Trajectory(time, q_si, p_si, protocol, dt, force, seed)
 
 
 def simulate_quench(force: ForceModel, bath: BathModel, init, dt: float,
@@ -665,40 +681,3 @@ def simulate_energy_sde(bath: BathModel, e0, dt: float, duration: float,
     out *= k_B
     out *= bath.temperature
     return EnergyPath(time, out, seed)
-
-
-def config_hash(config: dict) -> str:
-    """Stable hash of a JSON-serializable configuration record."""
-    blob = json.dumps(config, sort_keys=True, default=str).encode()
-    return f"{zlib.crc32(blob):08x}"
-
-
-def save_trajectory(traj: Trajectory, path: str, config: dict | None = None):
-    """Write a trajectory to a columnar .npz file.
-
-    The header records the schema version, a hash of the generating
-    configuration and the master seed, so the file is traceable back to
-    a reproducible run.  Any other suffix raises ValueError, since numpy
-    would append .npz and `load_trajectory` would not find the file.
-    """
-    if not str(path).endswith(".npz"):
-        raise ValueError(f"trajectory path must end in .npz: {path}")
-    header = {"schema_version": SCHEMA_VERSION,
-              "config_hash": config_hash(config or {}),
-              "seed": traj.seed, "dt": traj.dt, "mass": traj.mass,
-              "omega0": traj.omega0}
-    np.savez_compressed(path, header=json.dumps(header), time=traj.time,
-                        q=traj.q, p=traj.p, energy=traj.energy,
-                        **{f"protocol_{k}": v
-                           for k, v in traj.protocol.items()})
-
-
-def load_trajectory(path: str) -> Trajectory:
-    """Read a trajectory written by `save_trajectory`."""
-    with np.load(path) as f:
-        header = json.loads(str(f["header"]))
-        protocol = {k[len("protocol_"):]: f[k] for k in f.files
-                    if k.startswith("protocol_")}
-        return Trajectory(f["time"], f["q"], f["p"], f["energy"], protocol,
-                          header["dt"], header["mass"], header["omega0"],
-                          header["seed"], meta=header)

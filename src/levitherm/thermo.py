@@ -88,8 +88,8 @@ def work_heat(traj: Trajectory) -> WorkHeatRecord:
     # during step i is k[i] (right-continuous protocol)
     q_mid = 0.5 * (q[:, :-1] + q[:, 1:])
     f_sys = -k[:-1] * q_mid + f_mid
-    kinetic = traj.p**2 / (2.0 * traj.mass)
-    heat = -(kinetic[:, -1] - kinetic[:, 0]) + np.sum(f_sys * dq, axis=1)
+    kinetic = traj.p[:, [0, -1]]**2 / (2.0 * traj.mass)
+    heat = -(kinetic[:, 1] - kinetic[:, 0]) + np.sum(f_sys * dq, axis=1)
 
     delta_e = traj.energy[:, -1] - traj.energy[:, 0]
     return WorkHeatRecord(work=work, heat=heat, delta_energy=delta_e,

@@ -261,6 +261,17 @@ def test_steady_state_distribution_feedback_normalization_and_sampling():
     assert samples.mean() == pytest.approx(dist.mean(), rel=0.03)
 
 
+@pytest.mark.parametrize("linear, quadratic_kT, mean_kT", [
+    (1.0, 5.0, 0.2192316169), (0.5, 2.0, 0.3567769897)])
+def test_steady_state_mean_under_strong_feedback(linear, quadratic_kT,
+                                                 mean_kT):
+    # references: quad to infinity of E P(E) in thermal units
+    dist = analysis.SteadyStateDistribution(300.0, linear,
+                                            quadratic_kT / KT300, OMEGA0,
+                                            MASS)
+    assert dist.mean() / KT300 == pytest.approx(mean_kT, rel=1e-9)
+
+
 def test_phase_space_density_normalized():
     dist = analysis.steady_state_distribution(300.0, OMEGA0 / 10.0, OMEGA0,
                                               MASS, eta=1e15)

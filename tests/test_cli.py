@@ -454,6 +454,15 @@ def test_import_leaves_scipy_stats_unloaded():
     assert res.stdout.strip() == "False"
 
 
+def test_config_hash_stable_and_sensitive():
+    from levitherm import cli
+    h1 = cli.config_hash({"a": 1, "b": [1, 2]})
+    h2 = cli.config_hash({"b": [1, 2], "a": 1})
+    h3 = cli.config_hash({"a": 2, "b": [1, 2]})
+    assert h1 == h2
+    assert h1 != h3
+
+
 def test_simulate_outputs_and_manifest(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -102,6 +102,24 @@ def test_chunk_boundary_invisible():
         assert np.array_equal(short.q, long.q[:, :901])
 
 
+def test_run_keeps_q_and_p_until_energy_is_read():
+    import tracemalloc
+    force, bath = make_models()
+    tracemalloc.start()
+    try:
+        traj = simulate(force, bath, "thermal", DT, 5000 * DT, seed=4,
+                        n_traj=500)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # two (500, 5001) float64 paths, 20 MB each, plus the time grid,
+    # the protocol and the trajectory record
+    assert held <= 2 * traj.q.nbytes + 2**20
+    assert "energy" not in vars(traj)
+    energy = traj.energy
+    assert "energy" in vars(traj) and traj.energy is energy
+
+
 # ---------------------------------------------------------------------------
 # integrator exactness
 
@@ -507,35 +525,6 @@ def test_energy_sde_accepts_per_trajectory_start():
     path = simulate_energy_sde(bath, e0, 1e-5, 1e-4, seed=0,
                                n_traj=3)
     assert np.allclose(path.energy[:, 0], e0)
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def test_save_load_round_trip(tmp_path):
-    force, bath = make_models()
-    traj = simulate(force, bath, "thermal", DT, 1e-4, seed=33, n_traj=3)
-    for suffix in (".csv", ".traj"):
-        with pytest.raises(ValueError, match=r"\.npz"):
-            langevin.save_trajectory(traj, str(tmp_path / f"run{suffix}"))
-    assert list(tmp_path.iterdir()) == []
-    path = tmp_path / "run.npz"
-    langevin.save_trajectory(traj, str(path), config={"seed": 33})
-    back = langevin.load_trajectory(str(path))
-    assert np.array_equal(back.q, traj.q)
-    assert np.array_equal(back.p, traj.p)
-    assert np.array_equal(back.energy, traj.energy)
-    assert back.meta["seed"] == 33
-    assert np.array_equal(back.protocol["omega"], traj.protocol["omega"])
-
-
-def test_config_hash_stable_and_sensitive():
-    h1 = langevin.config_hash({"a": 1, "b": [1, 2]})
-    h2 = langevin.config_hash({"b": [1, 2], "a": 1})
-    h3 = langevin.config_hash({"a": 2, "b": [1, 2]})
-    assert h1 == h2
-    assert h1 != h3
 
 
 # ---------------------------------------------------------------------------
