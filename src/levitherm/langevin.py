@@ -357,7 +357,8 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
              dt: float, duration: float, seed: int | Sequence[int],
              n_traj: int = 1, record_every: int = 1,
              allow_coarse_dt: bool = False,
-             wells: tuple | None = None) -> Trajectory | np.ndarray:
+             wells: tuple | None = None,
+             energy: bool = False) -> Trajectory | np.ndarray:
     """Integrate the Langevin equation for an ensemble of trajectories.
 
     Parameters
@@ -380,6 +381,9 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         paths: it labels each chunk's samples by `well_labels`, carrying
         every trajectory's label into the next chunk, and returns the
         int8 labels, shape (n_traj, n_samples), instead of a Trajectory.
+    energy : bool
+        Form `Trajectory.energy` before return, for callers that read the
+        whole energy path at once; otherwise it is formed on first read.
     """
     baths = tuple(bath) if isinstance(bath, (list, tuple)) else (bath,)
     seeds = tuple(seed) if isinstance(seed, (list, tuple)) else (seed,)
@@ -547,7 +551,10 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
             fext_out[k_sample] = f_ext(step * dt)
     time = np.arange(n_samples) * (record_every * dt)
     protocol = {"omega": omega_out, "external_force": fext_out}
-    return Trajectory(time, q_si, p_si, protocol, dt, force, seed)
+    traj = Trajectory(time, q_si, p_si, protocol, dt, force, seed)
+    if energy:
+        _ = traj.energy    # formed now and kept
+    return traj
 
 
 def simulate_quench(force: ForceModel, bath: BathModel, init, dt: float,

@@ -120,6 +120,15 @@ def test_run_keeps_q_and_p_until_energy_is_read():
     assert "energy" in vars(traj) and traj.energy is energy
 
 
+def test_energy_formed_before_return_on_request():
+    force, bath = make_models()
+    lazy = simulate(force, bath, "thermal", DT, 200 * DT, seed=4, n_traj=8)
+    eager = simulate(force, bath, "thermal", DT, 200 * DT, seed=4, n_traj=8,
+                     energy=True)
+    assert "energy" in vars(eager)
+    assert np.array_equal(eager.energy, lazy.energy)
+
+
 # ---------------------------------------------------------------------------
 # integrator exactness
 
