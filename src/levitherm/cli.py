@@ -522,8 +522,7 @@ def simulate_cmd(c, em):
     force = ForceModel(mass=c.mass, omega0=c.omega0, duffing_xi=c.duffing_xi)
     bath = BathModel(gamma=c.gamma, temperature=c.temperature)
     traj = langevin.simulate(force, bath, "thermal", c.dt, c.duration, c.seed,
-                             n_traj=c.n_traj, record_every=c.record_every,
-                             energy=True)
+                             n_traj=c.n_traj, record_every=c.record_every)
     em.table("trajectory_stats", {
         "time_s": traj.time,
         "q_mean_m": traj.q.mean(axis=0),
@@ -578,7 +577,7 @@ def modulate_cmd(c, em):
         traj = langevin.simulate(
             force, bath, "thermal", c.dt, c.duration,
             langevin.derive_seed(c.seed, "modulate", i), n_traj=c.n_traj,
-            record_every=c.record_every, energy=True)
+            record_every=c.record_every)
         tail = traj.energy[:, traj.energy.shape[1] // 2:]
         t_pred, _ = analysis.effective_temperature_modulated(
             depth, c.phase, c.omega0, c.omega0, c.gamma, c.temperature)

@@ -29,8 +29,6 @@ force at the end of a step is reused as the next step's first half
 kick.  The state (q, p) is updated in place, and noise draws and
 recorded samples are held time-major, one row of the ensemble per step
 or sample; the SI arrays of a `Trajectory` are (n_traj, n_samples).
-A run keeps q and p only: the energy of a `Trajectory` is derived from
-them and its force model on first read.
 One call can integrate several groups of trajectories side by side,
 each with its own damping and seed, and a double-well run can keep
 hysteresis well labels, formed chunk by chunk, instead of paths.
@@ -58,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,27 +168,21 @@ class ForceModel:
 class Trajectory:
     """Sampled phase-space paths of an ensemble.
 
-    `q` and `p` have shape (n_traj, n_samples); `time` is the shared
-    grid.  `protocol` holds per-sample control values (trap frequency,
-    external force), and `force` is the model that made the paths.
+    `q`, `p` and `energy` have shape (n_traj, n_samples); `time` is the
+    shared grid.  `protocol` holds per-sample control values (trap
+    frequency, external force).
     """
 
     time: np.ndarray
     q: np.ndarray
     p: np.ndarray
+    energy: np.ndarray
     protocol: dict
     dt: float
-    force: ForceModel
+    mass: float
+    omega0: float
     seed: int
     meta: dict = field(default_factory=dict)
-
-    @property
-    def mass(self) -> float:
-        return self.force.mass
-
-    @property
-    def omega0(self) -> float:
-        return self.force.omega0
 
     @property
     def n_traj(self) -> int:
@@ -200,34 +191,6 @@ class Trajectory:
     @property
     def velocity(self) -> np.ndarray:
         return self.p / self.mass
-
-    @cached_property
-    def energy(self) -> np.ndarray:
-        """E = p^2 / 2m + U(q) of every sample, shape (n_traj, n_samples),
-        with U the trap at the logged frequency plus the Duffing term, or
-        the double well; formed on first read and kept."""
-        force, m = self.force, self.force.mass
-        energy = np.empty(self.q.shape)
-        stiffness = 0.5 * m * self.protocol["omega"][None, :]**2
-        # row blocks of about 2**14 samples bound the temporaries
-        rows = max(1, 2**14 // energy.shape[1])
-        for r in range(0, energy.shape[0], rows):
-            q_r, e_r = self.q[r:r + rows], energy[r:r + rows]
-            np.square(self.p[r:r + rows], out=e_r)
-            e_r /= 2.0 * m
-            if force.double_well is not None:
-                b, q_m, tilt = force.double_well
-                e_r += b * np.square(np.square(q_r) - q_m**2)
-                e_r -= tilt * q_r
-            else:
-                e_r += stiffness * np.square(q_r)
-                if force.duffing_xi != 0.0:
-                    # q^4 as q2 * q2: q**4 goes through the generic pow
-                    q4 = q_r * q_r
-                    q4 *= q4
-                    q4 *= 0.25 * force.duffing_xi * m * force.omega0**2
-                    e_r += q4
-        return energy
 
 
 # Trajectories served by one noise stream of `trajectory_streams`.
@@ -357,8 +320,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
              dt: float, duration: float, seed: int | Sequence[int],
              n_traj: int = 1, record_every: int = 1,
              allow_coarse_dt: bool = False,
-             wells: tuple | None = None,
-             energy: bool = False) -> Trajectory | np.ndarray:
+             wells: tuple | None = None) -> Trajectory | np.ndarray:
     """Integrate the Langevin equation for an ensemble of trajectories.
 
     Parameters
@@ -381,9 +343,6 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         paths: it labels each chunk's samples by `well_labels`, carrying
         every trajectory's label into the next chunk, and returns the
         int8 labels, shape (n_traj, n_samples), instead of a Trajectory.
-    energy : bool
-        Form `Trajectory.energy` before return, for callers that read the
-        whole energy path at once; otherwise it is formed on first read.
     """
     baths = tuple(bath) if isinstance(bath, (list, tuple)) else (bath,)
     seeds = tuple(seed) if isinstance(seed, (list, tuple)) else (seed,)
@@ -472,14 +431,13 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
 
     n_samples = n_steps // record_every + 1
     if wells is None:
-        # recorded q and p, two time-major (n_samples, n_traj) buffers
-        rec_q = np.empty((n_samples, n_traj))
-        rec_p = np.empty((n_samples, n_traj))
-        rec_q[0], rec_p[0] = q, p
+        # recorded q and p, each block (n_samples, n_traj)
+        rec, kept = np.empty((2, n_samples, n_traj)), x
+        rec[:, 0] = x
     else:
         # the q samples of one chunk, labelled once the chunk is done
         chunk_rows = min(n_samples, CHUNK_STEPS // record_every + 1)
-        rec_q, rec_p = np.empty((chunk_rows, n_traj)), None
+        rec, kept = np.empty((1, chunk_rows, n_traj)), x[:1]
         labels = np.empty((n_traj, n_samples), dtype=np.int8)
         labels[:, :1] = well_labels(q[:, None] * x0, wells)
 
@@ -505,10 +463,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
                 kick(t_si + dt)
                 add(p, dp, out=p)
             if (k + 1) % record_every == 0:
-                i = (k + 1) // record_every - base
-                rec_q[i] = q
-                if rec_p is not None:
-                    rec_p[i] = p
+                rec[:, (k + 1) // record_every - base] = kept
             if check and not np.abs(x).max() <= STATE_BOUND:
                 raise IntegratorBlowupError(k + 1)
 
@@ -533,17 +488,38 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         del noise    # free the block before the next one is drawn
         if wells is not None:
             hi = step // record_every + 1
-            labels[:, lo:hi] = well_labels(rec_q[:hi - lo].T * x0, wells,
+            labels[:, lo:hi] = well_labels(rec[0, :hi - lo].T * x0, wells,
                                            labels[:, lo - 1])
     if wells is not None:
         return labels
 
-    # SI scaling, transposed to (n_traj, n_samples): q into a new array,
-    # p into the q record's buffer, so the p record is freed on return
+    # SI scaling, transposed to (n_traj, n_samples); p then takes the
+    # recorded q block and the energy the recorded p block, so the three
+    # arrays need one allocation beyond the record
     shape = (n_traj, n_samples)
-    q_si = np.multiply(rec_q.T, x0, out=np.empty(shape))
-    p_si = np.multiply(rec_p.T, p0_scale, out=rec_q.reshape(shape))
+    q_si = np.multiply(rec[0].T, x0, out=np.empty(shape))
+    p_si = np.multiply(rec[1].T, p0_scale, out=rec[0].reshape(shape))
+    energy = rec[1].reshape(shape)
     omega_out = np.ascontiguousarray(omega_steps[::record_every])
+    stiffness = 0.5 * m * omega_out[None, :]**2
+    # row blocks of about 2**14 samples bound the temporaries
+    rows = max(1, 2**14 // n_samples)
+    for r in range(0, n_traj, rows):
+        q_r, e_r = q_si[r:r + rows], energy[r:r + rows]
+        np.square(p_si[r:r + rows], out=e_r)
+        e_r /= 2.0 * m
+        if well is not None:
+            b, q_m, tilt = well
+            e_r += b * np.square(np.square(q_r) - q_m**2)
+            e_r -= tilt * q_r
+        else:
+            e_r += stiffness * np.square(q_r)
+            if force.duffing_xi != 0.0:
+                # q^4 as q2 * q2: q_si**4 goes through the generic pow
+                q4 = q_r * q_r
+                q4 *= q4
+                q4 *= 0.25 * force.duffing_xi * m * force.omega0**2
+                e_r += q4
     fext_out = np.zeros(n_samples)
     f_ext = force.external_force
     if f_ext is not None:
@@ -551,10 +527,8 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
             fext_out[k_sample] = f_ext(step * dt)
     time = np.arange(n_samples) * (record_every * dt)
     protocol = {"omega": omega_out, "external_force": fext_out}
-    traj = Trajectory(time, q_si, p_si, protocol, dt, force, seed)
-    if energy:
-        _ = traj.energy    # formed now and kept
-    return traj
+    return Trajectory(time, q_si, p_si, energy, protocol, dt, m,
+                      force.omega0, seed)
 
 
 def simulate_quench(force: ForceModel, bath: BathModel, init, dt: float,

@@ -54,7 +54,8 @@ def test_correlation_functions_match_closed_forms(equilibrium_ensemble):
     n_groups = 20
     cvv_g, cqv_g = [], []
     for g in range(n_groups):
-        sub = replace(traj, q=traj.q[g::n_groups], p=traj.p[g::n_groups])
+        sub = replace(traj, q=traj.q[g::n_groups], p=traj.p[g::n_groups],
+                      energy=traj.energy[g::n_groups])
         lags, _, cvv, cqv = analysis.autocorrelations(sub, max_lag)
         cvv_g.append(cvv)
         cqv_g.append(cqv)

@@ -374,7 +374,8 @@ def test_kramers_memory_preflight_counts_every_damping(tmp_path, monkeypatch,
 @pytest.mark.parametrize("command, entry, overrides", [
     # the benchmark's sizes: calibrate's psd step, relax at the same size,
     # the Monte Carlo dampings of the hopping workload, calibrate's
-    # squeeze step and thermo's fluctuation step
+    # squeeze step and thermo's fluctuation step; then simulate, which
+    # keeps q, p and energy, at the psd size
     ("psd", "langevin.simulate",
      {"oscillator": {"damping_Hz": 5000},
       "simulation": {"duration_ms": 2.0, "n_traj": 500}}),
@@ -389,6 +390,8 @@ def test_kramers_memory_preflight_counts_every_damping(tmp_path, monkeypatch,
       "squeeze": {"time_ms": 0.05}}),
     ("fluctuation", "thermo.transient_ft_check",
      {"simulation": {"dt_ns": 2000, "duration_ms": 0.5, "n_traj": 40000}}),
+    ("simulate", "langevin.simulate",
+     {"simulation": {"duration_ms": 2.0, "n_traj": 500}}),
 ])
 def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
                                                    capsys, command, entry,

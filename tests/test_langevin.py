@@ -102,33 +102,6 @@ def test_chunk_boundary_invisible():
         assert np.array_equal(short.q, long.q[:, :901])
 
 
-def test_run_keeps_q_and_p_until_energy_is_read():
-    import tracemalloc
-    force, bath = make_models()
-    tracemalloc.start()
-    try:
-        traj = simulate(force, bath, "thermal", DT, 5000 * DT, seed=4,
-                        n_traj=500)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    # two (500, 5001) float64 paths, 20 MB each, plus the time grid,
-    # the protocol and the trajectory record
-    assert held <= 2 * traj.q.nbytes + 2**20
-    assert "energy" not in vars(traj)
-    energy = traj.energy
-    assert "energy" in vars(traj) and traj.energy is energy
-
-
-def test_energy_formed_before_return_on_request():
-    force, bath = make_models()
-    lazy = simulate(force, bath, "thermal", DT, 200 * DT, seed=4, n_traj=8)
-    eager = simulate(force, bath, "thermal", DT, 200 * DT, seed=4, n_traj=8,
-                     energy=True)
-    assert "energy" in vars(eager)
-    assert np.array_equal(eager.energy, lazy.energy)
-
-
 # ---------------------------------------------------------------------------
 # integrator exactness
 
