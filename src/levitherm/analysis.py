@@ -161,30 +161,53 @@ class SpectralDensity:
         return float(np.trapezoid(self.values, self.omega))
 
 
+# samples of the ensemble that `psd` windows, transforms and squares at
+# once: its temporaries stay near PSD_BYTES_PER_SAMPLE * PSD_BLOCK bytes
+PSD_BLOCK = 2**14
+# the windowed block, its complex copy, their transform and the modulus
+PSD_BYTES_PER_SAMPLE = 48
+
+
+def welch_segment(n_samples: int, n_segments: int) -> int:
+    """Samples per Welch segment of `psd`: n_segments half-overlapping
+    segments span n_samples, and a segment has at least 8 samples."""
+    return max(8, int(2 * n_samples / (n_segments + 1)))
+
+
 def psd(traj: Trajectory, n_segments: int = 8) -> SpectralDensity:
     """Hann-windowed periodogram averaged over segments (Welch, 50%
     overlap).
 
     Averages over the ensemble as well as over segments, and normalizes
     to the two-sided angular-frequency convention so the spectrum
-    integrates to <q^2>.
+    integrates to <q^2>.  Each segment is windowed, transformed and
+    squared in row blocks of about PSD_BLOCK samples, and the rows'
+    periodograms are added in trajectory order, the order of numpy's
+    axis-0 sum: the result is bit-identical to transforming the whole
+    ensemble at once.
     """
     q = np.atleast_2d(traj.q)
     dt = traj.time[1] - traj.time[0]
-    n = q.shape[1]
-    seg = max(8, int(2 * n / (n_segments + 1)))
-    step = seg // 2
+    n_traj, n = q.shape
+    seg = welch_segment(n, n_segments)
+    starts = range(0, n - seg + 1, seg // 2)
+    if not starts:
+        raise ValueError("trajectory too short for the requested segmentation")
     win = np.hanning(seg)
     norm = (win**2).sum() / dt
-    acc = None
-    count = 0
-    for start in range(0, n - seg + 1, step):
-        block = q[:, start:start + seg] * win
-        spec = np.abs(np.fft.fft(block, axis=1)) ** 2 / norm
-        acc = spec.sum(axis=0) if acc is None else acc + spec.sum(axis=0)
-        count += q.shape[0]
-    if acc is None:
-        raise ValueError("trajectory too short for the requested segmentation")
+    rows = max(1, PSD_BLOCK // seg)
+    acc = np.zeros(seg)
+    for start in starts:
+        total = np.zeros(seg)
+        for r in range(0, n_traj, rows):
+            spec = np.abs(np.fft.fft(q[r:r + rows, start:start + seg] * win,
+                                     axis=1))
+            np.square(spec, out=spec)
+            spec /= norm
+            for row in spec:
+                total += row
+        acc += total
+    count = n_traj * len(starts)
     power = np.fft.fftshift(acc / count)
     freq = np.fft.fftshift(np.fft.fftfreq(seg, d=dt))
     # per-Hz two-sided density -> per-(rad/s) density
@@ -276,6 +299,12 @@ class LorentzianFit:
     gamma: float
     t_cm: float
     covariance: np.ndarray
+
+
+def fit_bins(segment: int) -> int:
+    """Bins that `lorentzian_fit` can use in a spectrum of `segment`-sample
+    segments: positive frequencies up to a quarter of the largest."""
+    return (segment - 1) // 2 // 4
 
 
 def lorentzian_fit(spectrum: SpectralDensity, mass: float) -> LorentzianFit:

@@ -187,6 +187,9 @@ class Ensemble(NamedTuple):
     the number of steps when the run does not integrate over
     simulation.duration_ms, and `groups` names a list key: the run
     integrates n_traj trajectories for each of its entries side by side.
+    After the run the subcommand forms `derived` more float64
+    (n_traj, samples) arrays from the paths and, with `spectrum`, takes
+    the `analysis.psd` of q.
     """
 
     recorded: int = 0
@@ -196,6 +199,8 @@ class Ensemble(NamedTuple):
     per_traj: int = 0
     steps: Callable | None = None
     groups: str | None = None
+    derived: int = 0
+    spectrum: bool = False
 
 
 def _memory_preflight(values: dict, run: Ensemble) -> list:
@@ -212,7 +217,11 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     temporaries), a labelled run three float64 per trajectory and sample
     of one chunk (the q samples, their SI values and the fill indices of
     `langevin.well_labels`) and three bytes per sample and trajectory of
-    one group (the label comparisons of its rate and hop count).
+    one group (the label comparisons of its rate and hop count).  An
+    array derived after the run counts like a recorded one, and a
+    spectrum adds the temporaries of one `analysis.psd` row block:
+    PSD_BYTES_PER_SAMPLE for each of its samples, at most PSD_BLOCK or
+    one segment, whichever is longer.
     A block holds `draws_per_step` draws for each of up to
     CHUNK_STEPS // draws_per_step steps; without a step count it is taken
     at its largest, and a run without a time step draws its endpoints in
@@ -246,6 +255,12 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
         else:
             need[f"{run.recorded} recorded arrays of n_traj x {samples} "
                  "samples"] = run.recorded * n_traj * samples * 8
+            if run.derived:
+                need[f"{run.derived} derived arrays of n_traj x {samples} "
+                     "samples"] = run.derived * n_traj * samples * 8
+            if run.spectrum:
+                need["psd row block"] = (analysis.PSD_BYTES_PER_SAMPLE
+                                         * max(analysis.PSD_BLOCK, samples))
             work += 64 * samples
         work += 8 * (n_steps + 1)
     need["working vectors"] = work
@@ -256,6 +271,25 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     parts = ", ".join(f"{name} {size:.3g}" for name, size in need.items())
     return [f"simulation.n_traj: {parts} need {total:.3g} bytes, more than "
             f"the {ram:.3g} bytes of physical memory"]
+
+
+def _psd_segmentation(values: dict) -> list:
+    """Violations of a psd.n_segments whose segments are longer than the
+    run, or leave fewer bins than the 3 parameters of the Lorentzian fit."""
+    n_segments = values["psd.n_segments"]
+    n_steps = int(round(values["simulation.duration_ms"]
+                        / values["simulation.dt_ns"]))
+    samples = n_steps // values["simulation.record_every"] + 1
+    segment = analysis.welch_segment(samples, n_segments)
+    if segment > samples:
+        return [f"psd.n_segments = {n_segments}: a segment needs {segment} "
+                f"samples, more than the {samples} the run records"]
+    bins = analysis.fit_bins(segment)
+    if bins < 3:
+        return [f"psd.n_segments = {n_segments}: {segment}-sample segments "
+                f"leave {bins} positive bins up to a quarter of the Nyquist "
+                "rate, fewer than the 3 parameters of the Lorentzian fit"]
+    return []
 
 
 def validate(raw: dict, keys, extra=lambda values: (),
@@ -304,6 +338,8 @@ def validate(raw: dict, keys, extra=lambda values: (),
         if (big in values and small in values
                 and not values[big] > values[small]):
             violations.append(f"{big} must exceed {small}")
+    if all(k in values for k in RECORDED + ("psd.n_segments",)):
+        violations += _psd_segmentation(values)
     if "simulation.n_traj" in values:
         violations += _memory_preflight(values, run)
     if violations:
@@ -515,8 +551,9 @@ def env_sweep(c, em):
     em.table("env_sweep", data)
 
 
+# q.var(axis=0) and q.var() each form one path of deviations
 @subcommand("simulate", OSCILLATOR + ("oscillator.duffing_um2",) + RECORDED,
-            run=Ensemble(recorded=3))
+            run=Ensemble(recorded=3, derived=1))
 def simulate_cmd(c, em):
     """Harmonic (optionally Duffing) Langevin ensemble; summary statistics."""
     force = ForceModel(mass=c.mass, omega0=c.omega0, duffing_xi=c.duffing_xi)
@@ -539,7 +576,7 @@ def simulate_cmd(c, em):
 
 
 @subcommand("psd", OSCILLATOR + RECORDED + _section("psd"),
-            run=Ensemble(recorded=3))
+            run=Ensemble(recorded=3, spectrum=True))
 def psd_cmd(c, em):
     """Welch spectrum of a simulated ensemble plus a Lorentzian fit."""
     force = ForceModel(mass=c.mass, omega0=c.omega0)

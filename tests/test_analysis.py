@@ -155,6 +155,53 @@ def test_psd_parseval():
     assert spec.integral() == pytest.approx(float(traj.q.var()), rel=0.02)
 
 
+def _psd_one_shot(traj, n_segments):
+    """`analysis.psd` as one transform of the whole ensemble per segment."""
+    q, dt = traj.q, traj.time[1] - traj.time[0]
+    seg = max(8, int(2 * q.shape[1] / (n_segments + 1)))
+    win = np.hanning(seg)
+    norm = (win**2).sum() / dt
+    acc, count = None, 0
+    for start in range(0, q.shape[1] - seg + 1, seg // 2):
+        spec = np.abs(np.fft.fft(q[:, start:start + seg] * win, axis=1))**2
+        spec = spec / norm
+        acc = spec.sum(axis=0) if acc is None else acc + spec.sum(axis=0)
+        count += q.shape[0]
+    return np.fft.fftshift(acc / count) / (2.0 * math.pi), count
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("n_traj", [1, 70, 130, 500])
+def test_psd_row_blocks_are_bit_identical_to_one_transform(n_traj,
+                                                           record_every):
+    force = ForceModel(mass=MASS, omega0=OMEGA0)
+    bath = BathModel(gamma=OMEGA0 / 10.0, temperature=300.0)
+    traj = simulate(force, bath, "thermal", 1e-7, 3e-4, seed=5,
+                    n_traj=n_traj, record_every=record_every)
+    for n_segments in (4, 8):
+        spec = analysis.psd(traj, n_segments=n_segments)
+        values, count = _psd_one_shot(traj, n_segments)
+        assert np.array_equal(spec.values, values)
+        assert spec.n_segments == count
+
+
+def test_psd_temporaries_stay_bounded():
+    import tracemalloc
+    from levitherm.langevin import Trajectory
+    # 500 x 5001 samples: one transform of the ensemble per segment held
+    # 48 MB beyond the 20 MB path
+    q = np.random.default_rng(3).standard_normal((500, 5001))
+    traj = Trajectory(np.arange(5001) * 1e-7, q, q, q, {}, 1e-7, MASS,
+                      OMEGA0, 3)
+    tracemalloc.start()
+    try:
+        analysis.psd(traj, n_segments=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_lorentzian_fit_recovers_parameters():
     gamma = OMEGA0 / 10.0
     force = ForceModel(mass=MASS, omega0=OMEGA0)

@@ -104,6 +104,14 @@ WELL = {"mass_fg": 10, "barrier_kT": 5, "separation_nm": 200}
                  ["engine.regime"], id="choice"),
     pytest.param("fluctuation", {"fluctuation": {"n_bins": 40}},
                  ["fluctuation.n_bins"], id="removed-key"),
+    # 6 and 3 samples recorded, shorter than the 8-sample least segment
+    pytest.param("psd", {"simulation": {"duration_ms": 0.002}},
+                 ["psd.n_segments"], id="psd-run-shorter-than-a-segment"),
+    pytest.param("psd", {"simulation": {"record_every": 1000}},
+                 ["psd.n_segments"], id="psd-stride-longer-than-a-segment"),
+    # 8-sample segments: no positive bin up to a quarter of Nyquist
+    pytest.param("psd", {"psd": {"n_segments": 5000}},
+                 ["psd.n_segments"], id="psd-too-few-fit-bins"),
 ])
 def test_invalid_config_exits_2_before_any_work(tmp_path, command, overrides,
                                                 keys):
@@ -116,6 +124,18 @@ def test_invalid_config_exits_2_before_any_work(tmp_path, command, overrides,
     for key in keys:
         assert key in " ".join(err["violations"])
     assert not out.exists()
+
+
+def test_psd_segmentation_limit(tmp_path):
+    # 2501 samples: 199 segments of 25 samples leave the Lorentzian fit 3
+    # bins up to a quarter of Nyquist, 200 segments of 24 samples 2
+    codes = {}
+    for n_segments in (199, 200):
+        cfg = write_config(tmp_path, {"psd": {"n_segments": n_segments}})
+        out = tmp_path / str(n_segments)
+        res = run_cli(["psd", "--config", str(cfg), "--out", str(out)])
+        codes[n_segments] = res.returncode
+    assert codes == {199: 0, 200: 2}
 
 
 @pytest.mark.parametrize("mc_damping_hz, code", [([], 0), ([40000], 2)])
@@ -375,7 +395,8 @@ def test_kramers_memory_preflight_counts_every_damping(tmp_path, monkeypatch,
     # the benchmark's sizes: calibrate's psd step, relax at the same size,
     # the Monte Carlo dampings of the hopping workload, calibrate's
     # squeeze step and thermo's fluctuation step; then simulate, which
-    # keeps q, p and energy, at the psd size
+    # keeps q, p and energy, at the psd size.  `entry` is the ensemble
+    # run the preflight describes; the subcommand runs it once
     ("psd", "langevin.simulate",
      {"oscillator": {"damping_Hz": 5000},
       "simulation": {"duration_ms": 2.0, "n_traj": 500}}),
@@ -401,23 +422,25 @@ def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
     from levitherm import cli
     module_name, name = entry.split(".")
     module = importlib.import_module(f"levitherm.{module_name}")
-    run, peaks = getattr(module, name), []
+    run, calls = getattr(module, name), []
 
-    def traced(*args, **kw):
-        tracemalloc.start()
-        try:
-            return run(*args, **kw)
-        finally:
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+    def spy(*args, **kw):
+        calls.append(name)
+        return run(*args, **kw)
 
-    monkeypatch.setattr(module, name, traced)
+    monkeypatch.setattr(module, name, spy)
     cfg = write_config(tmp_path, overrides)
-    cli.main.main([command, "--config", str(cfg), "--out",
-                   str(tmp_path / "run")], standalone_mode=False)
-    assert len(peaks) == 1
+    # the whole subcommand is traced: the run and the analysis after it
+    tracemalloc.start()
+    try:
+        cli.main.main([command, "--config", str(cfg), "--out",
+                       str(tmp_path / "run")], standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [name]
     # a machine one byte short of the measured peak is refused
-    monkeypatch.setattr(os, "sysconf", lambda key: peaks[0] - 1
+    monkeypatch.setattr(os, "sysconf", lambda key: peak - 1
                         if key == "SC_PAGE_SIZE" else 1)
     with pytest.raises(SystemExit) as exc:
         cli.main.main([command, "--config", str(cfg), "--out",
@@ -427,7 +450,7 @@ def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
     assert "physical memory" in violation
     # nor is the noise block overcounted: squeeze, which reads no
     # duration, draws only up to the step its pulse ends on (188 rows)
-    assert float(_preflight_terms(violation)["noise block"]) < 2 * peaks[0]
+    assert float(_preflight_terms(violation)["noise block"]) < 2 * peak
 
 
 def test_modulate_runs_do_not_reuse_the_streams_of_another_seed(tmp_path):
