@@ -321,6 +321,9 @@ def lorentzian_fit(spectrum: SpectralDensity, mass: float) -> LorentzianFit:
     w, s = spectrum.omega, spectrum.values
     keep = (w > 0.0) & (w <= 0.25 * float(w.max())) & (s > 0)
     w, s = w[keep], s[keep]
+    if len(w) < 3:
+        raise FitError(f"spectrum has {len(w)} usable bins (fit_bins); "
+                       "the fit needs 3")
     w0_g = w[np.argmax(s)]
     if w0_g < 3.0 * (w[1] - w[0]):
         w0_g = w[np.argmax(s * w**2)]

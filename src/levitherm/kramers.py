@@ -96,6 +96,11 @@ class DoubleWellSpec:
         a, b_sad, c = self.extrema
         return b_sad.energy - (a.energy if well == "A" else c.energy)
 
+    @cached_property
+    def actions(self) -> tuple[float, float]:
+        """(S_A, S_C): the loop `action` of each well."""
+        return action(self, "A"), action(self, "C")
+
 
 def extremize(potential, q_grid) -> list[Extremum]:
     """Locate extrema of a tabulated 1D potential by deflated root finding.
@@ -193,7 +198,7 @@ def rate_ld(spec: DoubleWellSpec, gamma: float, temperature: float) -> float:
     """Energy-diffusion (low damping) rate out of well A,
     gamma S W e^{-beta U} / (2 pi k_B T)."""
     a = spec.extrema[0]
-    return (gamma * action(spec, "A") * a.omega
+    return (gamma * spec.actions[0] * a.omega
             / (2.0 * math.pi * k_B * temperature)
             * math.exp(-spec.barrier("A") / (k_B * temperature)))
 
@@ -250,9 +255,11 @@ def turnover_rate(spec: DoubleWellSpec, gamma: float,
     Approaches the spatial-diffusion sum at large gamma and is linear in
     gamma at small gamma, with a single maximum near gamma ~ |W_B|.
     """
-    s_a, s_c = action(spec, "A"), action(spec, "C")
+    s_a, s_c = spec.actions
     u_a = depopulation_factor(gamma * s_a, temperature)
-    u_c = depopulation_factor(gamma * s_c, temperature)
+    # a symmetric well has S_C == S_A, so Upsilon(g S_C) is u_a
+    u_c = (u_a if s_c == s_a
+           else depopulation_factor(gamma * s_c, temperature))
     u_sum = depopulation_factor(gamma * (s_a + s_c), temperature)
     hd = rate_hd(spec, gamma, temperature, "A") \
         + rate_hd(spec, gamma, temperature, "C")

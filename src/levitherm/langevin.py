@@ -21,12 +21,14 @@ and the undamped oscillator conserves energy to round-off.  In the
 quartic double well of `ForceModel` the harmonic rotation is replaced
 by free drift, which recovers the standard BAOAB scheme.
 
-`simulate` runs one step kernel.  Before the first step it compiles the
-force model into its active terms only (double well, Duffing, drive
-and feedback, external force); a purely harmonic trap has none,
-so it makes no kicks.  When every active term depends on q alone, the
-force at the end of a step is reused as the next step's first half
-kick.  The state (q, p) is updated in place, and noise draws and
+`simulate` runs one step kernel.  It compiles the force model into
+in-place ufuncs on preallocated rows for its active terms only (double
+well, Duffing, drive and feedback, external force) and picks the half
+step once: free drift in a double well or a free trap, else the exact
+rotation.  A step allocates nothing: half kick, half step, OU step on
+one noise row, half step, force, half kick, 13 ufunc calls in a double
+well.  A force of q alone is reused as the next step's first half kick;
+a harmonic trap makes no kicks.  The state (q, p), noise draws and
 recorded samples are held time-major, one row of the ensemble per step
 or sample; the SI arrays of a `Trajectory` are (n_traj, n_samples).
 One call can integrate several groups of trajectories side by side,
@@ -264,56 +266,75 @@ def _check_dt(dt: float, omega_max: float, gamma: float, allow_coarse: bool):
                          "pass allow_coarse_dt=True to override")
 
 
-def _force_terms(force: ForceModel, x0: float, w_ref: float,
-                 t_ref_temp: float) -> tuple[list, bool]:
-    """Compile `force` into its active terms, in internal units.
-
-    Each term maps (t_si, q, p) to a force; a kick adds them in list
-    order.  The flag is true when every term depends on q alone, so the
-    force at the end of a step is also the force at the start of the next.
-    A double well is the only term of its model.
+def _compile_force(force: ForceModel, x0: float, w_ref: float,
+                   t_ref_temp: float, q: np.ndarray, p: np.ndarray,
+                   out: np.ndarray) -> tuple[Callable | None, bool]:
+    """Compile `force` into force_at(t_si), which writes the force on the
+    rows (q, p) into the row `out`, in internal units, or None if no term
+    is active.  Each active term runs in-place ufuncs on rows made for it
+    (the third argument is the output), keeping the operands and order of
+    its formula, so the force is bit-identical to the formula's.  The
+    flag is true when every term depends on q alone, so the force at the
+    end of a step is also the force at the start of the next.  A double
+    well is the only term of its model.
     """
+    mul, add = np.multiply, np.add
     if force.double_well is not None:
         # -U'(q) in units of k_B T_ref / x0: q (a1 + a3 q^2) + c0
         b, q_m, tilt = force.double_well
         kt = k_B * t_ref_temp
-        a1 = 4.0 * b * q_m**2 * x0**2 / kt
-        a3 = -4.0 * b * x0**4 / kt
-        if tilt == 0.0:
-            return [lambda t, q, p: q * (a1 + a3 * (q * q))], True
-        c0 = tilt * x0 / kt
-        return [lambda t, q, p: q * (a1 + a3 * (q * q)) + c0], True
+        a1 = np.full_like(q, 4.0 * b * q_m**2 * x0**2 / kt)
+        a3 = np.full_like(q, -4.0 * b * x0**4 / kt)
+        c0 = np.full_like(q, tilt * x0 / kt) if tilt != 0.0 else None
+
+        def well(t):
+            mul(q, add(a1, mul(a3, mul(q, q, out), out), out), out)
+            if c0 is not None:
+                add(out, c0, out)
+        return well, True
     w0 = force.omega0 / w_ref
     xi = force.duffing_xi * x0**2
     eta = force.feedback_gain * x0**2
     mod, f_ext = force.modulation, force.external_force
-    terms = []
+    terms = []    # each writes its force into the row it is given
     if xi != 0.0:
-        k3 = -w0**2 * xi
-        terms.append(lambda t, q, p: k3 * (q * q * q))
+        k3 = np.full_like(q, -w0**2 * xi)
+        terms.append(lambda t, f: mul(k3, mul(mul(q, q, f), q, f), f))
     if mod is not None or eta != 0.0:
-        # eps(t, q, p) scales the base stiffness: the open-loop or
-        # phase-locked drive, minus the feedback term (eta / w0) q p
-        w0_sq, fb = w0**2, eta / w0
-        if mod is None:
-            def drive(t, q, p):
-                return 0.0
-        elif mod.phase_locked:
-            def drive(t, q, p):
-                theta = np.arctan2(-p / w0, q)
-                return mod.depth * np.cos(2.0 * theta - 2.0 * mod.phase)
-        else:
-            def drive(t, q, p):
-                return mod.depth * math.cos(mod.frequency * t + mod.phase)
-        if eta == 0.0:
-            terms.append(lambda t, q, p: drive(t, q, p) * w0_sq * q)
-        else:
-            terms.append(lambda t, q, p: (drive(t, q, p) - fb * q * p)
-                         * w0_sq * q)
+        # eps w0^2 q: eps scales the base stiffness, the open-loop or
+        # phase-locked drive minus the feedback term (eta / w0) q p
+        w0_sq = np.full_like(q, w0**2)
+        if eta != 0.0:
+            fb, fqp = np.full_like(q, eta / w0), np.empty_like(q)
+
+        def stiffness(t, f):
+            if mod is not None and mod.phase_locked:
+                # depth cos(2 theta - 2 phase), theta = arctan2(-p / w0, q)
+                np.arctan2(np.divide(np.negative(p, f), w0, f), q, f)
+                np.cos(np.subtract(mul(2.0, f, f), 2.0 * mod.phase, f), f)
+                mul(mod.depth, f, f)
+            else:
+                f.fill(0.0 if mod is None else
+                       mod.depth * math.cos(mod.frequency * t + mod.phase))
+            if eta != 0.0:
+                np.subtract(f, mul(mul(fb, q, fqp), p, fqp), f)
+            mul(mul(f, w0_sq, f), q, f)
+        terms.append(stiffness)
     if f_ext is not None:
         f_scale = force.mass * x0 * w_ref**2
-        terms.append(lambda t, q, p: f_ext(t) / f_scale)
-    return terms, bool(terms) and mod is None and eta == 0.0 and f_ext is None
+        terms.append(lambda t, f: f.fill(f_ext(t) / f_scale))
+    if not terms:
+        return None, False
+    first, rest = terms[0], terms[1:]
+    if rest:
+        f_term = np.empty_like(q)
+
+    def force_at(t):
+        first(t, out)
+        for term in rest:
+            term(t, f_term)
+            add(out, f_term, out)
+    return force_at, mod is None and eta == 0.0 and f_ext is None
 
 
 def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
@@ -402,42 +423,47 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         p[:] = np.asarray(p0, dtype=float) / p0_scale
 
     well = force.double_well
-    terms, q_only = _force_terms(force, x0, w_ref, t_ref_temp)
-    first, rest = (terms[0], terms[1:]) if terms else (None, ())
-    mul, add = np.multiply, np.add
-    x_swap = x[::-1]
+    mul, add = np.multiply, np.add    # a ufunc's third argument is its output
     tmp = np.empty_like(x)
+    t0, t1 = tmp
     dp = np.empty(n_traj)          # the half kick 0.5 h f(t, q, p)
-    coef = [None, None, None]      # w, c and the column (s / w, -w s)
+    force_at, q_only = _compile_force(force, x0, w_ref, t_ref_temp, q, p, dp)
+    # the half step is chosen once per run: free drift in a double well
+    # or a free trap, else the exact rotation of the harmonic part
+    drifts = well is not None or not (omega_steps > 0).any()
+    if drifts or force_at is not None:
+        h2 = np.full(n_traj, half_h)
 
-    def kick(t):
-        f = first(t, q, p)
-        for term in rest:
-            f = f + term(t, q, p)
-        mul(half_h, f, out=dp)
+    def drift(w):
+        add(q, mul(h2, p, t0), q)
 
-    def half_rotation_or_drift(w):
-        if well is None and w > 0:
-            if coef[0] != w:
-                th = half_h * w
-                s = math.sin(th)
-                coef[:] = w, math.cos(th), np.array([[s / w], [-w * s]])
-            mul(coef[2], x_swap, out=tmp)
-            mul(coef[1], x, out=x)
-            add(x, tmp, out=x)
-        else:
-            mul(half_h, p, out=tmp[0])
-            add(q, tmp[0], out=q)
+    # c, s / w and -w s of the frequency w_now, rewritten in place when
+    # it changes; w = 0 takes their limits 1, h / 2 and 0, a free drift
+    rot, w_now = np.empty(3), [None]
+    c_w, s_w, ws = (rot[i, ...] for i in range(3))
+
+    def rotate(w):
+        if w != w_now[0]:
+            s = math.sin(half_h * w)
+            rot[:] = (math.cos(half_h * w), s / w, -w * s) if w > 0 else (
+                1.0, half_h, 0.0)
+            w_now[0] = w
+        mul(s_w, p, t0)
+        mul(ws, q, t1)
+        add(mul(c_w, x, x), tmp, x)
+    half = drift if drifts else rotate
 
     n_samples = n_steps // record_every + 1
     if wells is None:
-        # recorded q and p, each block (n_samples, n_traj)
-        rec, kept = np.empty((2, n_samples, n_traj)), x
-        rec[:, 0] = x
+        # recorded q and p, each block (n_samples, n_traj), written
+        # time-major: rec_t[i] is sample i of both
+        rec = np.empty((2, n_samples, n_traj))
+        rec_t, kept = rec.swapaxes(0, 1), x
+        rec_t[0] = x
     else:
         # the q samples of one chunk, labelled once the chunk is done
         chunk_rows = min(n_samples, CHUNK_STEPS // record_every + 1)
-        rec, kept = np.empty((1, chunk_rows, n_traj)), x[:1]
+        rec_t, kept = np.empty((chunk_rows, n_traj)), q
         labels = np.empty((n_traj, n_samples), dtype=np.int8)
         labels[:, :1] = well_labels(q[:, None] * x0, wells)
 
@@ -446,29 +472,32 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         i - base of the record; with `check`, raise at the first state
         outside STATE_BOUND."""
         omega_nd = (omega_steps[k0:k0 + len(noise)] / w_ref).tolist()
-        for j in range(len(noise)):
-            k = k0 + j
+        k = k0
+        for row, w in zip(noise, omega_nd):
             t_si = k * dt
-            if first is not None:
+            if force_at is not None:
                 if not q_only:
-                    kick(t_si)
-                add(p, dp, out=p)
-            w = omega_nd[j]
-            half_rotation_or_drift(w)
+                    force_at(t_si)
+                    mul(h2, dp, dp)
+                add(p, dp, p)
+            half(w)
             # exact Ornstein-Uhlenbeck step; noise is pre-scaled by ou_kick
-            mul(ou_decay, p, out=p)
-            add(p, noise[j], out=p)
-            half_rotation_or_drift(w)
-            if first is not None:
-                kick(t_si + dt)
-                add(p, dp, out=p)
-            if (k + 1) % record_every == 0:
-                rec[:, (k + 1) // record_every - base] = kept
+            mul(ou_decay, p, p)
+            add(p, row, p)
+            half(w)
+            k += 1
+            if force_at is not None:
+                force_at(t_si + dt)
+                mul(h2, dp, dp)
+                add(p, dp, p)
+            if k % record_every == 0:
+                rec_t[k // record_every - base] = kept
             if check and not np.abs(x).max() <= STATE_BOUND:
-                raise IntegratorBlowupError(k + 1)
+                raise IntegratorBlowupError(k)
 
     if q_only:
-        kick(0.0)
+        force_at(0.0)
+        mul(h2, dp, dp)
     step = 0
     while step < n_steps:
         chunk = min(CHUNK_STEPS, n_steps - step)
@@ -488,7 +517,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         del noise    # free the block before the next one is drawn
         if wells is not None:
             hi = step // record_every + 1
-            labels[:, lo:hi] = well_labels(rec[0, :hi - lo].T * x0, wells,
+            labels[:, lo:hi] = well_labels(rec_t[:hi - lo].T * x0, wells,
                                            labels[:, lo - 1])
     if wells is not None:
         return labels

@@ -213,6 +213,21 @@ def test_lorentzian_fit_recovers_parameters():
     assert fit.t_cm == pytest.approx(300.0, rel=0.05)
 
 
+@pytest.mark.parametrize("segment", [8, 16, 24])
+def test_lorentzian_fit_names_too_few_bins(segment):
+    # 0, 1 and 2 usable bins once failed with unrelated errors: numpy's
+    # argmax of an empty sequence, an IndexError and scipy's refusal of
+    # 'lm' with fewer residuals than parameters
+    omega = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(segment, d=1e-7))
+    values = analysis.psd_analytic(omega, OMEGA0, OMEGA0 / 10.0, 300.0, MASS)
+    spectrum = analysis.SpectralDensity(omega, values, 4, 1e-7)
+    bins = analysis.fit_bins(segment)
+    assert bins == segment // 8 - 1
+    with pytest.raises(analysis.FitError,
+                       match=f"has {bins} usable bins .*needs 3"):
+        analysis.lorentzian_fit(spectrum, MASS)
+
+
 def test_nonlinear_psd_reduces_to_lorentzian():
     gamma = OMEGA0 / 50.0
     w = np.linspace(0.97 * OMEGA0, 1.03 * OMEGA0, 7)

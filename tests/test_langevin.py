@@ -657,6 +657,10 @@ PARITY_CASES = {
     "external-force": {"external_force": lambda t: 2e-15 * math.sin(1e5 * t)},
     "stiffness-schedule": {"stiffness_schedule": ((30 * DT, OMEGA0 / 2),
                                                   (70 * DT, OMEGA0))},
+    # a new frequency every step, so every step rewrites the rotation
+    "staircase": {"stiffness_schedule": tuple(
+        (k * DT, OMEGA0 * (1.0 + 0.5 * k / langevin.CHUNK_STEPS))
+        for k in range(langevin.CHUNK_STEPS + 37))},
     "double-well": {"double_well": DOUBLE_WELL},
     "tilted-double-well": {"double_well": (1e6, 1e-7, 5e-16)},
 }
@@ -702,3 +706,38 @@ def test_kernel_matches_reference_loop(case, record_every, n_steps):
             *args, cube=powers["cube"], **kw)
         assert np.all(np.abs(traj.energy - energy_pow)
                       <= 4 * eps * np.abs(energy_pow))
+
+
+def test_labelled_tilted_double_well_matches_reference_loop():
+    # the labels a run forms chunk by chunk, over two chunks and a part,
+    # are those of the reference loop's path
+    force, bath = make_models(**PARITY_CASES["tilted-double-well"])
+    n_steps = 2 * langevin.CHUNK_STEPS + 37
+    init = (np.linspace(-2e-7, 2e-7, 70), 0.0)
+    args = (force, bath, init, DT, n_steps * DT, 6)
+    labels = simulate(*args, n_traj=70, record_every=4, wells=WELLS)
+    q, _, _, _ = _reference_simulate(*args, n_traj=70, record_every=4)
+    assert np.array_equal(labels, langevin.well_labels(q, WELLS))
+    assert np.count_nonzero(np.diff(labels, axis=1)) > 70
+
+
+def test_double_well_blowup_stops_on_the_reference_step():
+    # at this coarse step the quartic force overshoots, and one excursion
+    # diverges in the third chunk; the replay of that chunk reports the
+    # first step whose state leaves STATE_BOUND in the reference loop,
+    # for a labelled run as for one that keeps paths
+    dt, n_steps, steps = 4.2e-6, 2600, []
+    force, bath = make_models(double_well=DOUBLE_WELL)
+    args = (force, bath, (1e-8, 0.0), dt, n_steps * dt, 1)
+    x0 = math.sqrt(KT300 / MASS) / OMEGA0
+    with np.errstate(all="ignore"):
+        q, p, _, _ = _reference_simulate(*args, n_traj=70)
+        state = np.maximum(np.abs(q / x0), np.abs(p / (MASS * x0 * OMEGA0)))
+        for wells in (None, WELLS):
+            with pytest.raises(IntegratorBlowupError) as info:
+                simulate(*args, n_traj=70, record_every=4,
+                         allow_coarse_dt=True, wells=wells)
+            steps.append(info.value.step)
+    expected = int(np.argmax(~(state.max(axis=0) <= langevin.STATE_BOUND)))
+    assert expected > 2 * langevin.CHUNK_STEPS
+    assert steps == [expected, expected]
