@@ -21,10 +21,9 @@ import math
 import os
 import sys
 import time
-import traceback
 import warnings
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -181,12 +180,13 @@ class Ensemble(NamedTuple):
     The run keeps `recorded` float64 (n_traj, samples) arrays or, with
     `labels`, one int8 well label per sample and trajectory, taking a
     sample every simulation.record_every steps, or every `record_every`
-    steps if the subcommand fixes its own stride.  A time step draws
-    `draws_per_step` normals per trajectory, and the run holds `per_traj`
-    float64 per trajectory beyond the integrator's.  `steps(values)` is
-    the number of steps when the run does not integrate over
-    simulation.duration_ms, and `groups` names a list key: the run
-    integrates n_traj trajectories for each of its entries side by side.
+    steps if the subcommand fixes its own stride; a recorded run that
+    fixes no stride keeps its first and last sample.  A time step draws
+    `draws_per_step` normals per trajectory.  `steps(values)` is the
+    number of steps when the run does not integrate over
+    simulation.duration_ms (unknown if a key it reads is missing), and
+    `groups` names a list key: the run integrates n_traj trajectories
+    for each of its entries side by side.
     After the run the subcommand forms `derived` more float64
     (n_traj, samples) arrays from the paths and, with `spectrum`, takes
     the `analysis.psd` of q.
@@ -196,7 +196,6 @@ class Ensemble(NamedTuple):
     labels: bool = False
     record_every: int | None = None
     draws_per_step: int = 1
-    per_traj: int = 0
     steps: Callable | None = None
     groups: str | None = None
     derived: int = 0
@@ -210,12 +209,12 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     one noise stream per BLOCK trajectories of each group, one block of
     noise draws padded to whole stream blocks, the recorded data, and
     working vectors: one stream's draws before they are copied into the
-    block and 16 + `run.per_traj` float64 per trajectory (the state, its
-    copy at the start of a chunk, force and transition temporaries).  A
-    recorded run adds one float64 per step (the trap frequency); a run
-    of float64 paths adds 8 per sample (time, protocol and energy
-    temporaries), a labelled run three float64 per trajectory and sample
-    of one chunk (the q samples, their SI values and the fill indices of
+    block and 16 float64 per trajectory (the state, its copy at the start
+    of a chunk, force and transition temporaries).  A recorded run adds
+    one float64 per step (the trap frequency); a run of float64 paths
+    adds 8 per sample (time, protocol and energy temporaries), a
+    labelled run three float64 per trajectory and sample of one chunk
+    (the q samples, their SI values and the fill indices of
     `langevin.well_labels`) and three bytes per sample and trajectory of
     one group (the label comparisons of its rate and hop count).  An
     array derived after the run counts like a recorded one, and a
@@ -231,22 +230,23 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     n_groups = len(values[run.groups]) if run.groups in values else 1
     width = n_traj * n_groups
     n_blocks = n_groups * -(-n_traj // langevin.BLOCK)
-    n_steps = langevin.CHUNK_STEPS
+    n_steps = None
     if run.steps is not None:
-        n_steps = run.steps(values) or n_steps
+        with suppress(KeyError):    # a key it reads failed validation
+            n_steps = run.steps(values)
     elif all(k in values for k in RUN):
         n_steps = int(round(values["simulation.duration_ms"]
                             / values["simulation.dt_ns"]))
     rows = (run.draws_per_step
-            * min(langevin.CHUNK_STEPS // run.draws_per_step, n_steps)
+            * min(langevin.CHUNK_STEPS // run.draws_per_step,
+                  n_steps or langevin.CHUNK_STEPS)
             if "simulation.dt_ns" in values else 2)
     need = {"noise streams": n_blocks * langevin.STREAM_BYTES,
             "noise block": rows * n_blocks * langevin.BLOCK * 8}
-    work = 8 * (rows * langevin.BLOCK + (16 + run.per_traj) * width)
-    stride = values.get("simulation.record_every", run.record_every)
-    if (run.recorded or run.labels) and stride and all(k in values
-                                                         for k in RUN):
-        samples = n_steps // stride + 1
+    work = 8 * (rows * langevin.BLOCK + 16 * width)
+    if (run.recorded or run.labels) and n_steps:
+        stride = values.get("simulation.record_every", run.record_every)
+        samples = n_steps // stride + 1 if stride else 2
         if run.labels:
             need[f"well labels of {width} trajectories x {samples} "
                  "samples"] = width * samples
@@ -391,24 +391,18 @@ class Emitter:
 
     def table(self, name: str, columns: dict):
         """Emit a column table as CSV or JSON depending on --format."""
+        if self.fmt == "json":
+            return self.summary(name, {k: np.asarray(col).tolist()
+                                       for k, col in columns.items()})
         keys = list(columns)
         n = len(next(iter(columns.values())))
-        if self.fmt == "json":
-            path = os.path.join(self.out_dir, f"{name}.json")
-            payload = {k: [self._num(v) for v in np.asarray(col).tolist()]
-                       for k, col in columns.items()}
-            payload["config_hash"] = self.cfg_hash
-            with open(path, "w") as f:
-                json.dump(payload, f, indent=1, sort_keys=True)
-                f.write("\n")
-        else:
-            path = os.path.join(self.out_dir, f"{name}.csv")
-            with open(path, "w", newline="") as f:
-                f.write(f"# config_hash={self.cfg_hash}\n")
-                writer = csv.writer(f)
-                writer.writerow(keys)
-                for i in range(n):
-                    writer.writerow([self._fmt(columns[k][i]) for k in keys])
+        path = os.path.join(self.out_dir, f"{name}.csv")
+        with open(path, "w", newline="") as f:
+            f.write(f"# config_hash={self.cfg_hash}\n")
+            writer = csv.writer(f)
+            writer.writerow(keys)
+            for i in range(n):
+                writer.writerow([self._fmt(columns[k][i]) for k in keys])
         self._register(path)
         return path
 
@@ -476,8 +470,6 @@ def _fail(exc: Exception, code: int):
                "violations": exc.violations}
     else:
         err = {"type": type(exc).__name__, "message": str(exc)}
-        if os.environ.get("LEVITHERM_DEBUG"):
-            err["traceback"] = traceback.format_exc()
     print(json.dumps({"error": err}, sort_keys=True), file=sys.stderr)
     sys.exit(code)
 
@@ -551,9 +543,24 @@ def env_sweep(c, em):
     em.table("env_sweep", data)
 
 
-# q.var(axis=0) and q.var() each form one path of deviations
+def _sample_variance(q: np.ndarray) -> np.ndarray:
+    """q.var(axis=0) bit for bit without a copy of q: squared deviations of
+    row blocks of about 2**14 samples, added row by row in trajectory order
+    as numpy's axis-0 sum adds them (it sums a one-sample column pairwise)."""
+    if q.shape[1] == 1:
+        return q.var(axis=0)
+    mean, total = q.mean(axis=0), np.zeros(q.shape[1])
+    rows = max(1, 2**14 // q.shape[1])
+    for r in range(0, q.shape[0], rows):
+        dev = q[r:r + rows] - mean
+        dev *= dev
+        dev[0] += total
+        np.sum(dev, axis=0, out=total)
+    return total / q.shape[0]
+
+
 @subcommand("simulate", OSCILLATOR + ("oscillator.duffing_um2",) + RECORDED,
-            run=Ensemble(recorded=3, derived=1))
+            run=Ensemble(recorded=3))
 def simulate_cmd(c, em):
     """Harmonic (optionally Duffing) Langevin ensemble; summary statistics."""
     force = ForceModel(mass=c.mass, omega0=c.omega0, duffing_xi=c.duffing_xi)
@@ -563,12 +570,16 @@ def simulate_cmd(c, em):
     em.table("trajectory_stats", {
         "time_s": traj.time,
         "q_mean_m": traj.q.mean(axis=0),
-        "q_var_m2": traj.q.var(axis=0),
+        "q_var_m2": _sample_variance(traj.q),
         "energy_mean_J": traj.energy.mean(axis=0),
     })
+    # q.var(), formed in place on the path, which is read no more
+    q = traj.q
+    q -= q.mean()
+    q *= q
     em.summary("simulate_summary", {
         "n_traj": int(traj.n_traj),
-        "q_var_m2": float(traj.q.var()),
+        "q_var_m2": float(q.sum() / q.size),
         "q_var_expected_m2": k_B * c.temperature / (c.mass * c.omega0**2),
         "mean_energy_J": float(traj.energy.mean()),
         "equipartition_J": k_B * c.temperature,
@@ -700,9 +711,18 @@ def kramers_cmd(c, em):
     em.table("kramers_mc", rows)
 
 
+def _stroke_steps(v: dict) -> int:
+    return round(max(v["engine.tau_hot_ms"], v["engine.tau_cold_ms"])
+                 / v["simulation.dt_ns"])
+
+
+# an underdamped stroke keeps q, p and energy at every step, and
+# thermo.work_heat forms 4 more paths (4.06 by tracemalloc, 300 x 501)
 @subcommand("engine", _section("engine"),
             extra=lambda values: ("simulation.dt_ns", "simulation.n_traj")
-            if values.get("engine.regime") == "underdamped" else ())
+            if values.get("engine.regime") == "underdamped" else (),
+            run=Ensemble(recorded=3, record_every=1, steps=_stroke_steps,
+                         derived=4))
 def engine_cmd(c, em):
     """Cyclic two-bath heat engine; per-stroke CSV and a cycle summary."""
     spec = thermo.EngineCycleSpec(mass=c.mass, gamma=c.gamma, k_max=c.k_max,
@@ -733,36 +753,30 @@ def engine_cmd(c, em):
 
 
 def _quench_pulse(omega0: float, ratio: float, t_start: float, dt: float):
-    """Squeezed frequency, pulse length and the step the pulse ends on
-    (see `langevin.simulate_quench`)."""
+    """Squeezed frequency, pulse length and the step the pulse ends on."""
     omega_s = omega0 / ratio
     tau = math.pi / (2.0 * omega_s)
     return omega_s, tau, round((t_start + tau) / dt)
 
 
-def _squeeze_steps(values: dict):
-    keys = ("oscillator.frequency_kHz", "squeeze.ratio", "squeeze.time_ms",
-            "simulation.dt_ns")
-    if all(k in values for k in keys):
-        return _quench_pulse(*(values[k] for k in keys))[2]
-    return None
+def _squeeze_steps(values: dict) -> int:
+    return _quench_pulse(*(values[k] for k in (
+        "oscillator.frequency_kHz", "squeeze.ratio", "squeeze.time_ms",
+        "simulation.dt_ns")))[2]
 
 
-# the run ends on the step the pulse ends on and records q, p and energy
-# there and at the start: 6 float64 per trajectory
 @subcommand("squeeze", OSCILLATOR + ("simulation.dt_ns", "simulation.n_traj")
-            + _section("squeeze"), run=Ensemble(per_traj=6,
+            + _section("squeeze"), run=Ensemble(recorded=3,
                                                 steps=_squeeze_steps))
 def squeeze_cmd(c, em):
     """Quadrature statistics after a trap-frequency quench pulse."""
     # run to the step the pulse ends on and keep the state there
     omega_s, tau, n_end = _quench_pulse(c.omega0, c.ratio, c.t_start, c.dt)
-    force = ForceModel(mass=c.mass, omega0=c.omega0)
+    force = ForceModel(mass=c.mass, omega0=c.omega0, stiffness_schedule=(
+        (c.t_start, omega_s), (n_end * c.dt, c.omega0)))
     bath = BathModel(gamma=c.gamma, temperature=c.temperature)
-    traj = langevin.simulate_quench(force, bath, "thermal", c.dt, n_end * c.dt,
-                                    c.seed, omega_s=omega_s,
-                                    t_start=c.t_start, tau=tau,
-                                    n_traj=c.n_traj, record_every=n_end)
+    traj = langevin.simulate(force, bath, "thermal", c.dt, n_end * c.dt,
+                             c.seed, n_traj=c.n_traj, record_every=n_end)
     res = analysis.squeeze_quadratures(traj.q[:, -1], traj.p[:, -1],
                                        c.omega0, omega_s, tau, c.temperature,
                                        c.mass)

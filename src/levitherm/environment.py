@@ -30,6 +30,9 @@ from .particles import ParticleSpec, Sphere
 ZETA5 = zeta(5)
 # Specific heat ratio of a diatomic gas, used in the gas cooling power.
 GAMMA_SH = 7.0 / 5.0
+# Kinetic diameter (m) and mass (kg) of an N2 molecule, the gas of GasSpec.
+N2_DIAMETER = 0.372e-9
+N2_MASS = 4.65e-26
 
 
 class OutOfRegimeError(ValueError):
@@ -42,9 +45,7 @@ class NoSteadyStateError(ValueError):
 
 @dataclass(frozen=True)
 class GasSpec:
-    """Background gas state and molecular properties.
-
-    Defaults describe N2 (molecule diameter 0.372 nm, mass 4.65e-26 kg).
+    """Background N2 gas state (molecules of N2_DIAMETER and N2_MASS).
 
     Parameters
     ----------
@@ -52,10 +53,6 @@ class GasSpec:
         Gas pressure (Pa).
     temperature : float
         Gas temperature (K).
-    molecule_diameter : float
-        Kinetic diameter of the gas molecule (m).
-    molecule_mass : float
-        Mass of one gas molecule (kg).
     accommodation : float
         Thermal accommodation coefficient in [0, 1]; the fraction of
         thermal energy a molecule equilibrates with the particle surface
@@ -64,8 +61,6 @@ class GasSpec:
 
     pressure: float
     temperature: float
-    molecule_diameter: float = 0.372e-9
-    molecule_mass: float = 4.65e-26
     accommodation: float = 1.0
 
     def __post_init__(self):
@@ -75,18 +70,16 @@ class GasSpec:
             raise ValueError("gas temperature must be positive")
         if not 0.0 <= self.accommodation <= 1.0:
             raise ValueError("accommodation coefficient must lie in [0, 1]")
-        if self.molecule_diameter <= 0 or self.molecule_mass <= 0:
-            raise ValueError("molecule properties must be positive")
 
     @property
     def cross_section(self) -> float:
         """Collision cross section sigma_gas = pi d_m^2 (m^2)."""
-        return math.pi * self.molecule_diameter**2
+        return math.pi * N2_DIAMETER**2
 
     @property
     def viscosity(self) -> float:
         """Dilute-gas viscosity mu_v = 2 sqrt(m_gas k_B T) / (3 sqrt(pi) sigma)."""
-        return (2.0 * math.sqrt(self.molecule_mass * k_B * self.temperature)
+        return (2.0 * math.sqrt(N2_MASS * k_B * self.temperature)
                 / (3.0 * math.sqrt(math.pi) * self.cross_section))
 
     @property
@@ -101,7 +94,7 @@ class GasSpec:
     def thermal_speed(self) -> float:
         """Mean molecular speed v_th = sqrt(8 k_B T / (pi m_gas))."""
         return math.sqrt(8.0 * k_B * self.temperature
-                         / (math.pi * self.molecule_mass))
+                         / (math.pi * N2_MASS))
 
     def knudsen(self, radius: float) -> float:
         """Knudsen number Kn = l_bar / radius."""

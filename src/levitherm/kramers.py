@@ -333,7 +333,7 @@ def monte_carlo_rates(spec: DoubleWellSpec, gammas, temperature: float,
     width = n_traj * len(baths)
     # every row starts at a minimum, so every label is known
     labels = simulate_double_well(
-        (spec.b, spec.q_m, spec.tilt), minima, force, baths,
+        (spec.b, spec.q_m), minima, force, baths,
         (np.tile(q0, len(baths)), np.zeros(width)), dt, duration,
         list(seeds), n_traj=width, record_every=record_every,
         allow_coarse_dt=True)

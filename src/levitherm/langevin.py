@@ -57,7 +57,7 @@ at any dt; the energy law of a driven steady state is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,10 +139,10 @@ class ForceModel:
     stiffness_schedule : tuple of (time, omega), optional
         Piecewise-constant trap frequency, right-continuous; before the
         first entry the frequency is `omega0`.  Switch times are snapped
-        to the integration grid.
-    double_well : (b, q_m, tilt), optional
-        U(q) = b (q^2 - q_m^2)^2 - tilt q in SI, in place of the trap and
-        of every other term; `omega0` then sets only the internal units.
+        to the nearest step of the integration grid.
+    double_well : (b, q_m), optional
+        U(q) = b (q^2 - q_m^2)^2 in SI, in place of the trap and of every
+        other term; `omega0` then sets only the internal units.
     """
 
     mass: float
@@ -182,9 +182,6 @@ class Trajectory:
     protocol: dict
     dt: float
     mass: float
-    omega0: float
-    seed: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_traj(self) -> int:
@@ -280,17 +277,14 @@ def _compile_force(force: ForceModel, x0: float, w_ref: float,
     """
     mul, add = np.multiply, np.add
     if force.double_well is not None:
-        # -U'(q) in units of k_B T_ref / x0: q (a1 + a3 q^2) + c0
-        b, q_m, tilt = force.double_well
+        # -U'(q) in units of k_B T_ref / x0: q (a1 + a3 q^2)
+        b, q_m = force.double_well
         kt = k_B * t_ref_temp
         a1 = np.full_like(q, 4.0 * b * q_m**2 * x0**2 / kt)
         a3 = np.full_like(q, -4.0 * b * x0**4 / kt)
-        c0 = np.full_like(q, tilt * x0 / kt) if tilt != 0.0 else None
 
         def well(t):
             mul(q, add(a1, mul(a3, mul(q, q, out), out), out), out)
-            if c0 is not None:
-                add(out, c0, out)
         return well, True
     w0 = force.omega0 / w_ref
     xi = force.duffing_xi * x0**2
@@ -538,9 +532,8 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         np.square(p_si[r:r + rows], out=e_r)
         e_r /= 2.0 * m
         if well is not None:
-            b, q_m, tilt = well
+            b, q_m = well
             e_r += b * np.square(np.square(q_r) - q_m**2)
-            e_r -= tilt * q_r
         else:
             e_r += stiffness * np.square(q_r)
             if force.duffing_xi != 0.0:
@@ -556,22 +549,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
             fext_out[k_sample] = f_ext(step * dt)
     time = np.arange(n_samples) * (record_every * dt)
     protocol = {"omega": omega_out, "external_force": fext_out}
-    return Trajectory(time, q_si, p_si, energy, protocol, dt, m,
-                      force.omega0, seed)
-
-
-def simulate_quench(force: ForceModel, bath: BathModel, init, dt: float,
-                    duration: float, seed: int, omega_s: float,
-                    t_start: float, tau: float, **kw) -> Trajectory:
-    """Frequency quench omega0 -> omega_s for a pulse of length `tau`.
-
-    Switch times are placed exactly on grid points of the time step.
-    """
-    t0 = round(t_start / dt) * dt
-    t1 = round((t_start + tau) / dt) * dt
-    sched = ((t0, omega_s), (t1, force.omega0))
-    return simulate(replace(force, stiffness_schedule=sched), bath, init, dt,
-                    duration, seed, **kw)
+    return Trajectory(time, q_si, p_si, energy, protocol, dt, m)
 
 
 def simulate_double_well(double_well: tuple, minima: tuple,
@@ -579,7 +557,7 @@ def simulate_double_well(double_well: tuple, minima: tuple,
                          bath: BathModel | Sequence[BathModel], init,
                          dt: float, duration: float,
                          seed: int | Sequence[int], **kw) -> np.ndarray:
-    """Integrate in the double well (b, q_m, tilt) of `ForceModel`; return
+    """Integrate in the double well (b, q_m) of `ForceModel`; return
     the hysteresis well labels of the recorded samples (see `well_labels`),
     formed chunk by chunk inside the step loop, so no path is kept.  `bath`
     and `seed` may be sequences, one entry per group of trajectories (see
@@ -622,7 +600,6 @@ class EnergyPath:
 
     time: np.ndarray
     energy: np.ndarray
-    seed: int
 
 
 def energy_transition(x, gamma_h: float, noise) -> np.ndarray:
@@ -690,4 +667,4 @@ def simulate_energy_sde(bath: BathModel, e0, dt: float, duration: float,
     time = np.arange(n_samples) * (record_every * dt)
     out *= k_B
     out *= bath.temperature
-    return EnergyPath(time, out, seed)
+    return EnergyPath(time, out)

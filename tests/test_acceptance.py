@@ -15,7 +15,7 @@ from scipy import optimize, stats
 from levitherm.constants import k_B
 from levitherm import analysis, environment, kramers, thermo
 from levitherm.langevin import (BathModel, ForceModel, Modulation, simulate,
-                                simulate_energy_sde, simulate_quench)
+                                simulate_energy_sde)
 from levitherm.particles import silica_sphere
 
 MASS = 1e-17
@@ -393,12 +393,13 @@ def _squeeze_run():
     w0 = 2.0 * math.pi * 1e5
     ws = w0 / 2.0
     tau = math.pi / (2.0 * ws)
-    force = ForceModel(mass=m, omega0=w0)
-    bath = BathModel(gamma=0.0, temperature=300.0)
     dt = 2.0 * math.pi / w0 / 200.0
-    traj = simulate_quench(force, bath, "thermal", dt, tau * 1.01, seed=4,
-                           omega_s=ws, t_start=0.0, tau=tau, n_traj=30000)
     i_end = int(round(tau / dt))
+    force = ForceModel(mass=m, omega0=w0,
+                       stiffness_schedule=((0.0, ws), (i_end * dt, w0)))
+    bath = BathModel(gamma=0.0, temperature=300.0)
+    traj = simulate(force, bath, "thermal", dt, tau * 1.01, seed=4,
+                    n_traj=30000)
     return analysis.squeeze_quadratures(traj.q[:, i_end], traj.p[:, i_end],
                                         w0, ws, tau, 300.0, m)
 

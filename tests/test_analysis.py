@@ -191,8 +191,7 @@ def test_psd_temporaries_stay_bounded():
     # 500 x 5001 samples: one transform of the ensemble per segment held
     # 48 MB beyond the 20 MB path
     q = np.random.default_rng(3).standard_normal((500, 5001))
-    traj = Trajectory(np.arange(5001) * 1e-7, q, q, q, {}, 1e-7, MASS,
-                      OMEGA0, 3)
+    traj = Trajectory(np.arange(5001) * 1e-7, q, q, q, {}, 1e-7, MASS)
     tracemalloc.start()
     try:
         analysis.psd(traj, n_segments=4)

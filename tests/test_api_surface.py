@@ -1,4 +1,5 @@
-"""Public API surface: no parameter that no caller sets or the body ignores.
+"""Public API surface: no parameter or field that no caller sets, and no
+parameter that the body ignores.
 
 An AST scan of every call in `src/`, `tests/` and `bench/` binds the
 arguments of each call to the parameters of the levitherm function of
@@ -8,6 +9,11 @@ caller's own parameter is set somewhere, so a knob threaded through
 several layers without any caller choosing a value still counts as
 unset.  Calls through `*args` or `**kwargs` set every parameter they
 could reach.
+
+A defaulted field of a package dataclass or NamedTuple is set by a
+construction of its class that binds it, by position or by keyword, or
+by a `replace` or `_replace` call that names it; one that nothing sets
+is a constant in disguise.
 
 A public function, method or property that no code in those trees
 names outside its own definition is dead code; the CLI subcommand
@@ -168,6 +174,52 @@ def unread_public_parameters() -> list:
     return sorted(out)
 
 
+def _is_record(cls: ast.ClassDef) -> bool:
+    """True for a dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in cls.decorator_list]
+    return (any(isinstance(d, ast.Name) and d.id == "dataclass"
+                for d in decorators)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+                   for b in cls.bases))
+
+
+def unset_record_fields() -> list:
+    """Defaulted fields of the package's dataclasses and NamedTuples that
+    no construction or `replace` sets."""
+    trees = _trees()
+    records = {}
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                records[node.name] = (path.stem, [
+                    (item.target.id, item.value is not None)
+                    for item in node.body if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)])
+    is_set = set()
+    for name, call, _ in _all_calls(trees):
+        if name in ("replace", "_replace"):
+            is_set |= {(cls, kw.arg) for cls in records
+                       for kw in call.keywords}
+        if name not in records:
+            continue
+        fields = [f for f, _ in records[name][1]]
+        for i, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                is_set |= {(name, f) for f in fields[i:]}
+                break
+            if i < len(fields):
+                is_set.add((name, fields[i]))
+        for kw in call.keywords:
+            is_set |= {(name, f) for f in fields
+                       if kw.arg is None or kw.arg == f}
+    return sorted(f"{mod}.{cls}.{f}" for cls, (mod, fields) in records.items()
+                  for f, defaulted in fields
+                  if defaulted and (cls, f) not in is_set)
+
+
 def _registered(fn: ast.FunctionDef) -> bool:
     """True for a CLI subcommand body, reached through its decorator."""
     return any(isinstance(d, ast.Call) and _callee_name(d) == "subcommand"
@@ -232,6 +284,10 @@ def test_every_public_function_is_named_by_some_code():
 
 def test_every_optional_public_parameter_is_set_by_some_caller():
     assert unset_public_parameters() == []
+
+
+def test_every_defaulted_record_field_is_set_by_some_caller():
+    assert unset_record_fields() == []
 
 
 def test_every_public_parameter_is_read():

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -395,8 +396,9 @@ def test_kramers_memory_preflight_counts_every_damping(tmp_path, monkeypatch,
     # the benchmark's sizes: calibrate's psd step, relax at the same size,
     # the Monte Carlo dampings of the hopping workload, calibrate's
     # squeeze step and thermo's fluctuation step; then simulate, which
-    # keeps q, p and energy, at the psd size.  `entry` is the ensemble
-    # run the preflight describes; the subcommand runs it once
+    # keeps q, p and energy, at the psd size, thermo's underdamped engine
+    # step, and modulate at the psd size with one depth.  `entry` is the
+    # ensemble run the preflight describes; the subcommand runs it once
     ("psd", "langevin.simulate",
      {"oscillator": {"damping_Hz": 5000},
       "simulation": {"duration_ms": 2.0, "n_traj": 500}}),
@@ -406,13 +408,20 @@ def test_kramers_memory_preflight_counts_every_damping(tmp_path, monkeypatch,
      {"well": WELL, "kramers": {"n_points": 5,
                                 "mc_damping_Hz": [40000, 72000, 145000]},
       "simulation": {"dt_ns": 150, "duration_ms": 7.0, "n_traj": 64}}),
-    ("squeeze", "langevin.simulate_quench",
+    ("squeeze", "langevin.simulate",
      {"simulation": {"duration_ms": 0.1, "n_traj": 20000},
       "squeeze": {"time_ms": 0.05}}),
     ("fluctuation", "thermo.transient_ft_check",
      {"simulation": {"dt_ns": 2000, "duration_ms": 0.5, "n_traj": 40000}}),
     ("simulate", "langevin.simulate",
      {"simulation": {"duration_ms": 2.0, "n_traj": 500}}),
+    ("engine", "thermo.underdamped_cycle_sde",
+     {"engine": {"regime": "underdamped", "damping_Hz": 5000,
+                 "tau_hot_ms": 0.2, "tau_cold_ms": 0.2},
+      "simulation": {"n_traj": 300}}),
+    ("modulate", "langevin.simulate",
+     {"modulation": {"depths": [0.01]},
+      "simulation": {"duration_ms": 2.0, "n_traj": 500}}),
 ])
 def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
                                                    capsys, command, entry,
@@ -544,6 +553,43 @@ def test_json_format(tmp_path):
     assert "time_s" in table
     assert "config_hash" in table
     assert not (out / "trajectory_stats.csv").exists()
+
+
+@pytest.mark.parametrize("shape", [(500, 5001), (50, 2501), (70, 301),
+                                   (20000, 2), (20000, 1)])
+def test_sample_variance_is_numpy_variance_bit_for_bit(shape):
+    # numpy sums a one-sample (n, 1) column pairwise, not row by row
+    from levitherm import cli
+    q = np.random.default_rng(4).normal(3e-9, 1e-8, shape)
+    expected = q.var(axis=0)
+    assert cli._sample_variance(q).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("overrides", [{}, {"record_every": 3},
+                                       {"duration_ms": 0.0004,
+                                        "record_every": 2}])
+def test_simulate_variances_are_numpy_variances(tmp_path, monkeypatch,
+                                                overrides):
+    # both variances are formed without a copy of the path, the global
+    # one in place; the JSON tables carry every bit
+    from levitherm import cli, langevin
+    run, paths = langevin.simulate, []
+
+    def spy(*args, **kw):
+        traj = run(*args, **kw)
+        paths.append(traj.q.copy())
+        return traj
+
+    monkeypatch.setattr(langevin, "simulate", spy)
+    cfg = write_config(tmp_path, {"simulation": overrides})
+    out = tmp_path / "out"
+    cli.main.main(["simulate", "--config", str(cfg), "--out", str(out),
+                   "--format", "json"], standalone_mode=False)
+    (q,) = paths
+    table = json.loads((out / "trajectory_stats.json").read_text())
+    summary = json.loads((out / "simulate_summary.json").read_text())
+    assert table["q_var_m2"] == q.var(axis=0).tolist()
+    assert summary["q_var_m2"] == float(q.var())
 
 
 def test_runtime_failure_leaves_incomplete_manifest(tmp_path):

@@ -12,8 +12,7 @@ from levitherm.constants import k_B
 from levitherm import langevin
 from levitherm.kramers import hop_statistics
 from levitherm.langevin import (BathModel, ForceModel, IntegratorBlowupError,
-                                Modulation, simulate, simulate_energy_sde,
-                                simulate_quench)
+                                Modulation, simulate, simulate_energy_sde)
 
 MASS = 1e-17
 OMEGA0 = 2.0 * math.pi * 1.0e5
@@ -218,9 +217,9 @@ def test_thermal_init_requires_temperature():
 
 def test_stiffness_schedule_is_right_continuous():
     omega_s = OMEGA0 / 2.0
-    force, bath = make_models()
-    traj = simulate_quench(force, bath, (1e-9, 0.0), DT, 100 * DT, seed=0,
-                           omega_s=omega_s, t_start=30 * DT, tau=40 * DT)
+    force, bath = make_models(stiffness_schedule=((30 * DT, omega_s),
+                                                  (70 * DT, OMEGA0)))
+    traj = simulate(force, bath, (1e-9, 0.0), DT, 100 * DT, seed=0)
     omega = traj.protocol["omega"]
     assert np.all(omega[:30] == OMEGA0)
     assert np.all(omega[30:70] == omega_s)
@@ -229,10 +228,10 @@ def test_stiffness_schedule_is_right_continuous():
 
 def test_energy_uses_scheduled_stiffness():
     omega_s = OMEGA0 / 2.0
-    force, _ = make_models()
+    force, _ = make_models(stiffness_schedule=((30 * DT, omega_s),
+                                               (70 * DT, OMEGA0)))
     bath = BathModel(gamma=0.0, temperature=0.0)
-    traj = simulate_quench(force, bath, (1e-9, 0.0), DT, 100 * DT, seed=0,
-                           omega_s=omega_s, t_start=30 * DT, tau=40 * DT)
+    traj = simulate(force, bath, (1e-9, 0.0), DT, 100 * DT, seed=0)
     expected = (traj.p**2 / (2 * MASS)
                 + 0.5 * MASS * traj.protocol["omega"]**2 * traj.q**2)
     assert np.allclose(traj.energy, expected, rtol=1e-12)
@@ -292,14 +291,14 @@ def test_double_well_round_trip():
     # quartic double well integrates and reports energy consistently
     b, q_m = 1e6, 1e-7
     force, bath = make_models(gamma=OMEGA0 / 10.0)
-    force = langevin.replace(force, double_well=(b, q_m, 0.0))
+    force = langevin.replace(force, double_well=(b, q_m))
     traj = simulate(force, bath, (q_m, 0.0), DT, 1e-4, seed=1, n_traj=2)
     expected = traj.p**2 / (2 * MASS) + b * (traj.q**2 - q_m**2) ** 2
     assert np.allclose(traj.energy, expected, rtol=1e-12)
 
 
-# (b, q_m, tilt) of an untilted double well, and its minima
-DOUBLE_WELL = (1e6, 1e-7, 0.0)
+# (b, q_m) of a double well, and its minima
+DOUBLE_WELL = (1e6, 1e-7)
 WELLS = (-1e-7, 1e-7)
 
 
@@ -579,11 +578,11 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
     def extra_force(t_si, q_nd, p_nd):
         if well is not None:
             # -U'(q) in internal units, by the kernel's products
-            b, q_m, tilt = well
+            b, q_m = well
             kt = k_B * t_ref_temp
             a1 = 4.0 * b * q_m**2 * x0**2 / kt
             a3 = -4.0 * b * x0**4 / kt
-            return q_nd * (a1 + a3 * (q_nd * q_nd)) + tilt * x0 / kt
+            return q_nd * (a1 + a3 * (q_nd * q_nd))
         f = -w0**2 * xi * cube(q_nd)
         if mod is not None or eta != 0.0:
             f = f + epsilon(t_si, q_nd, p_nd) * w0**2 * q_nd
@@ -634,8 +633,8 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
     q_si = q_out * x0
     p_si = p_out * p0_scale
     if well is not None:
-        b, q_m, tilt = well
-        energy = p_si**2 / (2.0 * m) + b * (q_si**2 - q_m**2)**2 - tilt * q_si
+        b, q_m = well
+        energy = p_si**2 / (2.0 * m) + b * (q_si**2 - q_m**2)**2
     else:
         energy = (p_si**2 / (2.0 * m)
                   + 0.5 * m * omega_out[None, :]**2 * q_si**2
@@ -662,7 +661,6 @@ PARITY_CASES = {
         (k * DT, OMEGA0 * (1.0 + 0.5 * k / langevin.CHUNK_STEPS))
         for k in range(langevin.CHUNK_STEPS + 37))},
     "double-well": {"double_well": DOUBLE_WELL},
-    "tilted-double-well": {"double_well": (1e6, 1e-7, 5e-16)},
 }
 
 
@@ -708,10 +706,10 @@ def test_kernel_matches_reference_loop(case, record_every, n_steps):
                       <= 4 * eps * np.abs(energy_pow))
 
 
-def test_labelled_tilted_double_well_matches_reference_loop():
+def test_labelled_double_well_matches_reference_loop():
     # the labels a run forms chunk by chunk, over two chunks and a part,
     # are those of the reference loop's path
-    force, bath = make_models(**PARITY_CASES["tilted-double-well"])
+    force, bath = make_models(double_well=DOUBLE_WELL)
     n_steps = 2 * langevin.CHUNK_STEPS + 37
     init = (np.linspace(-2e-7, 2e-7, 70), 0.0)
     args = (force, bath, init, DT, n_steps * DT, 6)
