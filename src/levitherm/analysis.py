@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import irfft, next_fast_len, prev_fast_len, rfft
 from scipy.integrate import quad
 from scipy.optimize import least_squares
 from scipy.special import erfcx, i0e, log_ndtr, ndtri_exp
@@ -164,14 +164,16 @@ class SpectralDensity:
 # samples of the ensemble that `psd` windows, transforms and squares at
 # once: its temporaries stay near PSD_BYTES_PER_SAMPLE * PSD_BLOCK bytes
 PSD_BLOCK = 2**14
-# the windowed block, its complex copy, their transform and the modulus
-PSD_BYTES_PER_SAMPLE = 48
+# the windowed block, its half-spectrum transform and the modulus
+PSD_BYTES_PER_SAMPLE = 32
 
 
 def welch_segment(n_samples: int, n_segments: int) -> int:
     """Samples per Welch segment of `psd`: n_segments half-overlapping
-    segments span n_samples, and a segment has at least 8 samples."""
-    return max(8, int(2 * n_samples / (n_segments + 1)))
+    segments span n_samples, a segment has at least 8 samples, and its
+    length is rounded down to the largest 5-smooth one, a fast real FFT."""
+    return prev_fast_len(max(8, int(2 * n_samples / (n_segments + 1))),
+                         real=True)
 
 
 def psd(traj: Trajectory, n_segments: int = 8) -> SpectralDensity:
@@ -180,11 +182,12 @@ def psd(traj: Trajectory, n_segments: int = 8) -> SpectralDensity:
 
     Averages over the ensemble as well as over segments, and normalizes
     to the two-sided angular-frequency convention so the spectrum
-    integrates to <q^2>.  Each segment is windowed, transformed and
-    squared in row blocks of about PSD_BLOCK samples, and the rows'
-    periodograms are added in trajectory order, the order of numpy's
-    axis-0 sum: the result is bit-identical to transforming the whole
-    ensemble at once.
+    integrates to <q^2>.  Each segment is windowed in row blocks of about
+    PSD_BLOCK samples and takes one real FFT per block; the squared
+    moduli of all segments' rows are added in trajectory order, the order
+    of numpy's axis-0 sum, so the result is bit-identical to one real
+    transform of every segment's rows stacked.  The half spectrum is
+    mirrored onto the two-sided grid.
     """
     q = np.atleast_2d(traj.q)
     dt = traj.time[1] - traj.time[0]
@@ -194,24 +197,20 @@ def psd(traj: Trajectory, n_segments: int = 8) -> SpectralDensity:
     if not starts:
         raise ValueError("trajectory too short for the requested segmentation")
     win = np.hanning(seg)
-    norm = (win**2).sum() / dt
     rows = max(1, PSD_BLOCK // seg)
-    acc = np.zeros(seg)
+    acc = np.zeros(seg // 2 + 1)
     for start in starts:
-        total = np.zeros(seg)
         for r in range(0, n_traj, rows):
-            spec = np.abs(np.fft.fft(q[r:r + rows, start:start + seg] * win,
-                                     axis=1))
+            spec = np.abs(rfft(q[r:r + rows, start:start + seg] * win, axis=1))
             np.square(spec, out=spec)
-            spec /= norm
-            for row in spec:
-                total += row
-        acc += total
+            spec[0] += acc
+            np.sum(spec, axis=0, out=acc)
     count = n_traj * len(starts)
-    power = np.fft.fftshift(acc / count)
+    # mean periodogram, as a per-(rad/s) rather than per-Hz density
+    acc *= dt / ((win**2).sum() * count * 2.0 * math.pi)
     freq = np.fft.fftshift(np.fft.fftfreq(seg, d=dt))
-    # per-Hz two-sided density -> per-(rad/s) density
-    return SpectralDensity(2.0 * math.pi * freq, power / (2.0 * math.pi),
+    return SpectralDensity(2.0 * math.pi * freq,
+                           np.concatenate([acc[:0:-1], acc[:(seg + 1) // 2]]),
                            count, dt)
 
 
@@ -298,7 +297,6 @@ class LorentzianFit:
     omega0: float
     gamma: float
     t_cm: float
-    covariance: np.ndarray
 
 
 def fit_bins(segment: int) -> int:
@@ -342,11 +340,8 @@ def lorentzian_fit(spectrum: SpectralDensity, mass: float) -> LorentzianFit:
     if not sol.success or not np.all(np.isfinite(sol.x)):
         raise FitError(f"spectrum fit failed: {sol.message}; "
                        f"residual norm {np.linalg.norm(sol.fun):.3g}")
-    jtj = sol.jac.T @ sol.jac
-    dof = max(1, len(sol.fun) - 3)
-    cov = np.linalg.pinv(jtj) * 2.0 * sol.cost / dof
     w0, gam, temp = np.abs(sol.x)
-    return LorentzianFit(w0, gam, temp, cov)
+    return LorentzianFit(w0, gam, temp)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +545,6 @@ class SqueezeResult:
     r: float
     predicted_q_ratio: float
     predicted_p_ratio: float
-    predicted_covariance: float
 
 
 def squeeze_prediction(omega: float, omega_s: float, tau: float,
@@ -583,10 +577,9 @@ def squeeze_quadratures(q: np.ndarray, p: np.ndarray, omega: float,
     """
     var_q_th = k_B * temperature / (mass * omega**2)
     var_p_th = mass * k_B * temperature
-    pred_q, pred_p, pred_cov = squeeze_prediction(omega, omega_s, tau,
-                                                  temperature)
+    pred_q, pred_p, _ = squeeze_prediction(omega, omega_s, tau, temperature)
     r = 0.5 * math.log(omega / omega_s)
     return SqueezeResult(float(np.var(q) / var_q_th),
                          float(np.var(p) / var_p_th),
                          float(np.mean(q * p) - np.mean(q) * np.mean(p)),
-                         r, pred_q, pred_p, pred_cov)
+                         r, pred_q, pred_p)

@@ -177,7 +177,8 @@ class Ensemble(NamedTuple):
     """How the ensemble run of a subcommand uses memory; see
     `_memory_preflight`.
 
-    The run keeps `recorded` float64 (n_traj, samples) arrays or, with
+    The run keeps `recorded` float64 (n_traj, samples) arrays, counting
+    those the subcommand forms from the paths after the run, or, with
     `labels`, one int8 well label per sample and trajectory, taking a
     sample every simulation.record_every steps, or every `record_every`
     steps if the subcommand fixes its own stride; a recorded run that
@@ -187,9 +188,7 @@ class Ensemble(NamedTuple):
     simulation.duration_ms (unknown if a key it reads is missing), and
     `groups` names a list key: the run integrates n_traj trajectories
     for each of its entries side by side.
-    After the run the subcommand forms `derived` more float64
-    (n_traj, samples) arrays from the paths and, with `spectrum`, takes
-    the `analysis.psd` of q.
+    With `spectrum`, the subcommand takes the `analysis.psd` of q.
     """
 
     recorded: int = 0
@@ -198,7 +197,6 @@ class Ensemble(NamedTuple):
     draws_per_step: int = 1
     steps: Callable | None = None
     groups: str | None = None
-    derived: int = 0
     spectrum: bool = False
 
 
@@ -216,11 +214,10 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     labelled run three float64 per trajectory and sample of one chunk
     (the q samples, their SI values and the fill indices of
     `langevin.well_labels`) and three bytes per sample and trajectory of
-    one group (the label comparisons of its rate and hop count).  An
-    array derived after the run counts like a recorded one, and a
+    one group (the label comparisons of its rate and hop count).  A
     spectrum adds the temporaries of one `analysis.psd` row block:
-    PSD_BYTES_PER_SAMPLE for each of its samples, at most PSD_BLOCK or
-    one segment, whichever is longer.
+    PSD_BYTES_PER_SAMPLE for each of PSD_BLOCK samples or of the run's
+    samples, whichever is more.
     A block holds `draws_per_step` draws for each of up to
     CHUNK_STEPS // draws_per_step steps; without a step count it is taken
     at its largest, and a run without a time step draws its endpoints in
@@ -255,9 +252,6 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
         else:
             need[f"{run.recorded} recorded arrays of n_traj x {samples} "
                  "samples"] = run.recorded * n_traj * samples * 8
-            if run.derived:
-                need[f"{run.derived} derived arrays of n_traj x {samples} "
-                     "samples"] = run.derived * n_traj * samples * 8
             if run.spectrum:
                 need["psd row block"] = (analysis.PSD_BYTES_PER_SAMPLE
                                          * max(analysis.PSD_BLOCK, samples))
@@ -716,13 +710,12 @@ def _stroke_steps(v: dict) -> int:
                  / v["simulation.dt_ns"])
 
 
-# an underdamped stroke keeps q, p and energy at every step, and
-# thermo.work_heat forms 4 more paths (4.06 by tracemalloc, 300 x 501)
+# an underdamped stroke keeps q, p and energy at every step; 4 of the 7
+# paths are thermo.work_heat temporaries (4.06 by tracemalloc, 300 x 501)
 @subcommand("engine", _section("engine"),
             extra=lambda values: ("simulation.dt_ns", "simulation.n_traj")
             if values.get("engine.regime") == "underdamped" else (),
-            run=Ensemble(recorded=3, record_every=1, steps=_stroke_steps,
-                         derived=4))
+            run=Ensemble(recorded=7, record_every=1, steps=_stroke_steps))
 def engine_cmd(c, em):
     """Cyclic two-bath heat engine; per-stroke CSV and a cycle summary."""
     spec = thermo.EngineCycleSpec(mass=c.mass, gamma=c.gamma, k_max=c.k_max,

@@ -242,7 +242,6 @@ class RateResult:
     r_turnover: float
     r_hd_total: float
     upsilon_a: float
-    upsilon_c: float
 
 
 def turnover_rate(spec: DoubleWellSpec, gamma: float,
@@ -264,7 +263,7 @@ def turnover_rate(spec: DoubleWellSpec, gamma: float,
     hd = rate_hd(spec, gamma, temperature, "A") \
         + rate_hd(spec, gamma, temperature, "C")
     factor = u_a * u_c / u_sum if u_sum > 0 else 0.0
-    return RateResult(gamma, factor * hd, hd, u_a, u_c)
+    return RateResult(gamma, factor * hd, hd, u_a)
 
 
 def escape_rate(barrier: float, temperature: float, attempt: float) -> float:

@@ -196,7 +196,6 @@ class JarzynskiResult:
     stderr: float
     mean_work: float
     delta_f: float
-    effective_samples: float
 
 
 def jarzynski_estimate(work: np.ndarray, temperature: float,
@@ -219,8 +218,7 @@ def jarzynski_estimate(work: np.ndarray, temperature: float,
                       f"(effective samples {ess:.1f} of {work.size})",
                       RuntimeWarning)
     return JarzynskiResult(estimate=est, stderr=err,
-                           mean_work=float(work.mean()), delta_f=delta_f,
-                           effective_samples=ess)
+                           mean_work=float(work.mean()), delta_f=delta_f)
 
 
 @dataclass
@@ -335,19 +333,10 @@ def total_entropy_relaxation(e0: np.ndarray, e_t: np.ndarray,
     return beta * (s * (e_t - e0) + c * (e_t**2 - e0**2))
 
 
-@dataclass
-class RelaxationEntropySamples:
-    delta_s_total: np.ndarray    # units of k_B
-    heat: np.ndarray             # J, energy to the bath
-    delta_s_system: np.ndarray   # units of k_B
-    e0: np.ndarray
-    e_t: np.ndarray
-
-
 def relaxation_entropy_samples(dist, gamma: float, t_relax: float,
-                               seed: int, n_traj: int
-                               ) -> RelaxationEntropySamples:
-    """Entropy production of free relaxation from a driven steady state.
+                               seed: int, n_traj: int) -> np.ndarray:
+    """Entropy production of free relaxation from a driven steady state,
+    in units of k_B, one sample per trajectory.
 
     Draws initial energies from `dist` (an `analysis.SteadyStateDistribution`),
     relaxes them under the undriven energy dynamics at the bath
@@ -363,18 +352,15 @@ def relaxation_entropy_samples(dist, gamma: float, t_relax: float,
     streams = trajectory_streams(derive_seed(seed, "relax-end"), n_traj)
     e_t = kt * energy_transition(e0 / kt, gamma * t_relax,
                                  _draw_normals(streams, 2, n_traj))
-    ds_sys = stochastic_entropy_change(e0, e_t, dist)
     heat = -(e_t - e0)
-    ds_total = dist.beta * heat + ds_sys
-    return RelaxationEntropySamples(delta_s_total=ds_total, heat=heat,
-                                    delta_s_system=ds_sys, e0=e0, e_t=e_t)
+    return dist.beta * heat + stochastic_entropy_change(e0, e_t, dist)
 
 
 @dataclass
 class TransientFTReport:
     applicable: bool
     fit: SlopeFit | None
-    samples: RelaxationEntropySamples | None
+    samples: np.ndarray | None    # entropy production, units of k_B
     note: str = ""
 
 
@@ -390,7 +376,7 @@ def transient_ft_check(dist, gamma: float, t_relax: float,
                                  note="equilibrium start: entropy production "
                                       "is degenerate at zero")
     samples = relaxation_entropy_samples(dist, gamma, t_relax, seed, n_traj)
-    fit = ft_slope(samples.delta_s_total)
+    fit = ft_slope(samples)
     return TransientFTReport(applicable=True, fit=fit, samples=samples)
 
 
@@ -401,7 +387,6 @@ class DrivenFTReport:
     crooks_slope: float
     delta_f: float
     work_forward: np.ndarray
-    work_reverse: np.ndarray
 
 
 def differential_ft_driven(mass: float, omega0: float, gamma: float,
@@ -427,7 +412,7 @@ def differential_ft_driven(mass: float, omega0: float, gamma: float,
     dfe, slope = crooks_crossing(w_f, w_r, temperature)
     return DrivenFTReport(jarzynski=jr, crooks_delta_f=dfe,
                           crooks_slope=slope, delta_f=df,
-                          work_forward=w_f, work_reverse=w_r)
+                          work_forward=w_f)
 
 
 # ---------------------------------------------------------------------------

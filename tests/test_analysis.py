@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.fft import rfft
 from scipy.integrate import quad
 
 from levitherm.constants import hbar, k_B
@@ -156,9 +157,23 @@ def test_psd_parseval():
 
 
 def _psd_one_shot(traj, n_segments):
-    """`analysis.psd` as one transform of the whole ensemble per segment."""
+    """`analysis.psd` as one real transform of every segment's rows
+    stacked, with its squared moduli summed on axis 0."""
     q, dt = traj.q, traj.time[1] - traj.time[0]
-    seg = max(8, int(2 * q.shape[1] / (n_segments + 1)))
+    seg = analysis.welch_segment(q.shape[1], n_segments)
+    win = np.hanning(seg)
+    stacked = np.concatenate([q[:, start:start + seg] * win for start
+                              in range(0, q.shape[1] - seg + 1, seg // 2)])
+    half = (np.abs(rfft(stacked, axis=1))**2).sum(axis=0)
+    half *= dt / ((win**2).sum() * len(stacked) * 2.0 * math.pi)
+    return np.concatenate([half[:0:-1], half[:(seg + 1) // 2]]), len(stacked)
+
+
+def _psd_complex(traj, n_segments):
+    """The two-sided periodogram by numpy's complex FFT, at the segment
+    length of `analysis.psd`."""
+    q, dt = traj.q, traj.time[1] - traj.time[0]
+    seg = analysis.welch_segment(q.shape[1], n_segments)
     win = np.hanning(seg)
     norm = (win**2).sum() / dt
     acc, count = None, 0
@@ -167,7 +182,7 @@ def _psd_one_shot(traj, n_segments):
         spec = spec / norm
         acc = spec.sum(axis=0) if acc is None else acc + spec.sum(axis=0)
         count += q.shape[0]
-    return np.fft.fftshift(acc / count) / (2.0 * math.pi), count
+    return np.fft.fftshift(acc / count) / (2.0 * math.pi)
 
 
 @pytest.mark.parametrize("record_every", [1, 3])
@@ -183,6 +198,27 @@ def test_psd_row_blocks_are_bit_identical_to_one_transform(n_traj,
         values, count = _psd_one_shot(traj, n_segments)
         assert np.array_equal(spec.values, values)
         assert spec.n_segments == count
+        np.testing.assert_allclose(spec.values,
+                                   _psd_complex(traj, n_segments), rtol=1e-9)
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+@pytest.mark.parametrize("n_samples, n_segments, segment",
+                         [(100001, 2, 65610), (3001, 8, 648), (5001, 4, 2000),
+                          (1001, 8, 216), (41, 2, 27), (12, 3, 8)])
+def test_welch_segment_is_the_longest_5_smooth_within_welch(n_samples,
+                                                            n_segments,
+                                                            segment):
+    # Welch's segment: 100001 samples in 2 segments give 66667 = 163 x 409
+    welch = max(8, int(2 * n_samples / (n_segments + 1)))
+    assert analysis.welch_segment(n_samples, n_segments) == segment
+    assert segment == max(n for n in range(8, welch + 1) if _is_5_smooth(n))
 
 
 def test_psd_temporaries_stay_bounded():

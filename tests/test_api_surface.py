@@ -13,7 +13,8 @@ could reach.
 A defaulted field of a package dataclass or NamedTuple is set by a
 construction of its class that binds it, by position or by keyword, or
 by a `replace` or `_replace` call that names it; one that nothing sets
-is a constant in disguise.
+is a constant in disguise.  A field of such a record that no attribute
+read in those trees names is carried but never used.
 
 A public function, method or property that no code in those trees
 names outside its own definition is dead code; the CLI subcommand
@@ -184,10 +185,8 @@ def _is_record(cls: ast.ClassDef) -> bool:
                    for b in cls.bases))
 
 
-def unset_record_fields() -> list:
-    """Defaulted fields of the package's dataclasses and NamedTuples that
-    no construction or `replace` sets."""
-    trees = _trees()
+def _records(trees: dict) -> dict:
+    """{class: (module, [(field, defaulted)])} of the package's records."""
     records = {}
     for path, tree in trees.items():
         if path.parent != SRC:
@@ -198,6 +197,14 @@ def unset_record_fields() -> list:
                     (item.target.id, item.value is not None)
                     for item in node.body if isinstance(item, ast.AnnAssign)
                     and isinstance(item.target, ast.Name)])
+    return records
+
+
+def unset_record_fields() -> list:
+    """Defaulted fields of the package's dataclasses and NamedTuples that
+    no construction or `replace` sets."""
+    trees = _trees()
+    records = _records(trees)
     is_set = set()
     for name, call, _ in _all_calls(trees):
         if name in ("replace", "_replace"):
@@ -218,6 +225,18 @@ def unset_record_fields() -> list:
     return sorted(f"{mod}.{cls}.{f}" for cls, (mod, fields) in records.items()
                   for f, defaulted in fields
                   if defaulted and (cls, f) not in is_set)
+
+
+def unread_record_fields() -> list:
+    """Fields of the package's dataclasses and NamedTuples that no
+    attribute read names."""
+    trees = _trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{mod}.{cls}.{f}"
+                  for cls, (mod, fields) in _records(trees).items()
+                  for f, _ in fields if f not in read)
 
 
 def _registered(fn: ast.FunctionDef) -> bool:
@@ -288,6 +307,10 @@ def test_every_optional_public_parameter_is_set_by_some_caller():
 
 def test_every_defaulted_record_field_is_set_by_some_caller():
     assert unset_record_fields() == []
+
+
+def test_every_record_field_is_read_by_some_code():
+    assert unread_record_fields() == []
 
 
 def test_every_public_parameter_is_read():

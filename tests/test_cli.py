@@ -397,8 +397,10 @@ def test_kramers_memory_preflight_counts_every_damping(tmp_path, monkeypatch,
     # the Monte Carlo dampings of the hopping workload, calibrate's
     # squeeze step and thermo's fluctuation step; then simulate, which
     # keeps q, p and energy, at the psd size, thermo's underdamped engine
-    # step, and modulate at the psd size with one depth.  `entry` is the
-    # ensemble run the preflight describes; the subcommand runs it once
+    # step, modulate at the psd size with one depth, and a psd whose
+    # 32805-sample segments are longer than a row block, one row each.
+    # `entry` is the ensemble run the preflight describes; the subcommand
+    # runs it once
     ("psd", "langevin.simulate",
      {"oscillator": {"damping_Hz": 5000},
       "simulation": {"duration_ms": 2.0, "n_traj": 500}}),
@@ -422,6 +424,9 @@ def test_kramers_memory_preflight_counts_every_damping(tmp_path, monkeypatch,
     ("modulate", "langevin.simulate",
      {"modulation": {"depths": [0.01]},
       "simulation": {"duration_ms": 2.0, "n_traj": 500}}),
+    ("psd", "langevin.simulate",
+     {"oscillator": {"damping_Hz": 5000}, "psd": {"n_segments": 2},
+      "simulation": {"duration_ms": 20.0, "n_traj": 8}}),
 ])
 def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
                                                    capsys, command, entry,
