@@ -16,6 +16,7 @@ harmonic oscillator this is
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,9 +177,10 @@ def welch_segment(n_samples: int, n_segments: int) -> int:
                          real=True)
 
 
-def psd(traj: Trajectory, n_segments: int = 8) -> SpectralDensity:
-    """Hann-windowed periodogram averaged over segments (Welch, 50%
-    overlap).
+def psd(q: np.ndarray, dt: float, n_segments: int = 8) -> SpectralDensity:
+    """Hann-windowed periodogram of the positions `q`, shape
+    (n_traj, n_samples) sampled every `dt`, averaged over segments
+    (Welch, 50% overlap).
 
     Averages over the ensemble as well as over segments, and normalizes
     to the two-sided angular-frequency convention so the spectrum
@@ -189,8 +191,7 @@ def psd(traj: Trajectory, n_segments: int = 8) -> SpectralDensity:
     transform of every segment's rows stacked.  The half spectrum is
     mirrored onto the two-sided grid.
     """
-    q = np.atleast_2d(traj.q)
-    dt = traj.time[1] - traj.time[0]
+    q = np.atleast_2d(q)
     n_traj, n = q.shape
     seg = welch_segment(n, n_segments)
     starts = range(0, n - seg + 1, seg // 2)
@@ -315,6 +316,8 @@ def lorentzian_fit(spectrum: SpectralDensity, mass: float) -> LorentzianFit:
     continuous-time line near Nyquist, and those bins would otherwise
     dominate the log-space cost.  The starting point is read off the
     spectrum: peak position, area over peak height, and total power.
+    A fitted gamma below one Welch bin, 2 pi / (segment x dt), is not
+    identified by the spectrum (nor is T_CM with it), and warns.
     """
     w, s = spectrum.omega, spectrum.values
     keep = (w > 0.0) & (w <= 0.25 * float(w.max())) & (s > 0)
@@ -341,6 +344,11 @@ def lorentzian_fit(spectrum: SpectralDensity, mass: float) -> LorentzianFit:
         raise FitError(f"spectrum fit failed: {sol.message}; "
                        f"residual norm {np.linalg.norm(sol.fun):.3g}")
     w0, gam, temp = np.abs(sol.x)
+    bin_width = 2.0 * math.pi / (len(spectrum.omega) * spectrum.dt)
+    if gam < bin_width:
+        warnings.warn(f"fitted gamma {gam:.3g} rad/s is below one Welch bin "
+                      f"of {bin_width:.3g} rad/s: the line is not resolved, "
+                      "so gamma and T_CM are not identified", UserWarning)
     return LorentzianFit(w0, gam, temp)
 
 

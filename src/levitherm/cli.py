@@ -178,26 +178,38 @@ class Ensemble(NamedTuple):
     `_memory_preflight`.
 
     The run keeps `recorded` float64 (n_traj, samples) arrays, counting
-    those the subcommand forms from the paths after the run, or, with
-    `labels`, one int8 well label per sample and trajectory, taking a
+    those the subcommand forms from the paths after the run, taking a
     sample every simulation.record_every steps, or every `record_every`
     steps if the subcommand fixes its own stride; a recorded run that
-    fixes no stride keeps its first and last sample.  A time step draws
+    fixes no stride keeps its first and last sample.  An `observed` run
+    keeps no paths: it records one chunk of q samples at a time for its
+    observer, which keeps the `recorded` arrays (the q path of `psd`),
+    with `labels` one int8 well label per sample and trajectory, or
+    per-sample sums (the work of `engine`).  A time step draws
     `draws_per_step` normals per trajectory.  `steps(values)` is the
     number of steps when the run does not integrate over
     simulation.duration_ms (unknown if a key it reads is missing), and
     `groups` names a list key: the run integrates n_traj trajectories
     for each of its entries side by side.
-    With `spectrum`, the subcommand takes the `analysis.psd` of q.
+    With `spectrum`, the subcommand takes the `analysis.psd` of q; with
+    `staircase`, the trap frequency changes at every step, by a
+    `thermo.stiffness_staircase`.
     """
 
     recorded: int = 0
+    observed: bool = False
     labels: bool = False
     record_every: int | None = None
     draws_per_step: int = 1
     steps: Callable | None = None
     groups: str | None = None
     spectrum: bool = False
+    staircase: bool = False
+
+
+# one step of a `thermo.stiffness_staircase`: its (time, omega) entry, 118 B
+# by tracemalloc, and the trap frequency the engine reads from it
+STAIRCASE_BYTES = 128
 
 
 def _memory_preflight(values: dict, run: Ensemble) -> list:
@@ -208,14 +220,18 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     noise draws padded to whole stream blocks, the recorded data, and
     working vectors: one stream's draws before they are copied into the
     block and 16 float64 per trajectory (the state, its copy at the start
-    of a chunk, force and transition temporaries).  A recorded run adds
-    one float64 per step (the trap frequency); a run of float64 paths
-    adds 8 per sample (time, protocol and energy temporaries), a
-    labelled run three float64 per trajectory and sample of one chunk
-    (the q samples, their SI values and the fill indices of
-    `langevin.well_labels`) and three bytes per sample and trajectory of
-    one group (the label comparisons of its rate and hop count).  A
-    spectrum adds the temporaries of one `analysis.psd` row block:
+    of a chunk, force and transition temporaries).  A recorded or
+    observed run adds one float64 per step (the trap frequency) and 32 B
+    per step of a chunk (its frequencies as Python floats), a staircase
+    STAIRCASE_BYTES per step.  A run of float64 paths adds 8 per sample
+    (time, protocol and energy temporaries).  An observed run adds its
+    chunk record, one float64 per trajectory and sample of one chunk,
+    and one float64 per sample (per-sample sums); a labelled run adds
+    two float64 per trajectory and sample of one chunk (the fill indices
+    and comparisons of `langevin.well_labels`) and three bytes per
+    sample and trajectory of one group (the label comparisons of its
+    rate and hop count).  A spectrum adds the temporaries of one
+    `analysis.psd` row block:
     PSD_BYTES_PER_SAMPLE for each of PSD_BLOCK samples or of the run's
     samples, whichever is more.
     A block holds `draws_per_step` draws for each of up to
@@ -241,22 +257,28 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     need = {"noise streams": n_blocks * langevin.STREAM_BYTES,
             "noise block": rows * n_blocks * langevin.BLOCK * 8}
     work = 8 * (rows * langevin.BLOCK + 16 * width)
-    if (run.recorded or run.labels) and n_steps:
+    if (run.recorded or run.observed) and n_steps:
         stride = values.get("simulation.record_every", run.record_every)
         samples = n_steps // stride + 1 if stride else 2
+        if run.observed:
+            chunk = min(samples, langevin.CHUNK_STEPS // stride + 1)
+            need["chunk record"] = 8 * chunk * width
+            work += 8 * samples
+        else:
+            work += 64 * samples
         if run.labels:
             need[f"well labels of {width} trajectories x {samples} "
                  "samples"] = width * samples
-            chunk = min(samples, langevin.CHUNK_STEPS // stride + 1)
-            work += 24 * chunk * width + 3 * n_traj * samples
-        else:
+            work += 16 * chunk * width + 3 * n_traj * samples
+        if run.recorded:
             need[f"{run.recorded} recorded arrays of n_traj x {samples} "
                  "samples"] = run.recorded * n_traj * samples * 8
-            if run.spectrum:
-                need["psd row block"] = (analysis.PSD_BYTES_PER_SAMPLE
-                                         * max(analysis.PSD_BLOCK, samples))
-            work += 64 * samples
-        work += 8 * (n_steps + 1)
+        if run.spectrum:
+            need["psd row block"] = (analysis.PSD_BYTES_PER_SAMPLE
+                                     * max(analysis.PSD_BLOCK, samples))
+        work += 8 * (n_steps + 1) + 32 * min(n_steps, langevin.CHUNK_STEPS)
+        if run.staircase:
+            need["stiffness staircase"] = STAIRCASE_BYTES * (n_steps + 1)
     need["working vectors"] = work
     total = sum(need.values())
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -581,14 +603,22 @@ def simulate_cmd(c, em):
 
 
 @subcommand("psd", OSCILLATOR + RECORDED + _section("psd"),
-            run=Ensemble(recorded=3, spectrum=True))
+            run=Ensemble(recorded=1, observed=True, spectrum=True))
 def psd_cmd(c, em):
     """Welch spectrum of a simulated ensemble plus a Lorentzian fit."""
     force = ForceModel(mass=c.mass, omega0=c.omega0)
     bath = BathModel(gamma=c.gamma, temperature=c.temperature)
-    traj = langevin.simulate(force, bath, "thermal", c.dt, c.duration, c.seed,
-                             n_traj=c.n_traj, record_every=c.record_every)
-    spectrum = analysis.psd(traj, n_segments=c.n_segments)
+    # the run keeps q alone, copied chunk by chunk into one path
+    q = np.empty((c.n_traj,
+                  int(round(c.duration / c.dt)) // c.record_every + 1))
+
+    def keep(i0, rows):
+        q[:, i0:i0 + len(rows)] = rows.T
+
+    langevin.simulate(force, bath, "thermal", c.dt, c.duration, c.seed,
+                      n_traj=c.n_traj, record_every=c.record_every,
+                      observe=keep)
+    spectrum = analysis.psd(q, c.record_every * c.dt, n_segments=c.n_segments)
     em.table("psd", {
         "omega_rad_s": spectrum.omega,
         "psd_m2_s": spectrum.values,
@@ -674,7 +704,7 @@ def fluctuation_cmd(c, em):
 
 @subcommand("kramers", _section("well") + _section("kramers"),
             extra=lambda values: RUN if values.get("kramers.mc_damping_Hz")
-            else (), run=Ensemble(labels=True,
+            else (), run=Ensemble(observed=True, labels=True,
                                   record_every=kramers.MC_RECORD_EVERY,
                                   groups="kramers.mc_damping_Hz"))
 def kramers_cmd(c, em):
@@ -710,12 +740,11 @@ def _stroke_steps(v: dict) -> int:
                  / v["simulation.dt_ns"])
 
 
-# an underdamped stroke keeps q, p and energy at every step; 4 of the 7
-# paths are thermo.work_heat temporaries (4.06 by tracemalloc, 300 x 501)
 @subcommand("engine", _section("engine"),
             extra=lambda values: ("simulation.dt_ns", "simulation.n_traj")
             if values.get("engine.regime") == "underdamped" else (),
-            run=Ensemble(recorded=7, record_every=1, steps=_stroke_steps))
+            run=Ensemble(observed=True, record_every=1, steps=_stroke_steps,
+                         staircase=True))
 def engine_cmd(c, em):
     """Cyclic two-bath heat engine; per-stroke CSV and a cycle summary."""
     spec = thermo.EngineCycleSpec(mass=c.mass, gamma=c.gamma, k_max=c.k_max,

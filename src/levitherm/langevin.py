@@ -32,8 +32,11 @@ a harmonic trap makes no kicks.  The state (q, p), noise draws and
 recorded samples are held time-major, one row of the ensemble per step
 or sample; the SI arrays of a `Trajectory` are (n_traj, n_samples).
 One call can integrate several groups of trajectories side by side,
-each with its own damping and seed, and a double-well run can keep
-hysteresis well labels, formed chunk by chunk, instead of paths.
+each with its own damping and seed.  A run keeps q, p and energy paths,
+or, given an observer `observe(i0, q)`, records q one chunk at a time
+and hands each chunk to the observer, so it keeps no paths: hysteresis
+well labels (`simulate_double_well`), the q path of a spectrum and the
+per-sample sums of the engine's work are formed that way.
 
 All state is integrated in dimensionless internal units (lengths in
 sqrt(k_B T_ref / m) / W_ref, times in 1/W_ref) and converted back to SI
@@ -335,7 +338,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
              dt: float, duration: float, seed: int | Sequence[int],
              n_traj: int = 1, record_every: int = 1,
              allow_coarse_dt: bool = False,
-             wells: tuple | None = None) -> Trajectory | np.ndarray:
+             observe: Callable | None = None) -> Trajectory | tuple:
     """Integrate the Langevin equation for an ensemble of trajectories.
 
     Parameters
@@ -353,11 +356,13 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         length n_traj are also accepted).
     record_every : int
         Keep every k-th step (plus the initial sample).
-    wells : (q_a, q_c), optional
-        Minimum positions (m) of a double well.  The run then keeps no
-        paths: it labels each chunk's samples by `well_labels`, carrying
-        every trajectory's label into the next chunk, and returns the
-        int8 labels, shape (n_traj, n_samples), instead of a Trajectory.
+    observe : callable, optional
+        observe(i0, q) reads the run in place of recorded paths.  It is
+        called with sample 0, then after each chunk of steps with the SI
+        positions of samples i0, i0 + 1, ... as a time-major
+        (rows, n_traj) view, valid only during the call.  The run then
+        records q only, keeps no paths and returns its final SI state
+        (q, p) instead of a Trajectory.
     """
     baths = tuple(bath) if isinstance(bath, (list, tuple)) else (bath,)
     seeds = tuple(seed) if isinstance(seed, (list, tuple)) else (seed,)
@@ -448,18 +453,18 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
     half = drift if drifts else rotate
 
     n_samples = n_steps // record_every + 1
-    if wells is None:
+    if observe is None:
         # recorded q and p, each block (n_samples, n_traj), written
         # time-major: rec_t[i] is sample i of both
         rec = np.empty((2, n_samples, n_traj))
         rec_t, kept = rec.swapaxes(0, 1), x
         rec_t[0] = x
     else:
-        # the q samples of one chunk, labelled once the chunk is done
+        # the q samples of one chunk, scaled to SI in place once the
+        # chunk is done and then observed
         chunk_rows = min(n_samples, CHUNK_STEPS // record_every + 1)
         rec_t, kept = np.empty((chunk_rows, n_traj)), q
-        labels = np.empty((n_traj, n_samples), dtype=np.int8)
-        labels[:, :1] = well_labels(q[:, None] * x0, wells)
+        observe(0, np.multiply(q, x0, out=rec_t[:1]))
 
     def advance(k0, noise, base, check):
         """Steps k0 .. k0 + len(noise) - 1, sample i stored in row
@@ -497,10 +502,10 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         chunk = min(CHUNK_STEPS, n_steps - step)
         noise = draw(chunk)
         noise *= ou_kick
-        # samples lo, lo + 1, ... fall in this chunk; a labelled run
+        # samples lo, lo + 1, ... fall in this chunk; an observed run
         # records them from row 0 of its chunk record
         lo = step // record_every + 1
-        base = 0 if wells is None else lo
+        base = 0 if observe is None else lo
         start = x.copy(), dp.copy()
         advance(step, noise, base, False)
         if not np.abs(x).max() <= STATE_BOUND:
@@ -509,12 +514,12 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
             advance(step, noise, base, True)
         step += chunk
         del noise    # free the block before the next one is drawn
-        if wells is not None:
-            hi = step // record_every + 1
-            labels[:, lo:hi] = well_labels(rec_t[:hi - lo].T * x0, wells,
-                                           labels[:, lo - 1])
-    if wells is not None:
-        return labels
+        hi = step // record_every + 1
+        if observe is not None and hi > lo:
+            observe(lo, np.multiply(rec_t[:hi - lo], x0,
+                                    out=rec_t[:hi - lo]))
+    if observe is not None:
+        return x[0] * x0, x[1] * p0_scale
 
     # SI scaling, transposed to (n_traj, n_samples); p then takes the
     # recorded q block and the energy the recorded p block, so the three
@@ -559,12 +564,21 @@ def simulate_double_well(double_well: tuple, minima: tuple,
                          seed: int | Sequence[int], **kw) -> np.ndarray:
     """Integrate in the double well (b, q_m) of `ForceModel`; return
     the hysteresis well labels of the recorded samples (see `well_labels`),
-    formed chunk by chunk inside the step loop, so no path is kept.  `bath`
-    and `seed` may be sequences, one entry per group of trajectories (see
-    `simulate`).
+    shape (n_traj, n_samples).  The run's observer labels each chunk,
+    carrying every trajectory's label into the next, so no path is kept.
+    `bath` and `seed` may be sequences, one entry per group of
+    trajectories (see `simulate`).
     """
-    return simulate(replace(force_template, double_well=double_well), bath,
-                    init, dt, duration, seed, wells=minima, **kw)
+    n_samples = int(round(duration / dt)) // kw.get("record_every", 1) + 1
+    labels = np.empty((kw.get("n_traj", 1), n_samples), dtype=np.int8)
+
+    def label(i0, q):
+        carry = labels[:, i0 - 1] if i0 else None
+        labels[:, i0:i0 + len(q)] = well_labels(q.T, minima, carry)
+
+    simulate(replace(force_template, double_well=double_well), bath, init,
+             dt, duration, seed, observe=label, **kw)
+    return labels
 
 
 def well_labels(q: np.ndarray, minima: tuple,

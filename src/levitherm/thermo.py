@@ -616,8 +616,11 @@ def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,
 
     Runs N_TRANSIENT cycles to reach the periodic state, then averages
     per-stroke work and heat over the next N_CYCLES cycles.  Stroke ramps
-    are staircases on the integration grid, so the per-trajectory work
-    is a sum of exact stiffness-jump terms.
+    are staircases on the integration grid, so the work is a sum of
+    exact stiffness-jump terms, (1/2) sum_j dk_j <q_j^2>: each stroke's
+    observer sums q^2 over the ensemble per sample, and the stroke
+    returns its final state, which starts the next one.  The heat is the
+    work less the mean energy change between the stroke's end states.
     """
     m = spec.mass
     baths = (BathModel(spec.gamma, spec.t_hot),
@@ -627,21 +630,38 @@ def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,
     heats = np.zeros((N_CYCLES, 2))
     for cyc in range(N_TRANSIENT + N_CYCLES):
         for idx, (tau, k0, k1, temp) in enumerate(spec.strokes()):
+            schedule = stiffness_staircase(m, k0, k1, tau, dt)
             force = ForceModel(mass=m, omega0=math.sqrt(k0 / m),
-                               stiffness_schedule=stiffness_staircase(
-                                   m, k0, k1, tau, dt))
+                               stiffness_schedule=schedule)
+            # the staircase sets the trap frequency of every sample
+            omega = np.array([w for _, w in schedule])
+            q2_sum = np.empty(len(omega))
+
+            def square_sum(i0, rows):
+                np.einsum("ij,ij->i", rows, rows,
+                          out=q2_sum[i0:i0 + len(rows)])
+
             init = "thermal" if q is None else (q, p)
-            traj = simulate(force, baths[idx], init, dt, tau,
-                            derive_seed(seed, "engine-stroke", cyc, idx),
-                            n_traj=n_traj)
-            q, p = traj.q[:, -1].copy(), traj.p[:, -1].copy()
+            q_end, p_end = simulate(
+                force, baths[idx], init, dt, tau,
+                derive_seed(seed, "engine-stroke", cyc, idx), n_traj=n_traj,
+                observe=square_sum)
             if cyc >= N_TRANSIENT:
-                rec = work_heat(traj)
-                works[cyc - N_TRANSIENT, idx] = rec.mean_work
-                heats[cyc - N_TRANSIENT, idx] = rec.mean_work - float(
-                    rec.delta_energy.mean())
+                dk = np.diff(m * omega**2)
+                work = 0.5 * float(q2_sum[1:] @ dk) / n_traj
+                delta_e = (_energy(q_end, p_end, m, omega[-1])
+                           - _energy(q, p, m, omega[0]))
+                works[cyc - N_TRANSIENT, idx] = work
+                heats[cyc - N_TRANSIENT, idx] = work - float(delta_e.mean())
+            q, p = q_end, p_end
 
     stderr = works.sum(axis=1).std(ddof=1) / math.sqrt(N_CYCLES)
     return _engine_result(spec, works.mean(axis=0), heats.mean(axis=0),
                           detail={"work_stderr": float(stderr),
                                   "n_cycles": N_CYCLES})
+
+
+def _energy(q, p, mass: float, omega: float) -> np.ndarray:
+    """p^2 / 2m + m omega^2 q^2 / 2 of each trajectory, formed as
+    `simulate` forms its recorded energy."""
+    return np.square(p) / (2.0 * mass) + 0.5 * mass * omega**2 * np.square(q)

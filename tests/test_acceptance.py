@@ -105,7 +105,8 @@ def test_lorentzian_fit_recovers_parameters(q_factor, dt, duration,
     force = ForceModel(mass=MASS, omega0=OMEGA0)
     bath = BathModel(gamma=gamma, temperature=300.0)
     traj = simulate(force, bath, "thermal", dt, duration, seed, n_traj=16)
-    spec = analysis.psd(traj, n_segments=n_segments)
+    spec = analysis.psd(traj.q, traj.time[1] - traj.time[0],
+                        n_segments=n_segments)
     fit = analysis.lorentzian_fit(spec, MASS)
     assert fit.omega0 == pytest.approx(OMEGA0, rel=0.05)
     assert fit.gamma == pytest.approx(gamma, rel=0.05)
@@ -145,7 +146,7 @@ def test_nonlinear_spectrum_shape_and_red_shift():
     force = ForceModel(mass=MASS, omega0=OMEGA0, duffing_xi=-xi)
     bath = BathModel(gamma=gamma, temperature=300.0)
     traj = simulate(force, bath, "thermal", 2e-7, 0.02, seed=902, n_traj=600)
-    spec = analysis.psd(traj, n_segments=2)
+    spec = analysis.psd(traj.q, traj.time[1] - traj.time[0], n_segments=2)
     sel = (spec.omega >= OMEGA0 - 3.5 * dshift) \
         & (spec.omega <= OMEGA0 + 1.5 * dshift)
     w = spec.omega[sel]

@@ -152,7 +152,7 @@ def test_psd_parseval():
     force = ForceModel(mass=MASS, omega0=OMEGA0)
     bath = BathModel(gamma=gamma, temperature=300.0)
     traj = simulate(force, bath, "thermal", 1e-7, 4e-3, seed=12, n_traj=100)
-    spec = analysis.psd(traj, n_segments=8)
+    spec = analysis.psd(traj.q, traj.time[1] - traj.time[0], n_segments=8)
     assert spec.integral() == pytest.approx(float(traj.q.var()), rel=0.02)
 
 
@@ -194,7 +194,8 @@ def test_psd_row_blocks_are_bit_identical_to_one_transform(n_traj,
     traj = simulate(force, bath, "thermal", 1e-7, 3e-4, seed=5,
                     n_traj=n_traj, record_every=record_every)
     for n_segments in (4, 8):
-        spec = analysis.psd(traj, n_segments=n_segments)
+        spec = analysis.psd(traj.q, traj.time[1] - traj.time[0],
+                            n_segments=n_segments)
         values, count = _psd_one_shot(traj, n_segments)
         assert np.array_equal(spec.values, values)
         assert spec.n_segments == count
@@ -230,7 +231,7 @@ def test_psd_temporaries_stay_bounded():
     traj = Trajectory(np.arange(5001) * 1e-7, q, q, q, {}, 1e-7, MASS)
     tracemalloc.start()
     try:
-        analysis.psd(traj, n_segments=4)
+        analysis.psd(traj.q, traj.time[1] - traj.time[0], n_segments=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -242,7 +243,9 @@ def test_lorentzian_fit_recovers_parameters():
     force = ForceModel(mass=MASS, omega0=OMEGA0)
     bath = BathModel(gamma=gamma, temperature=300.0)
     traj = simulate(force, bath, "thermal", 1e-7, 2e-2, seed=44, n_traj=20)
-    fit = analysis.lorentzian_fit(analysis.psd(traj, n_segments=32), MASS)
+    fit = analysis.lorentzian_fit(
+        analysis.psd(traj.q, traj.time[1] - traj.time[0], n_segments=32),
+        MASS)
     assert fit.omega0 == pytest.approx(OMEGA0, rel=0.02)
     assert fit.gamma == pytest.approx(gamma, rel=0.05)
     assert fit.t_cm == pytest.approx(300.0, rel=0.05)

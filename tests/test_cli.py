@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 import yaml
 
+from levitherm import analysis
+
 
 BASE_CONFIG = {
     "particle": {"radius_nm": 100},
@@ -630,6 +632,30 @@ def test_env_sweep_table(tmp_path):
         manifest["warnings"]
     assert message in res.stderr
     assert message not in (out / "env_sweep.csv").read_text()
+
+
+@pytest.mark.parametrize("overrides, warns", [
+    # BASE_CONFIG: 1000-sample segments at 400 ns give bins of 15.7 krad/s,
+    # and the fit returns a gamma near 45 rad/s
+    ({}, True),
+    # calibrate's psd step: 31.4 krad/s against bins of 7.9 krad/s
+    ({"oscillator": {"damping_Hz": 5000},
+      "simulation": {"duration_ms": 2.0, "n_traj": 500}}, False),
+])
+def test_psd_fit_narrower_than_a_bin_warns(tmp_path, overrides, warns):
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "out"
+    res = run_cli(["psd", "--config", str(cfg), "--out", str(out)])
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    flagged = [w for w in manifest["warnings"]
+               if w["category"] == "UserWarning"
+               and "below one Welch bin" in w["message"]]
+    assert len(flagged) == int(warns), manifest["warnings"]
+    fit = json.loads((out / "psd_fit.json").read_text())
+    bin_width = 2.0 * math.pi / (
+        analysis.welch_segment(5001 if overrides else 2501, 4) * 400e-9)
+    assert (fit["gamma_rad_s"] < bin_width) == warns
 
 
 def test_engine_summary(tmp_path):

@@ -381,10 +381,56 @@ def test_blowup_step_of_one_group_is_that_of_its_run_alone():
                                       ([unstable, damped], [2, 5], 4, WELLS)):
         with pytest.raises(IntegratorBlowupError) as info:
             simulate(force, bath, "thermal", DT, 0.01, seed, n_traj=n_traj,
-                     wells=wells)
+                     observe=None if wells is None else
+                     lambda i0, q: langevin.well_labels(q.T, wells))
         steps.append(info.value.step)
     assert steps[0] > 2 * langevin.CHUNK_STEPS
     assert steps == [steps[0]] * 3
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("record_every", [1, 4])
+def test_observer_sees_the_recorded_q_once_in_order(record_every, grouped):
+    # two chunks and a part; a two-bath run has a group per bath
+    force, bath = make_models()
+    n_steps = 2 * langevin.CHUNK_STEPS + 36
+    bath, seed = (([bath, BathModel(OMEGA0, 300.0)], [3, 4]) if grouped
+                  else (bath, 3))
+    args = (force, bath, "thermal", DT, n_steps * DT, seed)
+    kw = dict(n_traj=140 if grouped else 70, record_every=record_every)
+    traj = simulate(*args, **kw)
+    seen = []
+
+    def observe(i0, q):
+        seen.append((i0, q.copy()))
+
+    q_end, p_end = simulate(*args, observe=observe, **kw)
+    starts = [i0 for i0, _ in seen]
+    assert starts[:2] == [0, 1] and len(seen) == 4
+    assert starts == list(np.cumsum([0] + [len(q) for _, q in seen[:-1]]))
+    assert np.array_equal(np.vstack([q for _, q in seen]).T, traj.q)
+    assert np.array_equal(q_end, traj.q[:, -1])
+    assert np.array_equal(p_end, traj.p[:, -1])
+
+
+def test_observed_blowup_stops_on_the_recorded_step_before_observing():
+    # the chunk that diverges is replayed to find the first bad step; the
+    # observer never sees it, and has seen every sample before it once
+    dt, n_steps = 4.2e-6, 2600
+    force, bath = make_models(double_well=DOUBLE_WELL)
+    args = (force, bath, (1e-8, 0.0), dt, n_steps * dt, 1)
+    kw = dict(n_traj=70, record_every=4, allow_coarse_dt=True)
+    seen = []
+    with np.errstate(all="ignore"):
+        with pytest.raises(IntegratorBlowupError) as recorded:
+            simulate(*args, **kw)
+        with pytest.raises(IntegratorBlowupError) as observed:
+            simulate(*args, observe=lambda i0, q: seen.extend(
+                range(i0, i0 + len(q))), **kw)
+    step = recorded.value.step
+    assert observed.value.step == step > 2 * langevin.CHUNK_STEPS
+    chunk_start = (step - 1) // langevin.CHUNK_STEPS * langevin.CHUNK_STEPS
+    assert seen == list(range(chunk_start // 4 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +759,8 @@ def test_labelled_double_well_matches_reference_loop():
     n_steps = 2 * langevin.CHUNK_STEPS + 37
     init = (np.linspace(-2e-7, 2e-7, 70), 0.0)
     args = (force, bath, init, DT, n_steps * DT, 6)
-    labels = simulate(*args, n_traj=70, record_every=4, wells=WELLS)
+    labels = langevin.simulate_double_well(DOUBLE_WELL, WELLS, *args,
+                                           n_traj=70, record_every=4)
     q, _, _, _ = _reference_simulate(*args, n_traj=70, record_every=4)
     assert np.array_equal(labels, langevin.well_labels(q, WELLS))
     assert np.count_nonzero(np.diff(labels, axis=1)) > 70
@@ -732,9 +779,13 @@ def test_double_well_blowup_stops_on_the_reference_step():
         q, p, _, _ = _reference_simulate(*args, n_traj=70)
         state = np.maximum(np.abs(q / x0), np.abs(p / (MASS * x0 * OMEGA0)))
         for wells in (None, WELLS):
+            kw = dict(n_traj=70, record_every=4, allow_coarse_dt=True)
             with pytest.raises(IntegratorBlowupError) as info:
-                simulate(*args, n_traj=70, record_every=4,
-                         allow_coarse_dt=True, wells=wells)
+                if wells is None:
+                    simulate(*args, **kw)
+                else:
+                    langevin.simulate_double_well(DOUBLE_WELL, wells, *args,
+                                                  **kw)
             steps.append(info.value.step)
     expected = int(np.argmax(~(state.max(axis=0) <= langevin.STATE_BOUND)))
     assert expected > 2 * langevin.CHUNK_STEPS

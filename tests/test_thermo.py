@@ -7,7 +7,7 @@ import pytest
 
 from levitherm.constants import k_B
 from levitherm import analysis, thermo
-from levitherm.langevin import BathModel, ForceModel, simulate
+from levitherm.langevin import BathModel, ForceModel, derive_seed, simulate
 from levitherm.thermo import EngineCycleSpec, ProtocolError
 
 MASS = 1e-17
@@ -311,3 +311,47 @@ def test_engine_periodic_state_is_fixed_point():
     ud = thermo.underdamped_cycle_moments(make_engine_spec())
     assert np.allclose(ud.detail["state_end"], ud.detail["state_start"],
                        rtol=1e-7)
+
+
+def _recorded_cycle_sde(spec, dt, seed, n_traj):
+    """`underdamped_cycle_sde` with every stroke recorded and booked by
+    `work_heat`: the mean work and heat per stroke of each averaged
+    cycle."""
+    baths = (BathModel(spec.gamma, spec.t_hot),
+             BathModel(spec.gamma, spec.t_cold))
+    q = p = None
+    works, heats = [], []
+    for cyc in range(thermo.N_TRANSIENT + thermo.N_CYCLES):
+        for idx, (tau, k0, k1, _) in enumerate(spec.strokes()):
+            force = ForceModel(
+                mass=spec.mass, omega0=math.sqrt(k0 / spec.mass),
+                stiffness_schedule=thermo.stiffness_staircase(
+                    spec.mass, k0, k1, tau, dt))
+            traj = simulate(force, baths[idx],
+                            "thermal" if q is None else (q, p), dt, tau,
+                            derive_seed(seed, "engine-stroke", cyc, idx),
+                            n_traj=n_traj)
+            q, p = traj.q[:, -1].copy(), traj.p[:, -1].copy()
+            if cyc >= thermo.N_TRANSIENT:
+                rec = thermo.work_heat(traj)
+                works.append(rec.mean_work)
+                heats.append(rec.mean_work - float(rec.delta_energy.mean()))
+    return (np.reshape(works, (thermo.N_CYCLES, 2)),
+            np.reshape(heats, (thermo.N_CYCLES, 2)))
+
+
+def test_observed_engine_strokes_match_recorded_work_heat():
+    # the stroke observers sum q^2 per sample in the step loop; the work
+    # and heat equal those of recorded strokes booked by work_heat up to
+    # summation order
+    spec = make_engine_spec(gamma=2.0 * math.pi * 5e3, tau_hot=2e-4,
+                            tau_cold=2e-4)
+    res = thermo.underdamped_cycle_sde(spec, 4e-7, 5, 70)
+    works, heats = _recorded_cycle_sde(spec, 4e-7, 5, 70)
+    np.testing.assert_allclose(res.work_strokes, works.mean(axis=0),
+                               rtol=1e-12)
+    np.testing.assert_allclose(res.heat_strokes, heats.mean(axis=0),
+                               rtol=1e-12)
+    assert res.detail["work_stderr"] == pytest.approx(
+        works.sum(axis=1).std(ddof=1) / math.sqrt(thermo.N_CYCLES),
+        rel=1e-9)
