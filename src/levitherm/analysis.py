@@ -177,6 +177,99 @@ def welch_segment(n_samples: int, n_segments: int) -> int:
                          real=True)
 
 
+class WelchStream:
+    """The spectrum of `psd`, reduced while the path arrives.
+
+    A `langevin.simulate` observer: each call stream(i0, q) hands it
+    samples i0, i0 + 1, ... of every trajectory, as a time-major
+    (rows, n_traj) view, in order, `n_samples` in all, sampled every
+    `dt`.  A segment is transformed as soon as its last sample arrives,
+    its samples before the call read from the window and the rest from
+    `q` in place.  The window, a ring of n_traj x segment samples made
+    when a call first leaves a segment pending, then keeps only the
+    samples of the segment still pending.  Segments are transformed in start order
+    and each in row blocks in trajectory order, as `psd` describes, so
+    `spectrum()` is bit-identical whatever the rows of each call.
+    """
+
+    def __init__(self, n_traj: int, n_samples: int, dt: float,
+                 n_segments: int = 8):
+        seg = welch_segment(n_samples, n_segments)
+        self.starts = range(0, n_samples - seg + 1, seg // 2)
+        if not self.starts:
+            raise ValueError("trajectory too short for the requested "
+                             "segmentation")
+        self.n_traj, self.n_samples, self.dt = n_traj, n_samples, dt
+        self.win = np.hanning(seg)
+        self.block = np.empty((min(n_traj, max(1, PSD_BLOCK // seg)), seg))
+        self.acc = np.zeros(seg // 2 + 1)
+        self.window = None
+        self.received = 0     # samples seen
+        self.done = 0         # segments transformed
+
+    def __call__(self, i0: int, q: np.ndarray):
+        end = i0 + len(q)
+        if i0 != self.received or end > self.n_samples:
+            raise ValueError(f"samples {i0}..{end - 1} do not follow the "
+                             f"{self.received} of {self.n_samples} seen")
+        seg, win, block = len(self.win), self.win, self.block
+        rows = len(block)
+        while (self.done < len(self.starts)
+               and self.starts[self.done] + seg <= end):
+            start = self.starts[self.done]
+            # (offset in the segment, n_traj x samples view) of each piece
+            pieces = [(a - start, self.window[:, pos:pos + n])
+                      for a, pos, n in self._ring(start, i0)]
+            a = max(start, i0)
+            pieces.append((a - start, q[a - i0:start + seg - i0].T))
+            for r in range(0, self.n_traj, rows):
+                b = block[:min(rows, self.n_traj - r)]
+                for off, part in pieces:
+                    n = part.shape[1]
+                    np.multiply(part[r:r + rows], win[off:off + n],
+                                out=b[:, off:off + n])
+                spec = np.abs(rfft(b, axis=1))
+                np.square(spec, out=spec)
+                spec[0] += self.acc
+                np.sum(spec, axis=0, out=self.acc)
+            self.done += 1
+        self.received = end
+        if self.done == len(self.starts):
+            self.window = None    # no segment is pending
+            return
+        # keep the pending segment's samples of this call
+        if self.window is None and self.starts[self.done] < end:
+            self.window = np.empty((self.n_traj, seg))
+        for a, pos, n in self._ring(max(self.starts[self.done], i0), end):
+            self.window[:, pos:pos + n] = q[a - i0:a - i0 + n].T
+
+    def _ring(self, a: int, b: int):
+        """(sample, slot, count) of each run of samples a .. b - 1 that
+        is contiguous in the window, where sample k sits in slot k modulo
+        the segment length."""
+        seg = len(self.win)
+        while a < b:
+            pos = a % seg
+            n = min(b - a, seg - pos)
+            yield a, pos, n
+            a += n
+
+    def spectrum(self) -> SpectralDensity:
+        """The two-sided spectrum, once every sample has arrived."""
+        if self.received != self.n_samples:
+            raise ValueError(f"{self.received} of {self.n_samples} samples "
+                             "seen")
+        seg, win = len(self.win), self.win
+        count = self.n_traj * len(self.starts)
+        # mean periodogram, as a per-(rad/s) rather than per-Hz density
+        half = self.acc * (self.dt / ((win**2).sum() * count * 2.0 * math.pi))
+        freq = np.fft.fftshift(np.fft.fftfreq(seg, d=self.dt))
+        return SpectralDensity(2.0 * math.pi * freq,
+                               np.concatenate([half[:0:-1],
+                                               half[:(seg + 1) // 2]]),
+                               count, self.dt)
+
+
 def psd(q: np.ndarray, dt: float, n_segments: int = 8) -> SpectralDensity:
     """Hann-windowed periodogram of the positions `q`, shape
     (n_traj, n_samples) sampled every `dt`, averaged over segments
@@ -189,30 +282,13 @@ def psd(q: np.ndarray, dt: float, n_segments: int = 8) -> SpectralDensity:
     moduli of all segments' rows are added in trajectory order, the order
     of numpy's axis-0 sum, so the result is bit-identical to one real
     transform of every segment's rows stacked.  The half spectrum is
-    mirrored onto the two-sided grid.
+    mirrored onto the two-sided grid.  The path is read in place, by
+    one call of a `WelchStream`.
     """
     q = np.atleast_2d(q)
-    n_traj, n = q.shape
-    seg = welch_segment(n, n_segments)
-    starts = range(0, n - seg + 1, seg // 2)
-    if not starts:
-        raise ValueError("trajectory too short for the requested segmentation")
-    win = np.hanning(seg)
-    rows = max(1, PSD_BLOCK // seg)
-    acc = np.zeros(seg // 2 + 1)
-    for start in starts:
-        for r in range(0, n_traj, rows):
-            spec = np.abs(rfft(q[r:r + rows, start:start + seg] * win, axis=1))
-            np.square(spec, out=spec)
-            spec[0] += acc
-            np.sum(spec, axis=0, out=acc)
-    count = n_traj * len(starts)
-    # mean periodogram, as a per-(rad/s) rather than per-Hz density
-    acc *= dt / ((win**2).sum() * count * 2.0 * math.pi)
-    freq = np.fft.fftshift(np.fft.fftfreq(seg, d=dt))
-    return SpectralDensity(2.0 * math.pi * freq,
-                           np.concatenate([acc[:0:-1], acc[:(seg + 1) // 2]]),
-                           count, dt)
+    stream = WelchStream(*q.shape, dt, n_segments)
+    stream(0, q.T)
+    return stream.spectrum()
 
 
 def psd_analytic(omega, omega0: float, gamma: float, temperature: float,

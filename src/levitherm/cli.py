@@ -183,15 +183,14 @@ class Ensemble(NamedTuple):
     steps if the subcommand fixes its own stride; a recorded run that
     fixes no stride keeps its first and last sample.  An `observed` run
     keeps no paths: it records one chunk of q samples at a time for its
-    observer, which keeps the `recorded` arrays (the q path of `psd`),
-    with `labels` one int8 well label per sample and trajectory, or
-    per-sample sums (the work of `engine`).  A time step draws
-    `draws_per_step` normals per trajectory.  `steps(values)` is the
-    number of steps when the run does not integrate over
-    simulation.duration_ms (unknown if a key it reads is missing), and
-    `groups` names a list key: the run integrates n_traj trajectories
-    for each of its entries side by side.
-    With `spectrum`, the subcommand takes the `analysis.psd` of q; with
+    observer, which keeps `labels`, one int8 well label per sample and
+    trajectory, or per-sample sums (the work of `engine`), or, with
+    `spectrum`, reduces the chunks to the Welch spectrum of
+    `analysis.WelchStream`.  A time step draws `draws_per_step` normals
+    per trajectory.  `steps(values)` is the number of steps when the run
+    does not integrate over simulation.duration_ms (unknown if a key it
+    reads is missing), and `groups` names a list key: the run integrates
+    n_traj trajectories for each of its entries side by side.  With
     `staircase`, the trap frequency changes at every step, by a
     `thermo.stiffness_staircase`.
     """
@@ -220,9 +219,14 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     noise draws padded to whole stream blocks, the recorded data, and
     working vectors: one stream's draws before they are copied into the
     block and 16 float64 per trajectory (the state, its copy at the start
-    of a chunk, force and transition temporaries).  A recorded or
-    observed run adds one float64 per step (the trap frequency) and 32 B
-    per step of a chunk (its frequencies as Python floats), a staircase
+    of a chunk, force and transition temporaries).  A block holds
+    `draws_per_step` draws for each step of one chunk, sized by
+    `langevin.chunk_steps` to at most CHUNK_STEPS rows and CHUNK_BYTES,
+    or fewer if the run is shorter; without a step count it is taken at
+    its largest, and a run without a time step draws its endpoints in
+    one exact transition, two draws.  A recorded or observed run adds
+    one float64 per step (the trap frequency) and 32 B per step of a
+    chunk (its frequencies as Python floats), a staircase
     STAIRCASE_BYTES per step.  A run of float64 paths adds 8 per sample
     (time, protocol and energy temporaries).  An observed run adds its
     chunk record, one float64 per trajectory and sample of one chunk,
@@ -230,14 +234,10 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     two float64 per trajectory and sample of one chunk (the fill indices
     and comparisons of `langevin.well_labels`) and three bytes per
     sample and trajectory of one group (the label comparisons of its
-    rate and hop count).  A spectrum adds the temporaries of one
-    `analysis.psd` row block:
-    PSD_BYTES_PER_SAMPLE for each of PSD_BLOCK samples or of the run's
-    samples, whichever is more.
-    A block holds `draws_per_step` draws for each of up to
-    CHUNK_STEPS // draws_per_step steps; without a step count it is taken
-    at its largest, and a run without a time step draws its endpoints in
-    one exact transition, two draws.
+    rate and hop count).  A spectrum adds the Welch window of
+    `analysis.WelchStream`, one float64 per trajectory and segment
+    sample, and the temporaries of one row block: PSD_BYTES_PER_SAMPLE
+    for each of PSD_BLOCK samples or of one segment, whichever is more.
     """
     n_traj = values["simulation.n_traj"]
     n_groups = len(values[run.groups]) if run.groups in values else 1
@@ -250,9 +250,8 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     elif all(k in values for k in RUN):
         n_steps = int(round(values["simulation.duration_ms"]
                             / values["simulation.dt_ns"]))
-    rows = (run.draws_per_step
-            * min(langevin.CHUNK_STEPS // run.draws_per_step,
-                  n_steps or langevin.CHUNK_STEPS)
+    chunk_steps = langevin.chunk_steps(width, run.draws_per_step)
+    rows = (run.draws_per_step * min(chunk_steps, n_steps or chunk_steps)
             if "simulation.dt_ns" in values else 2)
     need = {"noise streams": n_blocks * langevin.STREAM_BYTES,
             "noise block": rows * n_blocks * langevin.BLOCK * 8}
@@ -261,7 +260,7 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
         stride = values.get("simulation.record_every", run.record_every)
         samples = n_steps // stride + 1 if stride else 2
         if run.observed:
-            chunk = min(samples, langevin.CHUNK_STEPS // stride + 1)
+            chunk = min(samples, chunk_steps // stride + 1)
             need["chunk record"] = 8 * chunk * width
             work += 8 * samples
         else:
@@ -274,9 +273,14 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
             need[f"{run.recorded} recorded arrays of n_traj x {samples} "
                  "samples"] = run.recorded * n_traj * samples * 8
         if run.spectrum:
+            segment = samples
+            if "psd.n_segments" in values:
+                segment = min(samples, analysis.welch_segment(
+                    samples, values["psd.n_segments"]))
+            need["welch window"] = 8 * n_traj * segment
             need["psd row block"] = (analysis.PSD_BYTES_PER_SAMPLE
-                                     * max(analysis.PSD_BLOCK, samples))
-        work += 8 * (n_steps + 1) + 32 * min(n_steps, langevin.CHUNK_STEPS)
+                                     * max(analysis.PSD_BLOCK, segment))
+        work += 8 * (n_steps + 1) + 32 * min(n_steps, chunk_steps)
         if run.staircase:
             need["stiffness staircase"] = STAIRCASE_BYTES * (n_steps + 1)
     need["working vectors"] = work
@@ -603,22 +607,19 @@ def simulate_cmd(c, em):
 
 
 @subcommand("psd", OSCILLATOR + RECORDED + _section("psd"),
-            run=Ensemble(recorded=1, observed=True, spectrum=True))
+            run=Ensemble(observed=True, spectrum=True))
 def psd_cmd(c, em):
     """Welch spectrum of a simulated ensemble plus a Lorentzian fit."""
     force = ForceModel(mass=c.mass, omega0=c.omega0)
     bath = BathModel(gamma=c.gamma, temperature=c.temperature)
-    # the run keeps q alone, copied chunk by chunk into one path
-    q = np.empty((c.n_traj,
-                  int(round(c.duration / c.dt)) // c.record_every + 1))
-
-    def keep(i0, rows):
-        q[:, i0:i0 + len(rows)] = rows.T
-
+    # the spectrum is reduced chunk by chunk; the run keeps no path
+    stream = analysis.WelchStream(
+        c.n_traj, int(round(c.duration / c.dt)) // c.record_every + 1,
+        c.record_every * c.dt, n_segments=c.n_segments)
     langevin.simulate(force, bath, "thermal", c.dt, c.duration, c.seed,
                       n_traj=c.n_traj, record_every=c.record_every,
-                      observe=keep)
-    spectrum = analysis.psd(q, c.record_every * c.dt, n_segments=c.n_segments)
+                      observe=stream)
+    spectrum = stream.spectrum()
     em.table("psd", {
         "omega_rad_s": spectrum.omega,
         "psd_m2_s": spectrum.values,

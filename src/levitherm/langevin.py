@@ -35,8 +35,11 @@ One call can integrate several groups of trajectories side by side,
 each with its own damping and seed.  A run keeps q, p and energy paths,
 or, given an observer `observe(i0, q)`, records q one chunk at a time
 and hands each chunk to the observer, so it keeps no paths: hysteresis
-well labels (`simulate_double_well`), the q path of a spectrum and the
-per-sample sums of the engine's work are formed that way.
+well labels (`simulate_double_well`), the Welch spectrum of `psd` and
+the per-sample sums of the engine's work are formed that way.  A chunk
+is sized by bytes (`chunk_steps`): its noise block and its observed
+record stay near CHUNK_BYTES each at any width, so the working memory of
+an observed run is O(n_traj) beyond one trap frequency per step.
 
 All state is integrated in dimensionless internal units (lengths in
 sqrt(k_B T_ref / m) / W_ref, times in 1/W_ref) and converted back to SI
@@ -67,9 +70,12 @@ import numpy as np
 
 from .constants import k_B
 
-# Steps integrated between noise-buffer refills; results do not depend
-# on this value because each stream is consumed in order.
+# A chunk of steps draws one noise block of at most CHUNK_STEPS rows and
+# at most CHUNK_BYTES (see `chunk_steps`); results do not depend on the
+# chunking because each stream is consumed in order.  Any run of 256
+# trajectories or fewer takes chunks of CHUNK_STEPS rows.
 CHUNK_STEPS = 1024
+CHUNK_BYTES = 2**21
 # Largest |q| or |p| a run may reach, in thermal units of the reference
 # trap; far beyond any physical excursion, yet the SI energies of a state
 # within it stay finite.
@@ -224,20 +230,30 @@ def derive_seed(seed: int, *key) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def chunk_steps(width: int, rows_per_step: int = 1) -> int:
+    """Steps of one chunk of a run whose noise block is `width` columns
+    wide and takes `rows_per_step` rows a step: at least one, and as
+    many as keep the block within CHUNK_STEPS rows and CHUNK_BYTES."""
+    return max(1, min(CHUNK_STEPS, CHUNK_BYTES // (8 * width))
+               // rows_per_step)
+
+
 def _draw_normals(streams, count: int, n_traj: int,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Time-major (count, n_traj) block of draws, written into `out` (for
     example a column slice of a wider block) when it is given.
 
-    Each stream draws BLOCK columns in C order, so draw j of trajectory i
-    is normal j * BLOCK + i % BLOCK of stream i // BLOCK: a function of
-    (seed, i) alone, whatever n_traj or the chunking of the draws.
+    Each stream draws BLOCK columns in C order, into one (count, BLOCK)
+    buffer that every stream reuses, so draw j of trajectory i is normal
+    j * BLOCK + i % BLOCK of stream i // BLOCK: a function of (seed, i)
+    alone, whatever n_traj or the chunking of the draws.
     """
     if out is None:
         out = np.empty((count, n_traj))
+    buf = np.empty((count, BLOCK))
     for b, g in enumerate(streams):
         cols = out[:, b * BLOCK:(b + 1) * BLOCK]
-        cols[:] = g.standard_normal((count, BLOCK))[:, :cols.shape[1]]
+        cols[:] = g.standard_normal(out=buf)[:, :cols.shape[1]]
     return out
 
 
@@ -453,6 +469,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
     half = drift if drifts else rotate
 
     n_samples = n_steps // record_every + 1
+    chunk = chunk_steps(n_traj)
     if observe is None:
         # recorded q and p, each block (n_samples, n_traj), written
         # time-major: rec_t[i] is sample i of both
@@ -462,7 +479,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
     else:
         # the q samples of one chunk, scaled to SI in place once the
         # chunk is done and then observed
-        chunk_rows = min(n_samples, CHUNK_STEPS // record_every + 1)
+        chunk_rows = min(n_samples, chunk // record_every + 1)
         rec_t, kept = np.empty((chunk_rows, n_traj)), q
         observe(0, np.multiply(q, x0, out=rec_t[:1]))
 
@@ -499,8 +516,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         mul(h2, dp, dp)
     step = 0
     while step < n_steps:
-        chunk = min(CHUNK_STEPS, n_steps - step)
-        noise = draw(chunk)
+        noise = draw(min(chunk, n_steps - step))
         noise *= ou_kick
         # samples lo, lo + 1, ... fall in this chunk; an observed run
         # records them from row 0 of its chunk record
@@ -512,7 +528,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
             # replay the chunk from its start to find the first bad step
             x[:], dp[:] = start
             advance(step, noise, base, True)
-        step += chunk
+        step += len(noise)
         del noise    # free the block before the next one is drawn
         hi = step // record_every + 1
         if observe is not None and hi > lo:
@@ -668,8 +684,7 @@ def simulate_energy_sde(bath: BathModel, e0, dt: float, duration: float,
     k_sample = 1
     step = 0
     while step < n_steps:
-        # two rows per step keep the block within CHUNK_STEPS rows
-        chunk = min(CHUNK_STEPS // 2, n_steps - step)
+        chunk = min(chunk_steps(n_traj, 2), n_steps - step)
         noise = _draw_normals(streams, 2 * chunk, n_traj)
         for j in range(chunk):
             x = energy_transition(x, gamma_h, noise[2 * j:2 * j + 2])

@@ -203,6 +203,37 @@ def test_psd_row_blocks_are_bit_identical_to_one_transform(n_traj,
                                    _psd_complex(traj, n_segments), rtol=1e-9)
 
 
+@pytest.mark.parametrize("n_traj, n_samples, n_segments",
+                         [(1, 300, 4), (70, 3001, 8), (130, 1001, 4)])
+def test_welch_stream_is_bit_identical_to_psd_at_any_chunking(
+        n_traj, n_samples, n_segments):
+    # fed one path in chunks of any length, the reducer transforms each
+    # segment in the order `psd` does, from its window and the chunk
+    q = np.random.default_rng(n_traj).standard_normal((n_traj, n_samples))
+    expected = analysis.psd(q, 1e-7, n_segments=n_segments)
+    seg = analysis.welch_segment(n_samples, n_segments)
+    time_major = np.ascontiguousarray(q.T)
+    for rows in (1, 7, seg - 1, seg + 3, n_samples):
+        stream = analysis.WelchStream(n_traj, n_samples, 1e-7,
+                                      n_segments=n_segments)
+        for i0 in range(0, n_samples, rows):
+            stream(i0, time_major[i0:i0 + rows])
+        spec = stream.spectrum()
+        assert np.array_equal(spec.values, expected.values)
+        assert np.array_equal(spec.omega, expected.omega)
+        assert spec.n_segments == expected.n_segments
+
+
+def test_welch_stream_refuses_samples_out_of_order_or_missing():
+    stream = analysis.WelchStream(2, 100, 1e-7, n_segments=4)
+    q = np.zeros((10, 2))
+    stream(0, q)
+    with pytest.raises(ValueError, match="do not follow"):
+        stream(20, q)
+    with pytest.raises(ValueError, match="10 of 100 samples"):
+        stream.spectrum()
+
+
 def _is_5_smooth(n):
     for p in (2, 3, 5):
         while n % p == 0:

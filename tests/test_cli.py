@@ -465,8 +465,13 @@ def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
     (violation,) = json.loads(capsys.readouterr().err)["error"]["violations"]
     assert "physical memory" in violation
     # nor is the noise block overcounted: squeeze, which reads no
-    # duration, draws only up to the step its pulse ends on (188 rows)
-    assert float(_preflight_terms(violation)["noise block"]) < 2 * peak
+    # duration, draws only up to the step its pulse ends on (188 rows),
+    # in chunks of CHUNK_BYTES (13 rows at 20000 trajectories)
+    terms = _preflight_terms(violation)
+    assert float(terms["noise block"]) < 2 * peak
+    # nor the Welch window of `psd`, one segment of the ensemble
+    if command == "psd":
+        assert float(terms["welch window"]) < 2 * peak
 
 
 def test_modulate_runs_do_not_reuse_the_streams_of_another_seed(tmp_path):

@@ -48,13 +48,39 @@ def test_different_seed_differs():
 def test_trajectory_streams_independent_of_ensemble_size():
     # the noise of trajectory k is a function of (seed, k) only, so a
     # smaller ensemble is a prefix of a larger one, within one noise
-    # stream block and across blocks (64 trajectories each)
+    # stream block and across blocks (64 trajectories each), and across
+    # chunk lengths: 300 trajectories take chunks shorter than CHUNK_STEPS
     force, bath = make_models()
+    assert langevin.chunk_steps(300) < min(langevin.CHUNK_STEPS,
+                                           round(1e-4 / DT))
     runs = [simulate(force, bath, "thermal", DT, 1e-4, seed=3, n_traj=n)
-            for n in (3, 8, 70, 130)]
+            for n in (3, 8, 70, 130, 300)]
     for small, large in zip(runs, runs[1:]):
         assert np.array_equal(small.q, large.q[:small.n_traj])
         assert np.array_equal(small.p, large.p[:small.n_traj])
+
+
+def test_chunks_are_sized_by_bytes(monkeypatch):
+    # a wide run takes chunks of CHUNK_BYTES of noise, and its observer
+    # sees one chunk's samples at a time; a narrow one keeps CHUNK_STEPS
+    assert langevin.chunk_steps(256) == langevin.CHUNK_STEPS
+    assert langevin.chunk_steps(10**7) == 1
+    assert langevin.chunk_steps(2100, 2) == langevin.chunk_steps(2100) // 2
+    force, bath = make_models()
+    blocks, seen = [], []
+    draw = langevin._draw_normals
+
+    def spy(streams, count, n_traj, out=None):
+        blocks.append(count * n_traj * 8)
+        return draw(streams, count, n_traj, out)
+
+    monkeypatch.setattr(langevin, "_draw_normals", spy)
+    simulate(force, bath, "thermal", DT, 300 * DT, seed=2, n_traj=2100,
+             observe=lambda i0, q: seen.append(len(q)))
+    steps = langevin.chunk_steps(2100)
+    assert steps == langevin.CHUNK_BYTES // (8 * 2100) < 300
+    assert max(blocks) <= langevin.CHUNK_BYTES
+    assert seen == [1] + [steps] * (300 // steps) + [300 % steps]
 
 
 def test_noise_of_trajectory_i_is_column_of_its_block_stream():
