@@ -23,7 +23,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, prev_fast_len, rfft
 from scipy.integrate import quad
 from scipy.optimize import least_squares
-from scipy.special import erfcx, i0e, log_ndtr, ndtri_exp
+from scipy.special import erfcx, exprel, i0e, log_ndtr, ndtri_exp
 
 from .constants import hbar, k_B
 from .langevin import Trajectory
@@ -345,26 +345,19 @@ def psd_nonlinear(omega, omega0: float, gamma: float, temperature: float,
 
 
 def psd_quantum(omega, omega0: float, gamma_eff: float, t_cm: float,
-                mass: float, form: str = "im"):
+                mass: float):
     """Asymmetric spectrum when k_B T_CM is comparable to hbar W0.
 
-    Two printed forms are evaluated separately rather than asserted
-    equal: "im" uses (hbar/pi) Im chi / (1 - e^{-hbar W / k_B T}) and
-    "abs" uses hbar W m gamma / pi |chi|^2 over the same thermal factor.
-    The sideband ratio S(+W0)/S(-W0) = exp(hbar W0 / k_B T_CM) holds for
-    both.  `gamma_eff` and `t_cm` are taken as explicit inputs.
+    (hbar/pi) Im chi / (1 - e^{-x}), x = hbar W / k_B T_CM, written as
+    gamma k_B T_CM / (pi m D exprel(-x)) with D the denominator of |chi|^2:
+    finite at W = 0, where it is `psd_analytic`, and tending to it for
+    |x| << 1.  The sideband ratio S(+W0)/S(-W0) = exp(hbar W0 / k_B T_CM).
     """
     omega = np.asarray(omega, dtype=float)
     denom_chi = (omega0**2 - omega**2) ** 2 + gamma_eff**2 * omega**2
-    x = hbar * omega / (k_B * t_cm)
-    thermal = -np.expm1(-x)
-    if form == "im":
-        im_chi = gamma_eff * omega / (mass * denom_chi)
-        return hbar / math.pi * im_chi / thermal
-    if form == "abs":
-        abs_chi2 = 1.0 / (mass**2 * denom_chi)
-        return hbar * omega * mass * gamma_eff / math.pi * abs_chi2 / thermal
-    raise ValueError("form must be 'im' or 'abs'")
+    kt = k_B * t_cm
+    return (gamma_eff * kt / (math.pi * mass * denom_chi)
+            / exprel(-hbar * omega / kt))
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """Dissipation and noise channels, and the particle's internal heat balance.
 
-Every stochastic force channel (gas collisions, hot emerging molecules,
-photon recoil, feedback, drive noise, collapse-model noise) is described
-by a damping rate gamma (rad/s) and a force spectral density S_ff with
-the convention <F(t)F(t')> = 2 pi S_ff delta(t - t'), so a thermal
-channel at temperature T satisfies S_ff = m k_B T gamma / pi and the
-fluctuation-dissipation temperature is T = pi S_ff / (k_B m gamma).
+Each force channel (gas collisions, molecules emerging from the hot
+surface, photon recoil, collapse-model noise) is a damping rate gamma
+(rad/s) and a force spectral density S_ff, <F(t)F(t')> = 2 pi S_ff
+delta(t - t'); a thermal channel at T has S_ff = m k_B T gamma / pi.
+Channels add in gamma and in S_ff, and the summed bath has the
+fluctuation-dissipation temperature T = pi S_ff / (k_B m gamma).
 
 All rates are stored as angular rates (rad/s); conversion to Hz happens
 only at I/O boundaries.
@@ -100,45 +100,11 @@ class GasSpec:
         """Knudsen number Kn = l_bar / radius."""
         return self.mean_free_path / radius
 
-    def with_pressure(self, pressure: float) -> "GasSpec":
-        return replace(self, pressure=pressure)
-
 
 def nitrogen(pressure: float, temperature: float = 300.0,
              accommodation: float = 0.65) -> GasSpec:
     """N2 gas at the given pressure (Pa) with a silica-typical accommodation."""
     return GasSpec(pressure, temperature, accommodation=accommodation)
-
-
-@dataclass(frozen=True)
-class DampingBreakdown:
-    """Per-channel damping rates and force noise densities.
-
-    `channels` maps a channel name (gas, em, rad, fb, drive, csl) to a
-    (gamma, S_ff) pair in (rad/s, N^2 s).  Totals are plain sums; the
-    fluctuation-dissipation temperature of the summed bath follows from
-    `temperature`.
-    """
-
-    channels: dict[str, tuple[float, float]]
-
-    def __post_init__(self):
-        for name, (gamma, s_ff) in self.channels.items():
-            if s_ff < 0:
-                raise ValueError(f"channel {name}: S_ff must be non-negative")
-            if gamma < 0 and name != "fb":
-                raise ValueError(f"channel {name}: gamma must be non-negative")
-
-    @property
-    def gamma_total(self) -> float:
-        return sum(g for g, _ in self.channels.values())
-
-    @property
-    def s_ff_total(self) -> float:
-        return sum(s for _, s in self.channels.values())
-
-    def temperature(self, mass: float) -> float:
-        return effective_temperature(self.s_ff_total, self.gamma_total, mass)
 
 
 def _require_sphere(particle: ParticleSpec, what: str) -> float:
@@ -211,23 +177,19 @@ def hot_molecule_channel(particle: ParticleSpec, gas: GasSpec, T_int: float,
 
 
 def combined_gas_channel(particle: ParticleSpec, gas: GasSpec,
-                         T_int: float) -> tuple[DampingBreakdown, float]:
-    """Total gas-induced damping (impinging plus emerging molecules).
+                         T_int: float) -> float:
+    """Coefficient c_P (Hz um / mbar) of the impinging plus emerging
+    gas damping, gamma_gas + gamma_em = 2 pi c_P P / a; 0 at zero pressure.
 
-    Returns the per-channel breakdown and the coefficient c_P in
-    gamma_total = 2 pi c_P P / a, expressed in Hz um / mbar.  For silica
-    spheres at room temperature c_P is of order 50 and, deep in the
-    free-molecular regime, independent of the radius.
+    For silica spheres at room temperature c_P is of order 50 and, deep
+    in the free-molecular regime, independent of the radius.
     """
     a = _require_sphere(particle, "combined gas channel")
-    gamma_gas, s_gas = gas_damping(particle, gas)
-    gamma_em, s_em, _ = hot_molecule_channel(particle, gas, T_int, gamma_gas)
-    breakdown = DampingBreakdown({"gas": (gamma_gas, s_gas),
-                                  "em": (gamma_em, s_em)})
+    gamma_gas, _ = gas_damping(particle, gas)
+    gamma_em, _, _ = hot_molecule_channel(particle, gas, T_int, gamma_gas)
     if gas.pressure == 0:
-        return breakdown, 0.0
-    c_p = breakdown.gamma_total / (2.0 * math.pi) * a / gas.pressure * 1e8
-    return breakdown, c_p
+        return 0.0
+    return (gamma_gas + gamma_em) / (2.0 * math.pi) * a / gas.pressure * 1e8
 
 
 def _cylinder_prefactor(particle: ParticleSpec, gas: GasSpec) -> float:
@@ -470,9 +432,9 @@ def pressure_sweep(particle: ParticleSpec, gas_template: GasSpec,
                    pressures_mbar) -> dict[str, np.ndarray]:
     """Damping, internal and center-of-mass temperature versus pressure.
 
-    For each pressure: solve the steady internal temperature, build the
-    gas, hot-molecule and photon-recoil channels (perpendicular motion),
-    and assign T_CM through the fluctuation-dissipation relation.
+    For each pressure: solve the steady internal temperature, sum the gas,
+    hot-molecule and photon-recoil (perpendicular motion) channels, and
+    assign T_CM through the fluctuation-dissipation relation.
 
     Returns columns pressure_mbar, gamma_cm_rad_s, T_int_K, T_cm_K.
     """
@@ -485,17 +447,16 @@ def pressure_sweep(particle: ParticleSpec, gas_template: GasSpec,
 
     gammas, t_ints, t_cms = [], [], []
     for p_mbar in pressures_mbar:
-        gas = gas_template.with_pressure(p_mbar * 100.0)
+        gas = replace(gas_template, pressure=p_mbar * 100.0)
         state = internal_temperature(particle, gas, intensity, wavelength)
         gamma_gas, s_gas = gas_damping(particle, gas)
         gamma_em, s_em, _ = hot_molecule_channel(particle, gas, state.T_int,
                                                  gamma_gas)
-        total = DampingBreakdown({"gas": (gamma_gas, s_gas),
-                                  "em": (gamma_em, s_em),
-                                  "rad": (gamma_rad, s_rad)})
-        gammas.append(total.gamma_total)
+        gamma = gamma_gas + gamma_em + gamma_rad
+        gammas.append(gamma)
         t_ints.append(state.T_int)
-        t_cms.append(total.temperature(particle.mass))
+        t_cms.append(effective_temperature(s_gas + s_em + s_rad, gamma,
+                                           particle.mass))
     return {"pressure_mbar": pressures_mbar,
             "gamma_cm_rad_s": np.array(gammas),
             "T_int_K": np.array(t_ints),

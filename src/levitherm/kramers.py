@@ -15,7 +15,7 @@ with minima A (left) and C (right) separated by the saddle B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,23 +51,16 @@ class DoubleWellSpec:
         Linear bias (N); positive tilt deepens the right well.
     mass : float
         Particle mass (kg).
-    transverse_well, transverse_saddle : tuple, optional
-        Per-axis transverse frequencies at the minima and the saddle for
-        the 3D prefactor; empty for 1D motion.
     """
 
     b: float
     q_m: float
     mass: float
     tilt: float = 0.0
-    transverse_well: tuple = field(default=())
-    transverse_saddle: tuple = field(default=())
 
     def __post_init__(self):
         if self.b <= 0 or self.q_m <= 0 or self.mass <= 0:
             raise ValueError("b, q_m and mass must be positive")
-        if len(self.transverse_well) != len(self.transverse_saddle):
-            raise ValueError("transverse frequency lists must match in length")
 
     def potential(self, q):
         q = np.asarray(q, dtype=float)
@@ -132,21 +125,18 @@ def rate_hd(spec: DoubleWellSpec, gamma: float, temperature: float,
             well: str = "A") -> float:
     """Spatial-diffusion (high damping) hopping rate out of a well.
 
-    R = (1/2pi) prod_i (W_i^well / |W_i^B|)
-        [sqrt(|W_B|^2 + gamma^2/4) - gamma/2] exp(-U_barrier / k_B T).
+    R = (W^well / |W_B|) [sqrt(|W_B|^2 + gamma^2/4) - gamma/2]
+        exp(-U_barrier / k_B T) / 2pi,
 
-    The product runs over the well and saddle curvature frequencies,
-    including the unstable saddle direction; the bracket handles that
-    direction's damped growth rate, so the undamped limit recovers the
-    transition-state value (W^well / 2 pi) e^{-beta U}.
+    the 1D Kramers rate over the saddle frequency W_B = sqrt(|U''|/m).
+    The bracket is the damped growth rate of the unstable saddle
+    direction, so the undamped limit recovers the transition-state
+    value (W^well / 2 pi) e^{-beta U}.
     """
     a, saddle, c = spec.extrema
     src = a if well == "A" else c
-    prod = src.omega / saddle.omega
-    for w_a, w_b in zip(spec.transverse_well, spec.transverse_saddle):
-        prod *= w_a / w_b
     bracket = math.sqrt(saddle.omega**2 + gamma**2 / 4.0) - gamma / 2.0
-    return (prod * bracket / (2.0 * math.pi)
+    return (src.omega / saddle.omega * bracket / (2.0 * math.pi)
             * math.exp(-spec.barrier(well) / (k_B * temperature)))
 
 

@@ -33,7 +33,8 @@ class UnsupportedShapeError(TypeError):
 
 @dataclass(frozen=True)
 class TrapSpec:
-    """Single-beam optical trap parameters.
+    """Single-beam optical trap parameters; the trap potential takes the
+    beam linearly polarized along x, `circular_torque` circularly.
 
     Parameters
     ----------
@@ -43,21 +44,16 @@ class TrapSpec:
         Transverse focal waists (m).
     wavelength : float
         Laser wavelength (m).
-    polarization : str
-        "linear" (along x) or "circular".
     """
 
     power: float
     waist_x: float
     waist_y: float
     wavelength: float
-    polarization: str = "linear"
 
     def __post_init__(self):
         if min(self.power, self.waist_x, self.waist_y, self.wavelength) <= 0:
             raise ValueError("trap parameters must be positive")
-        if self.polarization not in ("linear", "circular"):
-            raise ValueError("polarization must be 'linear' or 'circular'")
 
     @property
     def waist(self) -> float:
@@ -297,7 +293,6 @@ def circular_torque(trap: TrapSpec, particle: ParticleSpec,
     eta1, eta2 = _eta_integrals(k * length)
     torque = (dchi * length**2 * d**4 * k**3 / (96.0 * c_light * trap.waist**2)
               * (dchi * eta1 + chi_perp * eta2) * trap.power)
-    inertia = particle.mass * length**2 / 12.0
-    omega_rot = torque / (inertia * gamma_rot)
+    omega_rot = torque / (particle.moment_of_inertia * gamma_rot)
     return torque, omega_rot
 

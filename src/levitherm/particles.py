@@ -85,10 +85,6 @@ class ParticleSpec:
         return self.refractive_index**2
 
     @property
-    def is_sphere(self) -> bool:
-        return isinstance(self.shape, Sphere)
-
-    @property
     def characteristic_radius(self) -> float:
         """Radius for a sphere, half-diameter for a cylinder (Knudsen scale)."""
         if isinstance(self.shape, Sphere):

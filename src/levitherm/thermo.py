@@ -623,18 +623,20 @@ def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,
     work less the mean energy change between the stroke's end states.
     """
     m = spec.mass
-    baths = (BathModel(spec.gamma, spec.t_hot),
-             BathModel(spec.gamma, spec.t_cold))
+    strokes = []
+    for tau, k0, k1, temp in spec.strokes():
+        schedule = stiffness_staircase(m, k0, k1, tau, dt)
+        force = ForceModel(mass=m, omega0=math.sqrt(k0 / m),
+                           stiffness_schedule=schedule)
+        # the staircase sets the trap frequency of every sample
+        omega = np.array([w for _, w in schedule])
+        strokes.append((tau, force, BathModel(spec.gamma, temp), omega,
+                        np.diff(m * omega**2)))
     q = p = None
     works = np.zeros((N_CYCLES, 2))
     heats = np.zeros((N_CYCLES, 2))
     for cyc in range(N_TRANSIENT + N_CYCLES):
-        for idx, (tau, k0, k1, temp) in enumerate(spec.strokes()):
-            schedule = stiffness_staircase(m, k0, k1, tau, dt)
-            force = ForceModel(mass=m, omega0=math.sqrt(k0 / m),
-                               stiffness_schedule=schedule)
-            # the staircase sets the trap frequency of every sample
-            omega = np.array([w for _, w in schedule])
+        for idx, (tau, force, bath, omega, dk) in enumerate(strokes):
             q2_sum = np.empty(len(omega))
 
             def square_sum(i0, rows):
@@ -643,11 +645,10 @@ def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,
 
             init = "thermal" if q is None else (q, p)
             q_end, p_end = simulate(
-                force, baths[idx], init, dt, tau,
+                force, bath, init, dt, tau,
                 derive_seed(seed, "engine-stroke", cyc, idx), n_traj=n_traj,
                 observe=square_sum)
             if cyc >= N_TRANSIENT:
-                dk = np.diff(m * omega**2)
                 work = 0.5 * float(q2_sum[1:] @ dk) / n_traj
                 delta_e = (_energy(q_end, p_end, m, omega[-1])
                            - _energy(q, p, m, omega[0]))

@@ -1,6 +1,7 @@
 """Estimators versus closed forms: MSD, correlations, spectra, distributions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -330,13 +331,41 @@ def test_nonlinearity_parameter_formula():
 def test_quantum_psd_sideband_ratio():
     t_cm = 1e-4  # low occupation
     gamma = OMEGA0 / 100.0
-    for form in ("im", "abs"):
-        s_plus = analysis.psd_quantum(OMEGA0, OMEGA0, gamma, t_cm, MASS,
-                                      form=form)
-        s_minus = analysis.psd_quantum(-OMEGA0, OMEGA0, gamma, t_cm, MASS,
-                                       form=form)
-        assert s_plus / s_minus == pytest.approx(
-            math.exp(hbar * OMEGA0 / (k_B * t_cm)), rel=1e-9)
+    w = OMEGA0 * np.array([1.0, -1.0, -3.0, -0.2, 0.5, 1.01, 4.0])
+    s = analysis.psd_quantum(w, OMEGA0, gamma, t_cm, MASS)
+    assert s[0] / s[1] == pytest.approx(
+        math.exp(hbar * OMEGA0 / (k_B * t_cm)), rel=1e-9)
+    # the two printed forms, (hbar/pi) Im chi and hbar W m gamma |chi|^2 / pi,
+    # over the thermal factor 1 - e^{-hbar W / k_B T_CM}
+    denom = (OMEGA0**2 - w**2) ** 2 + gamma**2 * w**2
+    thermal = -np.expm1(-hbar * w / (k_B * t_cm))
+    im_chi = gamma * w / (MASS * denom)
+    abs_chi2 = 1.0 / (MASS**2 * denom)
+    np.testing.assert_allclose(s, hbar / math.pi * im_chi / thermal,
+                               rtol=1e-12)
+    np.testing.assert_allclose(
+        s, hbar * w * MASS * gamma / math.pi * abs_chi2 / thermal,
+        rtol=1e-12)
+
+
+def test_quantum_psd_classical_limit_and_zero_frequency():
+    gamma = OMEGA0 / 100.0
+    t_cm = 1e-4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s0 = analysis.psd_quantum(np.array([0.0, OMEGA0]), OMEGA0, gamma,
+                                  t_cm, MASS)
+    assert np.isfinite(s0).all()
+    assert s0[0] == pytest.approx(
+        analysis.psd_analytic(0.0, OMEGA0, gamma, t_cm, MASS), rel=1e-12)
+    # at hbar W / k_B T_CM = x << 1, S / S_classical = 1 + x/2 + x^2/12 + ...
+    w = OMEGA0 * np.array([0.5, 1.0, 2.0])
+    for t in (1e-3, 1e0, 1e3):
+        x = hbar * w / (k_B * t)
+        ratio = (analysis.psd_quantum(w, OMEGA0, gamma, t, MASS)
+                 / analysis.psd_analytic(w, OMEGA0, gamma, t, MASS))
+        np.testing.assert_allclose(ratio, 1.0 + x / 2.0,
+                                   rtol=x.max() ** 2 + 1e-14)
 
 
 def test_h_function_asymptote():

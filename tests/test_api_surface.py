@@ -14,7 +14,8 @@ A defaulted field of a package dataclass or NamedTuple is set by a
 construction of its class that binds it, by position or by keyword, or
 by a `replace` or `_replace` call that names it; one that nothing sets
 is a constant in disguise.  A field of such a record that no attribute
-read in those trees names is carried but never used.
+read in those trees names is carried but never used; a read of the
+record's own field in its `__post_init__` (validation) does not count.
 
 A public function, method or property that no code in those trees
 names outside its own definition is dead code; the CLI subcommand
@@ -227,15 +228,38 @@ def unset_record_fields() -> list:
                   if defaulted and (cls, f) not in is_set)
 
 
-def unread_record_fields() -> list:
+def _own_validation_reads(trees: dict, records: dict) -> set:
+    """ids of the `self.<field>` reads of a record's own fields in its
+    `__post_init__`."""
+    out = set()
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in records):
+                continue
+            fields = {f for f, _ in records[cls.name][1]}
+            out |= {id(node) for item in cls.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name == "__post_init__"
+                    for node in ast.walk(item)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self" and node.attr in fields}
+    return out
+
+
+def unread_record_fields(trees: dict | None = None) -> list:
     """Fields of the package's dataclasses and NamedTuples that no
-    attribute read names."""
-    trees = _trees()
+    attribute read names, apart from their own class's validation."""
+    trees = _trees() if trees is None else trees
+    records = _records(trees)
+    validation = _own_validation_reads(trees, records)
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
+            and isinstance(node.ctx, ast.Load) and id(node) not in validation}
     return sorted(f"{mod}.{cls}.{f}"
-                  for cls, (mod, fields) in _records(trees).items()
+                  for cls, (mod, fields) in records.items()
                   for f, _ in fields if f not in read)
 
 
@@ -311,6 +335,25 @@ def test_every_defaulted_record_field_is_set_by_some_caller():
 
 def test_every_record_field_is_read_by_some_code():
     assert unread_record_fields() == []
+
+
+def test_a_field_read_only_by_its_own_validation_is_unread():
+    record = (
+        "@dataclass(frozen=True)\n"
+        "class Trap:\n"
+        "    power: float\n"
+        "    mode: str = 'linear'\n"
+        "    def __post_init__(self):\n"
+        "        if self.power <= 0 or self.mode not in ('linear',):\n"
+        "            raise ValueError\n")
+    user = "def depth(trap):\n    return trap.power\n"
+    trees = {SRC / "fake.py": ast.parse(record),
+             ROOT / "tests" / "fake_user.py": ast.parse(user)}
+    assert unread_record_fields(trees) == ["fake.Trap.mode"]
+    # a read outside the class's own validation counts
+    trees[ROOT / "tests" / "fake_reader.py"] = ast.parse(
+        "def mode(trap):\n    return trap.mode\n")
+    assert unread_record_fields(trees) == []
 
 
 def test_every_public_parameter_is_read():

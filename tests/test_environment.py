@@ -127,7 +127,7 @@ def test_pressure_coefficient_radius_independent():
     cps = []
     for a_nm in (50, 100, 200, 500):
         p = silica_sphere(a_nm * 1e-9)
-        _, c_p = env.combined_gas_channel(p, gas, 300.0)
+        c_p = env.combined_gas_channel(p, gas, 300.0)
         cps.append(c_p)
     assert np.ptp(cps) / np.mean(cps) < 0.01
     # closed form of the strictly linear free-molecular limit; the

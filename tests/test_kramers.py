@@ -66,9 +66,6 @@ def test_extremize_matches_analytic_extrema():
 def test_invalid_spec():
     with pytest.raises(ValueError):
         DoubleWellSpec(b=-1.0, q_m=Q_M, mass=MASS)
-    with pytest.raises(ValueError):
-        DoubleWellSpec(b=1.0, q_m=Q_M, mass=MASS,
-                       transverse_well=(1e5,), transverse_saddle=())
 
 
 # ---------------------------------------------------------------------------

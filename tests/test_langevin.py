@@ -733,6 +733,11 @@ PARITY_CASES = {
         (k * DT, OMEGA0 * (1.0 + 0.5 * k / langevin.CHUNK_STEPS))
         for k in range(langevin.CHUNK_STEPS + 37))},
     "double-well": {"double_well": DOUBLE_WELL},
+    # three force terms: the kernel sums the added terms into one row
+    "duffing-drive-force": {"duffing_xi": 3e14,
+                            "modulation": Modulation(0.05, 2 * OMEGA0, 0.3),
+                            "external_force":
+                                lambda t: 2e-15 * math.sin(1e5 * t)},
 }
 
 
@@ -750,7 +755,7 @@ def test_kernel_matches_reference_loop(case, record_every, n_steps):
     # so the Duffing kernel is held to the reference evaluated with the
     # same products
     powers = {}
-    if case == "duffing":
+    if "duffing_xi" in PARITY_CASES[case]:
         powers = dict(cube=lambda q: q * q * q,
                       quartic=lambda q: (q * q) * (q * q))
     q, p, energy, protocol = _reference_simulate(*args, **powers, **kw)

@@ -56,9 +56,6 @@ def test_total_beam_power_from_intensity_profile(trap):
 def test_invalid_trap_parameters():
     with pytest.raises(ValueError):
         TrapSpec(power=-1.0, waist_x=1e-6, waist_y=1e-6, wavelength=1e-6)
-    with pytest.raises(ValueError):
-        TrapSpec(power=1.0, waist_x=1e-6, waist_y=1e-6, wavelength=1e-6,
-                 polarization="elliptic")
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +245,9 @@ def test_eta1_series_small_kl():
 def test_circular_torque_scales_with_power():
     cyl = ParticleSpec(Cylinder(40e-9, 100e-9), density=2198.0)
     trap1 = TrapSpec(power=0.1, waist_x=0.7e-6, waist_y=0.7e-6,
-                     wavelength=1550e-9, polarization="circular")
+                     wavelength=1550e-9)
     trap2 = TrapSpec(power=0.2, waist_x=0.7e-6, waist_y=0.7e-6,
-                     wavelength=1550e-9, polarization="circular")
+                     wavelength=1550e-9)
     pol = optics.polarizability(cyl, trap1.wavelength)
     n1, w1 = optics.circular_torque(trap1, cyl, pol, gamma_rot=1e3)
     n2, w2 = optics.circular_torque(trap2, cyl, pol, gamma_rot=1e3)
@@ -262,7 +259,7 @@ def test_circular_torque_scales_with_power():
 def test_circular_torque_warns_outside_regime():
     cyl = ParticleSpec(Cylinder(50e-9, 2e-6), density=2198.0)
     trap = TrapSpec(power=0.1, waist_x=0.7e-6, waist_y=0.7e-6,
-                    wavelength=1550e-9, polarization="circular")
+                    wavelength=1550e-9)
     pol = optics.polarizability(cyl, trap.wavelength)
     with pytest.warns(UserWarning, match="Rayleigh-Gans"):
         optics.circular_torque(trap, cyl, pol, gamma_rot=1e3)

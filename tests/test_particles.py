@@ -43,7 +43,6 @@ def test_moment_of_inertia_sphere_and_cylinder():
 def test_cylinder_characteristic_radius_is_half_diameter():
     cyl = ParticleSpec(Cylinder(50e-9, 1e-6), density=2198.0)
     assert cyl.characteristic_radius == 25e-9
-    assert not cyl.is_sphere
 
 
 @pytest.mark.parametrize("bad", [
