@@ -18,12 +18,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, prev_fast_len, rfft
-from scipy.integrate import quad
-from scipy.optimize import least_squares
-from scipy.special import erfcx, exprel, i0e, log_ndtr, ndtri_exp
 
 from .constants import hbar, k_B
 from .langevin import Trajectory
@@ -101,6 +98,8 @@ def msd_harmonic(t, omega0: float, gamma: float, temperature: float,
 
 def _fft_corr(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
     """Unbiased estimator of <x(t) y(t + lag)> averaged over the ensemble."""
+    from scipy.fft import irfft, next_fast_len, rfft
+
     n = x.shape[1]
     nfft = next_fast_len(2 * n)
     fx = rfft(x, nfft, axis=1)
@@ -173,6 +172,8 @@ def welch_segment(n_samples: int, n_segments: int) -> int:
     """Samples per Welch segment of `psd`: n_segments half-overlapping
     segments span n_samples, a segment has at least 8 samples, and its
     length is rounded down to the largest 5-smooth one, a fast real FFT."""
+    from scipy.fft import prev_fast_len
+
     return prev_fast_len(max(8, int(2 * n_samples / (n_segments + 1))),
                          real=True)
 
@@ -194,6 +195,9 @@ class WelchStream:
 
     def __init__(self, n_traj: int, n_samples: int, dt: float,
                  n_segments: int = 8):
+        from scipy.fft import rfft
+
+        self.rfft = rfft      # imported once per stream, not per chunk
         seg = welch_segment(n_samples, n_segments)
         self.starts = range(0, n_samples - seg + 1, seg // 2)
         if not self.starts:
@@ -228,7 +232,7 @@ class WelchStream:
                     n = part.shape[1]
                     np.multiply(part[r:r + rows], win[off:off + n],
                                 out=b[:, off:off + n])
-                spec = np.abs(rfft(b, axis=1))
+                spec = np.abs(self.rfft(b, axis=1))
                 np.square(spec, out=spec)
                 spec[0] += self.acc
                 np.sum(spec, axis=0, out=self.acc)
@@ -319,6 +323,8 @@ def psd_nonlinear(omega, omega0: float, gamma: float, temperature: float,
     quadrature.  Reduces pointwise to `psd_analytic` as xi -> 0; for
     xi < 0 the line shape skews below W0.
     """
+    from scipy.integrate import quad
+
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     kt = k_B * temperature
     # energy (in k_B T) resonant with w, and the Lorentzian width in the
@@ -353,6 +359,8 @@ def psd_quantum(omega, omega0: float, gamma_eff: float, t_cm: float,
     finite at W = 0, where it is `psd_analytic`, and tending to it for
     |x| << 1.  The sideband ratio S(+W0)/S(-W0) = exp(hbar W0 / k_B T_CM).
     """
+    from scipy.special import exprel
+
     omega = np.asarray(omega, dtype=float)
     denom_chi = (omega0**2 - omega**2) ** 2 + gamma_eff**2 * omega**2
     kt = k_B * t_cm
@@ -388,6 +396,8 @@ def lorentzian_fit(spectrum: SpectralDensity, mass: float) -> LorentzianFit:
     A fitted gamma below one Welch bin, 2 pi / (segment x dt), is not
     identified by the spectrum (nor is T_CM with it), and warns.
     """
+    from scipy.optimize import least_squares
+
     w, s = spectrum.omega, spectrum.values
     keep = (w > 0.0) & (w <= 0.25 * float(w.max())) & (s > 0)
     w, s = w[keep], s[keep]
@@ -484,9 +494,11 @@ class SteadyStateDistribution:
     def beta(self) -> float:
         return 1.0 / (k_B * self.temperature)
 
-    @property
+    @cached_property
     def normalization(self) -> float:
         """Z = (1/2) sqrt(pi / (beta c)) erfcx(beta(1+s) / (2 sqrt(beta c)))."""
+        from scipy.special import erfcx
+
         a = self.beta * self.linear
         b = self.beta * self.quadratic
         if b == 0:
@@ -508,6 +520,8 @@ class SteadyStateDistribution:
         """<E>: the mean of the Gaussian in E truncated to E >= 0,
         loc + sigma sqrt(2/pi) / erfcx(alpha / sqrt 2), alpha = -loc / sigma
         (1 / (beta (1+s)) when c = 0)."""
+        from scipy.special import erfcx
+
         a = self.beta * self.linear
         b = self.beta * self.quadratic
         if b == 0:
@@ -521,6 +535,8 @@ class SteadyStateDistribution:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Exact draws: a truncated Gaussian in E, by its inverse CDF in log
         space from one uniform each (exponential when c = 0)."""
+        from scipy.special import log_ndtr, ndtri_exp
+
         a = self.beta * self.linear
         b = self.beta * self.quadratic
         if b == 0:
@@ -556,6 +572,8 @@ def steady_state_distribution(temperature: float, gamma: float, omega0: float,
 
 def h_function(x):
     """h(x) = exp(x^2) erfc(x), evaluated stably as erfcx."""
+    from scipy.special import erfcx
+
     return erfcx(np.asarray(x, dtype=float))
 
 
@@ -572,6 +590,8 @@ def relaxation_density(energy, e0: float, t: float, gamma: float,
     Bessel arguments cannot overflow.  The t -> infinity limit is the
     exponential law beta e^{-beta E} for any E0.
     """
+    from scipy.special import i0e
+
     e = np.asarray(energy, dtype=float)
     beta = 1.0 / (k_B * temperature)
     decay = math.exp(-gamma * t)

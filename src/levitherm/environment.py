@@ -18,16 +18,14 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
-from scipy.special import zeta
 
 from . import optics
 from .constants import c_light, eps0, hbar, k_B
 from .optics import UnsupportedShapeError
 from .particles import ParticleSpec, Sphere
 
-ZETA5 = zeta(5)
+# zeta(5), as scipy.special.zeta(5) gives it
+ZETA5 = 1.03692775514337
 # Specific heat ratio of a diatomic gas, used in the gas cooling power.
 GAMMA_SH = 7.0 / 5.0
 # Kinetic diameter (m) and mass (kg) of an N2 molecule, the gas of GasSpec.
@@ -322,6 +320,8 @@ def blackbody_power_quadrature(particle: ParticleSpec,
     Independent check of the closed form in `blackbody_rates`: integrates
     hbar omega rho_abs(omega) over omega in [0, 100 k_B T / hbar].
     """
+    from scipy.integrate import quad
+
     alpha_bb_imag = default_blackbody_polarizability(particle)
     w_max = 100.0 * k_B * temperature / hbar
 
@@ -391,6 +391,8 @@ def internal_temperature(particle: ParticleSpec, gas: GasSpec, intensity: float,
     environment's.  Above 5000 K the particle is considered destroyed
     and an error is raised with the bracket residuals.
     """
+    from scipy.optimize import brentq
+
     terms = _power_balance(particle, gas, intensity, wavelength)
 
     def residual(t_int):
@@ -413,6 +415,8 @@ def internal_temperature_evolution(particle: ParticleSpec, gas: GasSpec,
                                    intensity: float, wavelength: float,
                                    T0: float, t_eval) -> np.ndarray:
     """Integrate m c dT_int/dt = sum of power terms from T_int(0) = T0."""
+    from scipy.integrate import solve_ivp
+
     terms = _power_balance(particle, gas, intensity, wavelength)
     heat_cap = particle.mass * particle.heat_capacity
     t_eval = np.asarray(t_eval, dtype=float)

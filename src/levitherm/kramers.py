@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .constants import k_B
 from .langevin import (BathModel, ForceModel, simulate_double_well,
@@ -103,6 +101,8 @@ def extremize(potential, q_grid) -> list[Extremum]:
     with relative step 1e-5.  Returned frequencies use unit mass; scale
     by 1/sqrt(m) for a physical particle.
     """
+    from scipy.optimize import brentq
+
     q_grid = np.asarray(q_grid, dtype=float)
     h = 1e-5 * (q_grid[-1] - q_grid[0])
 
@@ -158,6 +158,9 @@ def action(spec: DoubleWellSpec, well: str = "A") -> float:
     at the turning point is regularized by the substitution
     r = r_t + sign * u^2; the integrand vanishes smoothly at the saddle.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     a, saddle, c = spec.extrema
     src = a if well == "A" else c
     u_b = saddle.energy
@@ -202,6 +205,8 @@ def depopulation_factor(delta: float, temperature: float) -> float:
     monotone in delta with limits 0 (delta -> 0) and 1 (delta -> inf);
     for small delta it behaves as delta / k_B T.
     """
+    from scipy.integrate import quad
+
     if delta < 0:
         raise ValueError("energy loss parameter must be non-negative")
     if delta == 0:

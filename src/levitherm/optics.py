@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import c_light, eps0
 from .particles import Cylinder, ParticleSpec, Sphere
@@ -258,6 +257,8 @@ def rotational_frequencies(trap: TrapSpec, particle: ParticleSpec,
 
 def _eta_integrals(kl: float) -> tuple[float, float]:
     """eta_1, eta_2 angular-scattering integrals by adaptive quadrature."""
+    from scipy.integrate import quad
+
     def sinc2(s):
         arg = kl * s / 2.0
         return np.sinc(arg / math.pi) ** 2

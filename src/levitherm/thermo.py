@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
 
 from .constants import k_B
 from .langevin import (BathModel, ForceModel, Trajectory, _draw_normals,
@@ -498,6 +497,8 @@ def _periodic_state(spec: EngineCycleSpec, rhs_of, dim: int,
     point, the state one cycle later, and that cycle's strokes on a dense
     grid as (t, y, k_of, kdot, temp).
     """
+    from scipy.integrate import solve_ivp
+
     def propagate(y0, dense=False):
         y = np.asarray(y0, dtype=float)
         traces = []
@@ -548,6 +549,8 @@ def overdamped_cycle(spec: EngineCycleSpec, n_per_stroke: int = 4000,
     re-thermalization of the velocity at each bath switch contributes
     k_B (T_hot - T_cold) / 2 to the heat drawn from the hot bath.
     """
+    from scipy.integrate import simpson
+
     mu = 1.0 / (spec.mass * spec.gamma)
 
     def rhs_of(k_of, temp):
@@ -586,6 +589,8 @@ def underdamped_cycle_moments(spec: EngineCycleSpec,
     propagations.  No kinetic correction is needed here: the velocity
     variance relaxes continuously through the bath switches.
     """
+    from scipy.integrate import simpson
+
     m, gam = spec.mass, spec.gamma
 
     def rhs_of(k_of, temp):

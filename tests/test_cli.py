@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,8 +445,12 @@ def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
         calls.append(name)
         return run(*args, **kw)
 
-    monkeypatch.setattr(module, name, spy)
     cfg = write_config(tmp_path, overrides)
+    # an untraced first run imports the scipy modules the subcommand calls,
+    # whose code would otherwise count in the traced peak
+    cli.main.main([command, "--config", str(cfg), "--out",
+                   str(tmp_path / "warm")], standalone_mode=False)
+    monkeypatch.setattr(module, name, spy)
     # the whole subcommand is traced: the run and the analysis after it
     tracemalloc.start()
     try:
@@ -491,14 +496,68 @@ def test_modulate_runs_do_not_reuse_the_streams_of_another_seed(tmp_path):
     assert measured[7][0] != measured[7][1]
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is imported only by the functions that use it
-    res = subprocess.run(
-        [sys.executable, "-c", "import sys, levitherm.cli; "
-         "print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True)
+UNDERDAMPED = {"engine": {"regime": "underdamped", "damping_Hz": 5000,
+                          "tau_hot_ms": 0.2, "tau_cold_ms": 0.2}}
+
+
+@pytest.mark.parametrize("command, overrides, loads", [
+    pytest.param(None, None, (), id="import"),
+    pytest.param("simulate", None, (), id="simulate"),
+    pytest.param("relax", None, (), id="relax"),
+    pytest.param("squeeze", None, (), id="squeeze"),
+    pytest.param("modulate", None, (), id="modulate"),
+    pytest.param("engine", UNDERDAMPED, (), id="engine-underdamped"),
+    # 500 trajectories: the 50 of BASE_CONFIG draw too few negative
+    # samples to fit
+    pytest.param("fluctuation", {"simulation": {"n_traj": 500}},
+                 ("special",), id="fluctuation"),
+])
+def test_a_run_loads_only_the_scipy_modules_it_calls(tmp_path, command,
+                                                      overrides, loads):
+    # each module imports scipy in the functions that call it, so a fresh
+    # interpreter that imports the CLI and runs `command` loads no other
+    # scipy module (command None: the import alone)
+    code = "import json, sys, levitherm.cli as cli\n"
+    if command is not None:
+        args = [command, "--config", str(write_config(tmp_path, overrides)),
+                "--out", str(tmp_path / "out")]
+        code += f"cli.main.main({args!r}, standalone_mode=False)\n"
+    code += ("print(json.dumps([m for m in sys.modules\n"
+             "                  if m.split('.')[0] == 'scipy']))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    loaded = set(json.loads(res.stdout.splitlines()[-1]))
+    if not loads:
+        assert not loaded
+    for name in ("optimize", "integrate", "fft", "special", "stats"):
+        assert (f"scipy.{name}" in loaded) == (name in loads), name
+
+
+def _bench_step_configs():
+    """BASE_CONFIG and the config of every step of the benchmark."""
+    spec = json.loads((Path(__file__).parents[1] / "bench"
+                       / "workloads.json").read_text())
+    configs = [BASE_CONFIG]
+    for workload in spec["workloads"].values():
+        for step in workload["steps"]:
+            cfg = yaml.safe_load(yaml.safe_dump(spec["base_config"]))
+            for section, keys in step["overrides"].items():
+                cfg.setdefault(section, {}).update(keys)
+            configs.append(cfg)
+    return configs
+
+
+def test_config_loader_parses_as_the_python_safe_loader(tmp_path):
+    from levitherm import cli
+    if yaml.__with_libyaml__:
+        assert cli.YAML_LOADER is yaml.CSafeLoader
+    for i, cfg in enumerate(_bench_step_configs()):
+        path = tmp_path / f"cfg{i}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        parsed = cli._load_config(str(path), None)
+        assert parsed == yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+        assert parsed == cfg
 
 
 def test_config_hash_stable_and_sensitive():

@@ -23,6 +23,20 @@ def gas_at_knudsen(kn: float, radius: float, accommodation: float = 0.65):
     return env.nitrogen(pressure, accommodation=accommodation)
 
 
+def test_constants_are_scipys_bit_for_bit():
+    # written out so that importing them loads no scipy module; a CODATA
+    # update in scipy fails here rather than moving results silently
+    import scipy.constants as sc
+    from scipy.special import zeta
+
+    from levitherm import constants
+    pairs = [(constants.k_B, sc.Boltzmann), (constants.hbar, sc.hbar),
+             (constants.c_light, sc.speed_of_light),
+             (constants.eps0, sc.epsilon_0), (env.ZETA5, zeta(5))]
+    for ours, scipys in pairs:
+        assert float(ours).hex() == float(scipys).hex()
+
+
 # ---------------------------------------------------------------------------
 # gas state
 
