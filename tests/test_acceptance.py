@@ -145,8 +145,11 @@ def test_nonlinear_spectrum_shape_and_red_shift():
     dshift = 3.0 / 8.0 * OMEGA0 * xi * a2
     force = ForceModel(mass=MASS, omega0=OMEGA0, duffing_xi=-xi)
     bath = BathModel(gamma=gamma, temperature=300.0)
-    traj = simulate(force, bath, "thermal", 2e-7, 0.02, seed=902, n_traj=600)
-    spec = analysis.psd(traj.q, traj.time[1] - traj.time[0], n_segments=2)
+    # the spectrum is reduced while the run goes, so no path is kept
+    stream = analysis.WelchStream(600, 100001, 2e-7, n_segments=2)
+    simulate(force, bath, "thermal", 2e-7, 0.02, seed=902, n_traj=600,
+             observe=stream)
+    spec = stream.spectrum()
     sel = (spec.omega >= OMEGA0 - 3.5 * dshift) \
         & (spec.omega <= OMEGA0 + 1.5 * dshift)
     w = spec.omega[sel]

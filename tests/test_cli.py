@@ -308,10 +308,10 @@ def test_memory_preflight_counts_one_stream_per_block(monkeypatch):
                           "n_traj": 130}}
     with pytest.raises(cli.ValidationError) as exc:
         cli.validate(raw, cli.RUN)
-    # 130 trajectories take 3 streams of 1035 B and a noise block of one
+    # 130 trajectories take 3 streams of 958 B and a noise block of one
     # step padded to 3 x 64 columns
     (message,) = exc.value.violations
-    assert "noise streams 3.1e+03, noise block 1.54e+03" in message
+    assert "noise streams 2.87e+03, noise block 1.54e+03" in message
 
 
 def test_relax_memory_preflight_counts_its_largest_noise_block(
@@ -383,8 +383,8 @@ def test_kramers_memory_preflight_counts_every_damping(tmp_path, monkeypatch,
             "violations"]
         counted.append(_preflight_terms(violation))
     one, three = counted
-    assert one["noise streams"] == f"{1035:.3g}"
-    assert three["noise streams"] == f"{3 * 1035:.3g}"
+    assert one["noise streams"] == f"{958:.3g}"
+    assert three["noise streams"] == f"{3 * 958:.3g}"
     # the violation prints 3 significant digits
     assert float(three["noise block"]) == pytest.approx(
         3 * float(one["noise block"]), rel=1e-2)

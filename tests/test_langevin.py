@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from levitherm.constants import k_B
@@ -84,7 +85,7 @@ def test_chunks_are_sized_by_bytes(monkeypatch):
 
 
 def test_noise_of_trajectory_i_is_column_of_its_block_stream():
-    # draw j of trajectory i is normal j * 64 + i % 64 of the Philox
+    # draw j of trajectory i is normal j * 64 + i % 64 of the SFC64
     # stream spawned as child i // 64 of SeedSequence(seed)
     seed, n_traj, count = 12, 130, 5
     children = np.random.SeedSequence(seed).spawn(3)
@@ -97,7 +98,7 @@ def test_noise_of_trajectory_i_is_column_of_its_block_stream():
     sig_q = math.sqrt(k_B * 300.0 / MASS) / OMEGA0
     sig_p = math.sqrt(MASS * k_B * 300.0)
     for i in (0, 63, 64, 127, 128, 129):
-        g = np.random.Generator(np.random.Philox(children[i // 64]))
+        g = np.random.Generator(np.random.SFC64(children[i // 64]))
         draws = g.standard_normal(count * 64)[i % 64::64]
         assert np.array_equal(noise[:, i], draws)
         # thermal start: draws 0 and 1 set q and p
@@ -381,6 +382,52 @@ def test_groups_label_like_separate_runs():
         assert np.array_equal(swapped[70 * (1 - g):70 * (2 - g)], alone)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_path_of_trajectory_i_depends_only_on_seed_and_i(data):
+    # the determinism contract: trajectory i of a group seeded s has the
+    # path of trajectory i of a run seeded s alone, whatever the widths,
+    # the other groups, record_every or the chunking of either run, and
+    # an observed run sees the recorded path
+    n_groups = data.draw(st.integers(1, 3), "groups")
+    width = data.draw(st.integers(1, 140), "width")
+    seeds = data.draw(st.lists(st.integers(0, 2**63), min_size=n_groups,
+                               max_size=n_groups), "seeds")
+    baths = [BathModel(OMEGA0 / d, 300.0) for d in data.draw(
+        st.lists(st.sampled_from([1, 2, 10]), min_size=n_groups,
+                 max_size=n_groups), "damping")]
+    record_every = data.draw(st.integers(1, 5), "record_every")
+    n_steps = data.draw(st.integers(1, 90), "n_steps")
+    # (CHUNK_STEPS, CHUNK_BYTES) of the recorded, observed and lone runs
+    chunks = data.draw(st.lists(st.tuples(st.integers(1, 40),
+                                          st.integers(8, 2**14)),
+                                min_size=3, max_size=3), "chunks")
+    g = data.draw(st.integers(0, n_groups - 1), "group")
+    alone_width = data.draw(st.integers(1, 140), "alone_width")
+    force, _ = make_models(duffing_xi=3e14)
+
+    def run(bath, seed, n_traj, chunk, **kw):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(langevin, "CHUNK_STEPS", chunk[0])
+            patch.setattr(langevin, "CHUNK_BYTES", chunk[1])
+            return simulate(force, bath, "thermal", DT, n_steps * DT, seed,
+                            n_traj=n_traj, **kw)
+
+    kw = dict(n_traj=n_groups * width, record_every=record_every)
+    recorded = run(baths, seeds, chunk=chunks[0], **kw)
+    seen = []
+    q_end, p_end = run(baths, seeds, chunk=chunks[1],
+                       observe=lambda i0, q: seen.append(q.copy()), **kw)
+    alone = run(baths[g], seeds[g], alone_width, chunks[2])
+    n = min(width, alone_width)
+    cols = slice(g * width, g * width + n)
+    assert np.array_equal(recorded.q[cols], alone.q[:n, ::record_every])
+    assert np.array_equal(recorded.p[cols], alone.p[:n, ::record_every])
+    assert np.array_equal(np.vstack(seen).T, recorded.q)
+    assert np.array_equal(q_end[cols], alone.q[:n, -1])
+    assert np.array_equal(p_end[cols], alone.p[:n, -1])
+
+
 def test_groups_need_one_seed_per_bath_and_one_temperature():
     force, bath = make_models()
     with pytest.raises(ValueError, match="one seed per bath"):
@@ -439,13 +486,25 @@ def test_observer_sees_the_recorded_q_once_in_order(record_every, grouped):
     assert np.array_equal(p_end, traj.p[:, -1])
 
 
-def test_observed_blowup_stops_on_the_recorded_step_before_observing():
-    # the chunk that diverges is replayed to find the first bad step; the
-    # observer never sees it, and has seen every sample before it once
+def _far_start(n_traj):
+    """Trajectory 0 at ten times the minimum of DOUBLE_WELL, the rest
+    near the barrier: at a 4.2 us step the quartic force overshoots from
+    there and leaves STATE_BOUND within a few steps, whatever the noise."""
+    q0 = np.full(n_traj, 1e-8)
+    q0[0] = 1e-6
+    return q0, 0.0
+
+
+def test_observed_blowup_stops_on_the_recorded_step_before_observing(
+        monkeypatch):
+    # the chunk that diverges, the third of two steps each, is replayed
+    # to find the first bad step; the observer never sees the sample of
+    # that chunk, and has seen every sample before it once
+    monkeypatch.setattr(langevin, "CHUNK_STEPS", 2)
     dt, n_steps = 4.2e-6, 2600
     force, bath = make_models(double_well=DOUBLE_WELL)
-    args = (force, bath, (1e-8, 0.0), dt, n_steps * dt, 1)
-    kw = dict(n_traj=70, record_every=4, allow_coarse_dt=True)
+    args = (force, bath, _far_start(70), dt, n_steps * dt, 1)
+    kw = dict(n_traj=70, record_every=2, allow_coarse_dt=True)
     seen = []
     with np.errstate(all="ignore"):
         with pytest.raises(IntegratorBlowupError) as recorded:
@@ -456,7 +515,9 @@ def test_observed_blowup_stops_on_the_recorded_step_before_observing():
     step = recorded.value.step
     assert observed.value.step == step > 2 * langevin.CHUNK_STEPS
     chunk_start = (step - 1) // langevin.CHUNK_STEPS * langevin.CHUNK_STEPS
-    assert seen == list(range(chunk_start // 4 + 1))
+    assert seen == list(range(chunk_start // 2 + 1))
+    # the step named is the first bad one: one step less runs clean
+    simulate(*args[:4], (step - 1) * dt, args[5], **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +672,11 @@ def _reference_simulate(force, bath, init, dt, duration, seed, n_traj=1,
     ou_decay = math.exp(-gam * h)
     ou_kick = math.sqrt(max(0.0, (1.0 - ou_decay**2) * temp))
 
-    # one Philox stream per block of 64 trajectories; each draw fills a
+    # one SFC64 stream per block of 64 trajectories; each draw fills a
     # (count, 64) array in C order, and trajectory i reads column i % 64
     # of stream i // 64
     children = np.random.SeedSequence(seed).spawn(-(-n_traj // 64))
-    streams = [np.random.Generator(np.random.Philox(s)) for s in children]
+    streams = [np.random.Generator(np.random.SFC64(s)) for s in children]
 
     def draw(count):
         blocks = [g.standard_normal((count, 64)) for g in streams]
@@ -797,14 +858,15 @@ def test_labelled_double_well_matches_reference_loop():
     assert np.count_nonzero(np.diff(labels, axis=1)) > 70
 
 
-def test_double_well_blowup_stops_on_the_reference_step():
-    # at this coarse step the quartic force overshoots, and one excursion
-    # diverges in the third chunk; the replay of that chunk reports the
-    # first step whose state leaves STATE_BOUND in the reference loop,
-    # for a labelled run as for one that keeps paths
+def test_double_well_blowup_stops_on_the_reference_step(monkeypatch):
+    # at this coarse step the quartic force overshoots from the far start,
+    # which diverges in the third chunk of two steps; the replay of that
+    # chunk reports the first step whose state leaves STATE_BOUND in the
+    # reference loop, for a labelled run as for one that keeps paths
+    monkeypatch.setattr(langevin, "CHUNK_STEPS", 2)
     dt, n_steps, steps = 4.2e-6, 2600, []
     force, bath = make_models(double_well=DOUBLE_WELL)
-    args = (force, bath, (1e-8, 0.0), dt, n_steps * dt, 1)
+    args = (force, bath, _far_start(70), dt, n_steps * dt, 1)
     x0 = math.sqrt(KT300 / MASS) / OMEGA0
     with np.errstate(all="ignore"):
         q, p, _, _ = _reference_simulate(*args, n_traj=70)
