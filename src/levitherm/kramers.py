@@ -151,40 +151,32 @@ def rate_hd_approx(spec: DoubleWellSpec, gamma: float,
 def action(spec: DoubleWellSpec, well: str = "A") -> float:
     """Loop action S = oint p dq of the barrier-energy orbit in one well.
 
-    The orbit at the saddle energy U_B runs from the saddle through the
-    well minimum to the far turning point r_t where U(r_t) = U_B again,
-    so S = 2 int_{orbit} sqrt(2 m (U_B - U(r))) dr.  The energy lost per
-    oscillation at weak friction is gamma S.  The square-root endpoint
-    at the turning point is regularized by the substitution
-    r = r_t + sign * u^2; the integrand vanishes smoothly at the saddle.
+    The orbit at the saddle energy U_B runs from the saddle s through the
+    well minimum to the far turning point and back, so
+    S = 2 int sqrt(2 m (U_B - U(r))) dr.  The energy lost per
+    oscillation at weak friction is gamma S.  The saddle is a double root
+    of U - U_B, which for the tilted quartic gives
+
+        U_B - U(r) = b (r - s)^2 (D^2 - (r + s)^2),  D^2 = 2 q_m^2 - 2 s^2,
+
+    with turning points -s -/+ D.  With u = +/-(r + s) (+ toward well C)
+    the integral runs from the saddle at u = c = +/-2s to u = D, and
+
+        S = 2 sqrt(2 m b) int_c^D (u - c) sqrt(D^2 - u^2) du
+          = sqrt(2 m b) [D^2 (w - alpha c) - w^3 / 3],
+
+    where w = sqrt(D^2 - c^2) and alpha = atan2(w, c).  For both wells at
+    tilts up to 0.99 of the bistable limit this agrees to 4e-15 relative
+    with the same integral in 40-digit arithmetic, and to 4e-14 with a
+    `brentq` turning point and a `quad` integral at epsrel 1e-13 (the
+    error of that reference) up to 0.95.
     """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
-    a, saddle, c = spec.extrema
-    src = a if well == "A" else c
-    u_b = saddle.energy
-
-    # turning point beyond the minimum, where U climbs back to U_B
-    direction = math.copysign(1.0, src.position - saddle.position)
-    step = abs(saddle.position - src.position)
-    hi = src.position + direction * step
-    while spec.potential(hi) < u_b:
-        hi += direction * step
-    lo, hi = sorted((src.position, hi))
-    r_t = brentq(lambda r: spec.potential(r) - u_b, lo, hi,
-                 xtol=1e-16 * (abs(lo) + abs(hi)), rtol=8.9e-16)
-
-    sign = math.copysign(1.0, saddle.position - r_t)
-    span = abs(saddle.position - r_t)
-
-    def integrand(u):
-        r = r_t + sign * u**2
-        return 2.0 * u * np.sqrt(np.maximum(
-            2.0 * spec.mass * (u_b - spec.potential(r)), 0.0))
-
-    val, _ = quad(integrand, 0.0, math.sqrt(span), epsrel=1e-9, limit=200)
-    return 2.0 * val
+    s = spec.extrema[1].position
+    c = 2.0 * s if well == "C" else -2.0 * s
+    d = math.sqrt(2.0 * (spec.q_m - s) * (spec.q_m + s))
+    w = math.sqrt((d - c) * (d + c))
+    return (math.sqrt(2.0 * spec.mass * spec.b)
+            * (d * d * (w - math.atan2(w, c) * c) - w**3 / 3.0))
 
 
 def rate_ld(spec: DoubleWellSpec, gamma: float, temperature: float) -> float:
@@ -196,6 +188,24 @@ def rate_ld(spec: DoubleWellSpec, gamma: float, temperature: float) -> float:
             * math.exp(-spec.barrier("A") / (k_B * temperature)))
 
 
+def _depopulation_rule():
+    """Nodes x_k = 4 sin^2(phi_k) and weights of a tanh-sinh rule
+    (Takahasi & Mori, Publ. RIMS 9, 721, 1974) for (2/pi) int_0^{pi/2}
+    f(phi) dphi: t_k = k h for |k| <= 205 with h = 1/64, where the
+    weights have fallen to 1e-17, u = (pi/2) sinh t and
+    phi = (pi/2) / (1 + e^{-2u}), which keeps the digits of the nodes
+    near phi = 0 that (1 + tanh u) pi/4 would round away."""
+    h = 1.0 / 64.0
+    t = h * np.arange(-205, 206)
+    u = 0.5 * math.pi * np.sinh(t)
+    phi = 0.5 * math.pi / (1.0 + np.exp(-2.0 * u))
+    weights = 0.25 * math.pi * h * np.cosh(t) / np.cosh(u) ** 2
+    return 4.0 * np.sin(phi) ** 2, weights
+
+
+_DEPOPULATION_NODES, _DEPOPULATION_WEIGHTS = _depopulation_rule()
+
+
 def depopulation_factor(delta: float, temperature: float) -> float:
     """Upsilon(delta): probability correction for incomplete well relaxation.
 
@@ -203,30 +213,23 @@ def depopulation_factor(delta: float, temperature: float) -> float:
                                dx / (x^2 + 1/4)],
 
     monotone in delta with limits 0 (delta -> 0) and 1 (delta -> inf);
-    for small delta it behaves as delta / k_B T.
+    for small delta it behaves as delta / k_B T.  With x = cot(phi) / 2
+    the exponent is (2/pi) int_0^{pi/2} ln(1 - e^{-d / (4 sin^2 phi)}) dphi,
+    a finite interval on which the integrand goes to 0 smoothly at
+    phi -> 0; it is summed on the 411 fixed nodes of
+    `_depopulation_rule` (h = 1/64), which agree with a 40-digit
+    quadrature to 6e-15 relative in Upsilon over d in [1e-8, 745].
     """
-    from scipy.integrate import quad
-
     if delta < 0:
         raise ValueError("energy loss parameter must be non-negative")
     if delta == 0:
         return 0.0
     d = delta / (k_B * temperature)
-    if d > 745.0:
+    if d > 745.0:   # every term is below e^{-186}: Upsilon rounds to 1
         return 1.0
-
-    def integrand(x):
-        expo = -d * (x**2 + 0.25)
-        return np.log1p(-np.exp(np.maximum(expo, -745.0))) / (x**2 + 0.25)
-
-    val = 0.0
-    edges = [0.0, 0.5, 2.0, 10.0, max(40.0, 30.0 / math.sqrt(d))]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        part, _ = quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10,
-                       limit=500)
-        val += part
-    tail, _ = quad(integrand, edges[-1], np.inf, epsabs=1e-10, limit=500)
-    return math.exp((val + tail) / math.pi)
+    # ln(1 - e^{-y}) through expm1 keeps its digits at small y
+    logs = np.log(-np.expm1(-d / _DEPOPULATION_NODES))
+    return math.exp(float(np.dot(_DEPOPULATION_WEIGHTS, logs)))
 
 
 @dataclass(frozen=True)

@@ -511,6 +511,15 @@ UNDERDAMPED = {"engine": {"regime": "underdamped", "damping_Hz": 5000,
     # samples to fit
     pytest.param("fluctuation", {"simulation": {"n_traj": 500}},
                  ("special",), id="fluctuation"),
+    # the well actions are closed-form and the depopulation integral is
+    # summed on fixed nodes, with or without the Monte Carlo
+    pytest.param("kramers", {"well": WELL, "kramers": {"n_points": 5}}, (),
+                 id="kramers-theory"),
+    pytest.param("kramers", {
+        "well": WELL, "kramers": {"n_points": 5,
+                                  "mc_damping_Hz": [40000, 145000]},
+        "simulation": {"dt_ns": 150, "duration_ms": 0.3, "n_traj": 8}}, (),
+        id="kramers-monte-carlo"),
 ])
 def test_a_run_loads_only_the_scipy_modules_it_calls(tmp_path, command,
                                                       overrides, loads):

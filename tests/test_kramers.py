@@ -83,6 +83,44 @@ def test_action_closed_form_untilted():
     assert kramers.action(spec, "C") == pytest.approx(closed, rel=1e-8)
 
 
+def _action_reference(spec, well):
+    # the far turning point by brentq, then S = 2 int p dr by quad with
+    # r = r_t + u^2 toward the saddle, which removes the square-root
+    # endpoint at r_t
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    a, saddle, c = spec.extrema
+    src = a if well == "A" else c
+    u_b = saddle.energy
+    far = src.position + 2.0 * (src.position - saddle.position)
+    lo, hi = sorted((src.position, far))
+    r_t = brentq(lambda r: spec.potential(r) - u_b, lo, hi,
+                 xtol=1e-16 * (abs(lo) + abs(hi)), rtol=8.9e-16)
+    sign = math.copysign(1.0, saddle.position - r_t)
+
+    def integrand(u):
+        r = r_t + sign * u * u
+        return 2.0 * u * math.sqrt(max(
+            2.0 * spec.mass * (u_b - float(spec.potential(r))), 0.0))
+
+    val, _ = quad(integrand, 0.0, math.sqrt(abs(saddle.position - r_t)),
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    return 2.0 * val
+
+
+@pytest.mark.parametrize("fraction", [-0.95, -0.6, -0.2, 0.0, 1e-3, 0.1,
+                                      0.3, 0.5, 0.75, 0.9, 0.95])
+def test_action_matches_a_quadrature_across_the_bistable_range(fraction):
+    # tilt as a fraction of 8 b q_m^3 / (3 sqrt 3), where one well vanishes
+    spec = make_spec()
+    limit = 8.0 * spec.b * Q_M**3 / (3.0 * math.sqrt(3.0))
+    spec = make_spec(tilt=fraction * limit)
+    for well in "AC":
+        assert kramers.action(spec, well) == pytest.approx(
+            _action_reference(spec, well), rel=1e-12, abs=0.0)
+
+
 def test_action_grows_with_barrier():
     assert kramers.action(make_spec(10.0)) > kramers.action(make_spec(5.0))
 
@@ -99,6 +137,31 @@ def test_depopulation_limits_and_monotonicity():
     # strictly increasing until it saturates at 1 in double precision
     assert all(b > a or b == 1.0 for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v <= 1.0 for v in vals)
+
+
+def _depopulation_reference(d):
+    # the defining integral over x, split at multiples of the scale
+    # 1/sqrt(d) on which the integrand varies at small d
+    from scipy.integrate import quad
+
+    def integrand(x):
+        y = x * x + 0.25
+        return math.log(-math.expm1(-d * y)) / y
+
+    scale = 1.0 / math.sqrt(d)
+    edges = sorted({0.0, 0.5, 2.0,
+                    *(k * scale for k in (0.1, 0.3, 1.0, 3.0, 10.0))})
+    tight = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+    val = sum(quad(integrand, lo, hi, **tight)[0]
+              for lo, hi in zip(edges[:-1], edges[1:]))
+    val += quad(integrand, edges[-1], np.inf, **tight)[0]
+    return math.exp(val / math.pi)
+
+
+def test_depopulation_matches_a_quadrature():
+    for d in np.geomspace(1e-8, 745.0, 37):
+        assert kramers.depopulation_factor(d * KT300, 300.0) == pytest.approx(
+            _depopulation_reference(d), rel=1e-9, abs=0.0)
 
 
 def test_depopulation_small_delta_asymptote():
