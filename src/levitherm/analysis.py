@@ -181,7 +181,7 @@ def welch_segment(n_samples: int, n_segments: int) -> int:
 class WelchStream:
     """The spectrum of `psd`, reduced while the path arrives.
 
-    A `langevin.simulate` observer: each call stream(i0, q) hands it
+    A reducer of positions: each call stream(i0, q) hands it
     samples i0, i0 + 1, ... of every trajectory, as a time-major
     (rows, n_traj) view, in order, `n_samples` in all, sampled every
     `dt`.  A segment is transformed as soon as its last sample arrives,

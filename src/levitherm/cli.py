@@ -179,26 +179,24 @@ class Ensemble(NamedTuple):
     """How the ensemble run of a subcommand uses memory; see
     `_memory_preflight`.
 
-    The run keeps `recorded` float64 (n_traj, samples) arrays, counting
-    those the subcommand forms from the paths after the run, taking a
-    sample every simulation.record_every steps, or every `record_every`
-    steps if the subcommand fixes its own stride; a recorded run that
-    fixes no stride keeps its first and last sample.  An `observed` run
-    keeps no paths: it records one chunk of q samples at a time for its
-    observer, which keeps `labels`, one int8 well label per sample and
-    trajectory, or per-sample sums (the work of `engine`), or, with
-    `spectrum`, reduces the chunks to the Welch spectrum of
-    `analysis.WelchStream`.  A time step draws `draws_per_step` normals
-    per trajectory.  `steps(values)` is the number of steps when the run
-    does not integrate over simulation.duration_ms (unknown if a key it
-    reads is missing), and `groups` names a list key: the run integrates
-    n_traj trajectories for each of its entries side by side.  With
-    `staircase`, the trap frequency changes at every step, by a
-    `thermo.stiffness_staircase`.
+    The run records a chunk of (q, p) samples at a time, a sample every
+    simulation.record_every steps, or every `record_every` steps if the
+    subcommand fixes its own stride, or its first and last sample.  It
+    keeps `recorded` float64 (n_traj, samples) arrays, counting those
+    the subcommand forms from the paths after the run; a run that keeps
+    none hands each chunk to an observer, which keeps `labels`, one int8
+    well label per sample and trajectory, or per-sample sums (`engine`),
+    or, with `spectrum`, reduces the chunks to the Welch spectrum of
+    `analysis.WelchStream`, or keeps nothing (`squeeze`, which reads the
+    final state).  A time step draws `draws_per_step` normals per
+    trajectory.  `steps(values)` is the number of steps when the run does
+    not integrate over simulation.duration_ms (unknown if a key it reads
+    is missing), and `groups` names a list key: the run integrates n_traj
+    trajectories for each of its entries side by side.  With `staircase`,
+    the trap frequency changes at every step (`thermo.stiffness_staircase`).
     """
 
     recorded: int = 0
-    observed: bool = False
     labels: bool = False
     record_every: int | None = None
     draws_per_step: int = 1
@@ -226,20 +224,20 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     `langevin.chunk_steps` to at most CHUNK_STEPS rows and CHUNK_BYTES,
     or fewer if the run is shorter; without a step count it is taken at
     its largest, and a run without a time step draws its endpoints in
-    one exact transition, two draws.  A recorded or observed run adds
-    one float64 per step (the trap frequency) and 32 B per step of a
-    chunk (its frequencies as Python floats), a staircase
-    STAIRCASE_BYTES per step.  A run of float64 paths adds 8 per sample
-    (time, protocol and energy temporaries).  An observed run adds its
-    chunk record, one float64 per trajectory and sample of one chunk,
-    and one float64 per sample (per-sample sums); a labelled run adds
-    two float64 per trajectory and sample of one chunk (the fill indices
-    and comparisons of `langevin.well_labels`) and three bytes per
-    sample and trajectory of one group (the label comparisons of its
-    rate and hop count).  A spectrum adds the Welch window of
-    `analysis.WelchStream`, one float64 per trajectory and segment
-    sample, and the temporaries of one row block: PSD_BYTES_PER_SAMPLE
-    for each of PSD_BLOCK samples or of one segment, whichever is more.
+    one exact transition, two draws.  A run with a step count adds one
+    float64 per step (the trap frequency), 32 B per step of a chunk (its
+    frequencies as Python floats), a staircase STAIRCASE_BYTES per step,
+    its chunk record, two float64 (q and p) per trajectory and sample of
+    one chunk, and 8 float64 per sample (the time, protocol and energy
+    temporaries of recorded paths, or an observer's per-sample sums);
+    a labelled run adds two float64 per trajectory and sample of one
+    chunk (the fill indices and comparisons of `langevin.well_labels`)
+    and three bytes per sample and trajectory of one group (the label
+    comparisons of its rate and hop count).  A spectrum adds the Welch
+    window of `analysis.WelchStream`, one float64 per trajectory and
+    segment sample, and the temporaries of one row block:
+    PSD_BYTES_PER_SAMPLE for each of PSD_BLOCK samples or of one
+    segment, whichever is more.
     """
     n_traj = values["simulation.n_traj"]
     n_groups = len(values[run.groups]) if run.groups in values else 1
@@ -258,15 +256,12 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     need = {"noise streams": n_blocks * langevin.STREAM_BYTES,
             "noise block": rows * n_blocks * langevin.BLOCK * 8}
     work = 8 * (rows * langevin.BLOCK + 16 * width)
-    if (run.recorded or run.observed) and n_steps:
+    if n_steps:
         stride = values.get("simulation.record_every", run.record_every)
         samples = n_steps // stride + 1 if stride else 2
-        if run.observed:
-            chunk = min(samples, chunk_steps // stride + 1)
-            need["chunk record"] = 8 * chunk * width
-            work += 8 * samples
-        else:
-            work += 64 * samples
+        chunk = min(samples, chunk_steps // (stride or n_steps) + 1)
+        need["chunk record"] = 16 * chunk * width
+        work += 64 * samples
         if run.labels:
             need[f"well labels of {width} trajectories x {samples} "
                  "samples"] = width * samples
@@ -609,7 +604,7 @@ def simulate_cmd(c, em):
 
 
 @subcommand("psd", OSCILLATOR + RECORDED + _section("psd"),
-            run=Ensemble(observed=True, spectrum=True))
+            run=Ensemble(spectrum=True))
 def psd_cmd(c, em):
     """Welch spectrum of a simulated ensemble plus a Lorentzian fit."""
     force = ForceModel(mass=c.mass, omega0=c.omega0)
@@ -620,7 +615,7 @@ def psd_cmd(c, em):
         c.record_every * c.dt, n_segments=c.n_segments)
     langevin.simulate(force, bath, "thermal", c.dt, c.duration, c.seed,
                       n_traj=c.n_traj, record_every=c.record_every,
-                      observe=stream)
+                      observe=lambda i0, q, p: stream(i0, q))
     spectrum = stream.spectrum()
     em.table("psd", {
         "omega_rad_s": spectrum.omega,
@@ -707,9 +702,8 @@ def fluctuation_cmd(c, em):
 
 @subcommand("kramers", _section("well") + _section("kramers"),
             extra=lambda values: RUN if values.get("kramers.mc_damping_Hz")
-            else (), run=Ensemble(observed=True, labels=True,
-                                  record_every=kramers.MC_RECORD_EVERY,
-                                  groups="kramers.mc_damping_Hz"))
+            else (), run=Ensemble(labels=True, groups="kramers.mc_damping_Hz",
+                                  record_every=kramers.MC_RECORD_EVERY))
 def kramers_cmd(c, em):
     """Interwell hopping rates: turnover theory and optional Monte Carlo."""
     q_m = c.separation / 2.0
@@ -746,8 +740,7 @@ def _stroke_steps(v: dict) -> int:
 @subcommand("engine", _section("engine"),
             extra=lambda values: ("simulation.dt_ns", "simulation.n_traj")
             if values.get("engine.regime") == "underdamped" else (),
-            run=Ensemble(observed=True, record_every=1, steps=_stroke_steps,
-                         staircase=True))
+            run=Ensemble(record_every=1, steps=_stroke_steps, staircase=True))
 def engine_cmd(c, em):
     """Cyclic two-bath heat engine; per-stroke CSV and a cycle summary."""
     spec = thermo.EngineCycleSpec(mass=c.mass, gamma=c.gamma, k_max=c.k_max,
@@ -791,8 +784,7 @@ def _squeeze_steps(values: dict) -> int:
 
 
 @subcommand("squeeze", OSCILLATOR + ("simulation.dt_ns", "simulation.n_traj")
-            + _section("squeeze"), run=Ensemble(recorded=3,
-                                                steps=_squeeze_steps))
+            + _section("squeeze"), run=Ensemble(steps=_squeeze_steps))
 def squeeze_cmd(c, em):
     """Quadrature statistics after a trap-frequency quench pulse."""
     # run to the step the pulse ends on and keep the state there
@@ -800,11 +792,11 @@ def squeeze_cmd(c, em):
     force = ForceModel(mass=c.mass, omega0=c.omega0, stiffness_schedule=(
         (c.t_start, omega_s), (n_end * c.dt, c.omega0)))
     bath = BathModel(gamma=c.gamma, temperature=c.temperature)
-    traj = langevin.simulate(force, bath, "thermal", c.dt, n_end * c.dt,
-                             c.seed, n_traj=c.n_traj, record_every=n_end)
-    res = analysis.squeeze_quadratures(traj.q[:, -1], traj.p[:, -1],
-                                       c.omega0, omega_s, tau, c.temperature,
-                                       c.mass)
+    q, p = langevin.simulate(force, bath, "thermal", c.dt, n_end * c.dt,
+                             c.seed, n_traj=c.n_traj, record_every=n_end,
+                             observe=lambda i0, q, p: None)
+    res = analysis.squeeze_quadratures(q, p, c.omega0, omega_s, tau,
+                                       c.temperature, c.mass)
     em.summary("squeeze", {
         "var_q_ratio": res.var_q_ratio,
         "var_p_ratio": res.var_p_ratio,

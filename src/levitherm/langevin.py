@@ -32,14 +32,15 @@ a harmonic trap makes no kicks.  The state (q, p), noise draws and
 recorded samples are held time-major, one row of the ensemble per step
 or sample; the SI arrays of a `Trajectory` are (n_traj, n_samples).
 One call can integrate several groups of trajectories side by side,
-each with its own damping and seed.  A run keeps q, p and energy paths,
-or, given an observer `observe(i0, q)`, records q one chunk at a time
-and hands each chunk to the observer, so it keeps no paths: hysteresis
-well labels (`simulate_double_well`), the Welch spectrum of `psd` and
-the per-sample sums of the engine's work are formed that way.  A chunk
-is sized by bytes (`chunk_steps`): its noise block and its observed
-record stay near CHUNK_BYTES each at any width, so the working memory of
-an observed run is O(n_traj) beyond one trap frequency per step.
+each with its own damping and seed.  A run records (q, p) one chunk at
+a time and hands each chunk, in SI, to an observer `observe(i0, q, p)`;
+without one it records whole paths and returns them with their energy
+as a `Trajectory`.  Hysteresis well labels (`simulate_double_well`), the
+Welch spectrum of `psd` and the per-sample sums of the engine's work
+are observed, so those runs keep no paths.  A chunk is sized by bytes
+(`chunk_steps`): its noise block stays near CHUNK_BYTES and its (q, p)
+record near twice that at any width, so the working memory of an
+observed run is O(n_traj) beyond one trap frequency per step.
 
 All state is integrated in dimensionless internal units (lengths in
 sqrt(k_B T_ref / m) / W_ref, times in 1/W_ref) and converted back to SI
@@ -373,11 +374,11 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
     record_every : int
         Keep every k-th step (plus the initial sample).
     observe : callable, optional
-        observe(i0, q) reads the run in place of recorded paths.  It is
-        called with sample 0, then after each chunk of steps with the SI
-        positions of samples i0, i0 + 1, ... as a time-major
-        (rows, n_traj) view, valid only during the call.  The run then
-        records q only, keeps no paths and returns its final SI state
+        observe(i0, q, p) reads the run in place of recorded paths.  It
+        is called with sample 0, then after each chunk of steps with the
+        SI positions and momenta of samples i0, i0 + 1, ..., each a
+        contiguous time-major (rows, n_traj) view, valid only during the
+        call.  The run then keeps no paths and returns its final SI state
         (q, p) instead of a Trajectory.
     """
     baths = tuple(bath) if isinstance(bath, (list, tuple)) else (bath,)
@@ -470,22 +471,28 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
 
     n_samples = n_steps // record_every + 1
     chunk = chunk_steps(n_traj)
-    if observe is None:
-        # recorded q and p, each block (n_samples, n_traj), written
-        # time-major: rec_t[i] is sample i of both
+    # the (q, p) samples of one chunk, written time-major: chunk_t[i] is
+    # sample lo + i of both
+    chunk_rec = np.empty((2, min(n_samples, chunk // record_every + 1),
+                          n_traj))
+    chunk_t = chunk_rec.swapaxes(0, 1)
+    recorded = observe is None
+    if recorded:
+        # the recorder: q and p blocks, each (n_samples, n_traj)
         rec = np.empty((2, n_samples, n_traj))
-        rec_t, kept = rec.swapaxes(0, 1), x
-        rec_t[0] = x
-    else:
-        # the q samples of one chunk, scaled to SI in place once the
-        # chunk is done and then observed
-        chunk_rows = min(n_samples, chunk // record_every + 1)
-        rec_t, kept = np.empty((chunk_rows, n_traj)), q
-        observe(0, np.multiply(q, x0, out=rec_t[:1]))
 
-    def advance(k0, noise, base, check):
-        """Steps k0 .. k0 + len(noise) - 1, sample i stored in row
-        i - base of the record; with `check`, raise at the first state
+        def observe(i0, q_si, p_si):
+            rec[0, i0:i0 + len(q_si)] = q_si
+            rec[1, i0:i0 + len(p_si)] = p_si
+
+    def emit(lo, hi):
+        """Observe samples lo .. hi - 1, scaled to SI in place."""
+        q_si, p_si = chunk_rec[:, :hi - lo]
+        observe(lo, mul(q_si, x0, q_si), mul(p_si, p0_scale, p_si))
+
+    def advance(k0, noise, lo, check):
+        """Steps k0 .. k0 + len(noise) - 1, sample i stored in row i - lo
+        of the chunk record; with `check`, raise at the first state
         outside STATE_BOUND."""
         omega_nd = (omega_steps[k0:k0 + len(noise)] / w_ref).tolist()
         k = k0
@@ -507,10 +514,12 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
                 mul(h2, dp, dp)
                 add(p, dp, p)
             if k % record_every == 0:
-                rec_t[k // record_every - base] = kept
+                chunk_t[k // record_every - lo] = x
             if check and not np.abs(x).max() <= STATE_BOUND:
                 raise IntegratorBlowupError(k)
 
+    chunk_t[0] = x
+    emit(0, 1)
     if q_only:
         force_at(0.0)
         mul(h2, dp, dp)
@@ -518,31 +527,30 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
     while step < n_steps:
         noise = draw(min(chunk, n_steps - step))
         noise *= ou_kick
-        # samples lo, lo + 1, ... fall in this chunk; an observed run
-        # records them from row 0 of its chunk record
+        # samples lo, lo + 1, ... fall in this chunk
         lo = step // record_every + 1
-        base = 0 if observe is None else lo
         start = x.copy(), dp.copy()
-        advance(step, noise, base, False)
+        advance(step, noise, lo, False)
         if not np.abs(x).max() <= STATE_BOUND:
             # replay the chunk from its start to find the first bad step
             x[:], dp[:] = start
-            advance(step, noise, base, True)
+            advance(step, noise, lo, True)
         step += len(noise)
         del noise    # free the block before the next one is drawn
         hi = step // record_every + 1
-        if observe is not None and hi > lo:
-            observe(lo, np.multiply(rec_t[:hi - lo], x0,
-                                    out=rec_t[:hi - lo]))
-    if observe is not None:
+        if hi > lo:
+            emit(lo, hi)
+    if not recorded:
         return x[0] * x0, x[1] * p0_scale
 
-    # SI scaling, transposed to (n_traj, n_samples); p then takes the
+    # free the chunk record; transposed to (n_traj, n_samples), p takes the
     # recorded q block and the energy the recorded p block, so the three
     # arrays need one allocation beyond the record
+    del chunk_rec, chunk_t
     shape = (n_traj, n_samples)
-    q_si = np.multiply(rec[0].T, x0, out=np.empty(shape))
-    p_si = np.multiply(rec[1].T, p0_scale, out=rec[0].reshape(shape))
+    q_si = rec[0].T.copy()
+    p_si = rec[0].reshape(shape)
+    p_si[:] = rec[1].T
     energy = rec[1].reshape(shape)
     omega_out = np.ascontiguousarray(omega_steps[::record_every])
     stiffness = 0.5 * m * omega_out[None, :]**2
@@ -588,7 +596,7 @@ def simulate_double_well(double_well: tuple, minima: tuple,
     n_samples = int(round(duration / dt)) // kw.get("record_every", 1) + 1
     labels = np.empty((kw.get("n_traj", 1), n_samples), dtype=np.int8)
 
-    def label(i0, q):
+    def label(i0, q, p):
         carry = labels[:, i0 - 1] if i0 else None
         labels[:, i0:i0 + len(q)] = well_labels(q.T, minima, carry)
 

@@ -644,7 +644,7 @@ def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,
         for idx, (tau, force, bath, omega, dk) in enumerate(strokes):
             q2_sum = np.empty(len(omega))
 
-            def square_sum(i0, rows):
+            def square_sum(i0, rows, p_rows):
                 np.einsum("ij,ij->i", rows, rows,
                           out=q2_sum[i0:i0 + len(rows)])
 

@@ -148,7 +148,7 @@ def test_nonlinear_spectrum_shape_and_red_shift():
     # the spectrum is reduced while the run goes, so no path is kept
     stream = analysis.WelchStream(600, 100001, 2e-7, n_segments=2)
     simulate(force, bath, "thermal", 2e-7, 0.02, seed=902, n_traj=600,
-             observe=stream)
+             observe=lambda i0, q, p: stream(i0, q))
     spec = stream.spectrum()
     sel = (spec.omega >= OMEGA0 - 3.5 * dshift) \
         & (spec.omega <= OMEGA0 + 1.5 * dshift)

@@ -77,7 +77,7 @@ def test_chunks_are_sized_by_bytes(monkeypatch):
 
     monkeypatch.setattr(langevin, "_draw_normals", spy)
     simulate(force, bath, "thermal", DT, 300 * DT, seed=2, n_traj=2100,
-             observe=lambda i0, q: seen.append(len(q)))
+             observe=lambda i0, q, p: seen.append(len(q)))
     steps = langevin.chunk_steps(2100)
     assert steps == langevin.CHUNK_BYTES // (8 * 2100) < 300
     assert max(blocks) <= langevin.CHUNK_BYTES
@@ -417,13 +417,16 @@ def test_path_of_trajectory_i_depends_only_on_seed_and_i(data):
     recorded = run(baths, seeds, chunk=chunks[0], **kw)
     seen = []
     q_end, p_end = run(baths, seeds, chunk=chunks[1],
-                       observe=lambda i0, q: seen.append(q.copy()), **kw)
+                       observe=lambda i0, q, p: seen.append((q.copy(),
+                                                             p.copy())),
+                       **kw)
     alone = run(baths[g], seeds[g], alone_width, chunks[2])
     n = min(width, alone_width)
     cols = slice(g * width, g * width + n)
     assert np.array_equal(recorded.q[cols], alone.q[:n, ::record_every])
     assert np.array_equal(recorded.p[cols], alone.p[:n, ::record_every])
-    assert np.array_equal(np.vstack(seen).T, recorded.q)
+    assert np.array_equal(np.vstack([q for q, _ in seen]).T, recorded.q)
+    assert np.array_equal(np.vstack([p for _, p in seen]).T, recorded.p)
     assert np.array_equal(q_end[cols], alone.q[:n, -1])
     assert np.array_equal(p_end[cols], alone.p[:n, -1])
 
@@ -455,7 +458,7 @@ def test_blowup_step_of_one_group_is_that_of_its_run_alone():
         with pytest.raises(IntegratorBlowupError) as info:
             simulate(force, bath, "thermal", DT, 0.01, seed, n_traj=n_traj,
                      observe=None if wells is None else
-                     lambda i0, q: langevin.well_labels(q.T, wells))
+                     lambda i0, q, p: langevin.well_labels(q.T, wells))
         steps.append(info.value.step)
     assert steps[0] > 2 * langevin.CHUNK_STEPS
     assert steps == [steps[0]] * 3
@@ -474,14 +477,16 @@ def test_observer_sees_the_recorded_q_once_in_order(record_every, grouped):
     traj = simulate(*args, **kw)
     seen = []
 
-    def observe(i0, q):
-        seen.append((i0, q.copy()))
+    def observe(i0, q, p):
+        assert q.flags.c_contiguous and p.flags.c_contiguous
+        seen.append((i0, q.copy(), p.copy()))
 
     q_end, p_end = simulate(*args, observe=observe, **kw)
-    starts = [i0 for i0, _ in seen]
+    starts = [i0 for i0, _, _ in seen]
     assert starts[:2] == [0, 1] and len(seen) == 4
-    assert starts == list(np.cumsum([0] + [len(q) for _, q in seen[:-1]]))
-    assert np.array_equal(np.vstack([q for _, q in seen]).T, traj.q)
+    assert starts == list(np.cumsum([0] + [len(q) for _, q, _ in seen[:-1]]))
+    assert np.array_equal(np.vstack([q for _, q, _ in seen]).T, traj.q)
+    assert np.array_equal(np.vstack([p for _, _, p in seen]).T, traj.p)
     assert np.array_equal(q_end, traj.q[:, -1])
     assert np.array_equal(p_end, traj.p[:, -1])
 
@@ -510,7 +515,7 @@ def test_observed_blowup_stops_on_the_recorded_step_before_observing(
         with pytest.raises(IntegratorBlowupError) as recorded:
             simulate(*args, **kw)
         with pytest.raises(IntegratorBlowupError) as observed:
-            simulate(*args, observe=lambda i0, q: seen.extend(
+            simulate(*args, observe=lambda i0, q, p: seen.extend(
                 range(i0, i0 + len(q))), **kw)
     step = recorded.value.step
     assert observed.value.step == step > 2 * langevin.CHUNK_STEPS
