@@ -96,15 +96,51 @@ def msd_harmonic(t, omega0: float, gamma: float, temperature: float,
 # correlation functions
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n (prime factors 2, 3, 5, 7 and
+    11), a fast length of numpy's pocketfft transforms: what
+    scipy.fft.next_fast_len(n) returns."""
+    best = 1 << (n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    # the least p3 2^k >= n
+                    best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
+def _prev_fast_len(n: int) -> int:
+    """The largest 5-smooth integer <= n (prime factors 2, 3 and 5), a
+    fast length of a real transform: what
+    scipy.fft.prev_fast_len(n, real=True) returns."""
+    best = 1 << (n.bit_length() - 1)
+    p5 = 1
+    while p5 <= n:
+        p3 = p5
+        while p3 <= n:
+            # the largest p3 2^k <= n
+            best = max(best, p3 << (n // p3).bit_length() - 1)
+            p3 *= 3
+        p5 *= 5
+    return best
+
+
 def _fft_corr(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
     """Unbiased estimator of <x(t) y(t + lag)> averaged over the ensemble."""
-    from scipy.fft import irfft, next_fast_len, rfft
-
     n = x.shape[1]
-    nfft = next_fast_len(2 * n)
-    fx = rfft(x, nfft, axis=1)
-    fy = rfft(y, nfft, axis=1)
-    r = irfft(np.conj(fx) * fy, nfft, axis=1)[:, :max_lag + 1]
+    nfft = _next_fast_len(2 * n)
+    fx = np.fft.rfft(x, nfft, axis=1)
+    fy = np.fft.rfft(y, nfft, axis=1)
+    r = np.fft.irfft(np.conj(fx) * fy, nfft, axis=1)[:, :max_lag + 1]
     counts = n - np.arange(max_lag + 1)
     return (r / counts).mean(axis=0)
 
@@ -171,11 +207,9 @@ PSD_BYTES_PER_SAMPLE = 32
 def welch_segment(n_samples: int, n_segments: int) -> int:
     """Samples per Welch segment of `psd`: n_segments half-overlapping
     segments span n_samples, a segment has at least 8 samples, and its
-    length is rounded down to the largest 5-smooth one, a fast real FFT."""
-    from scipy.fft import prev_fast_len
-
-    return prev_fast_len(max(8, int(2 * n_samples / (n_segments + 1))),
-                         real=True)
+    length is rounded down to the largest 5-smooth one, a fast length of
+    numpy's real FFT (scipy.fft.prev_fast_len(n, real=True))."""
+    return _prev_fast_len(max(8, int(2 * n_samples / (n_segments + 1))))
 
 
 class WelchStream:
@@ -195,9 +229,6 @@ class WelchStream:
 
     def __init__(self, n_traj: int, n_samples: int, dt: float,
                  n_segments: int = 8):
-        from scipy.fft import rfft
-
-        self.rfft = rfft      # imported once per stream, not per chunk
         seg = welch_segment(n_samples, n_segments)
         self.starts = range(0, n_samples - seg + 1, seg // 2)
         if not self.starts:
@@ -232,7 +263,7 @@ class WelchStream:
                     n = part.shape[1]
                     np.multiply(part[r:r + rows], win[off:off + n],
                                 out=b[:, off:off + n])
-                spec = np.abs(self.rfft(b, axis=1))
+                spec = np.abs(np.fft.rfft(b, axis=1))
                 np.square(spec, out=spec)
                 spec[0] += self.acc
                 np.sum(spec, axis=0, out=self.acc)
@@ -383,6 +414,136 @@ def fit_bins(segment: int) -> int:
     return (segment - 1) // 2 // 4
 
 
+# MINPACK's ftol, xtol and gtol, as scipy's least_squares sets them
+FIT_TOL = 1e-8
+
+
+def _lm_parameter(s: np.ndarray, c: np.ndarray, delta: float,
+                  par: float) -> tuple[float, np.ndarray]:
+    """MINPACK's lmpar on the SVD J D^-1 = U diag(s) V^T of the scaled
+    Jacobian, with c = U^T f.  Returns the Levenberg-Marquardt parameter
+    `par` and the scaled step D p = V z, z_i = -s_i c_i / (s_i^2 + par),
+    such that par = 0 and |z| <= 1.1 delta, or par > 0 and |z| is within
+    delta / 10 of delta.  `par` enters as the previous iteration's value
+    and takes at most 10 safeguarded Newton steps on |z(par)| = delta."""
+    tiny = np.finfo(float).tiny
+
+    def step(par):
+        z = np.divide(-s * c, s * s + par, out=np.zeros_like(s),
+                      where=s * s + par > 0.0)
+        return z, float(np.linalg.norm(z))
+
+    def slope(par, z, znorm):
+        """-(d|z|/dpar) / |z|, the sum of s^2 c^2 / (s^2 + par)^3 over
+        |z|^2; par > 0 or every s > 0."""
+        return float(np.sum(z * z / (s * s + par))) / znorm**2
+
+    z, znorm = step(0.0)
+    fp = znorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, z
+    # bounds of Moré's safeguarded Newton iteration
+    parl = (fp / delta) / slope(0.0, z, znorm) if np.all(s > 0) else 0.0
+    gnorm = float(np.linalg.norm(s * c))
+    paru = gnorm / delta or tiny / min(delta, 0.1)
+    par = min(max(par, parl), paru) or gnorm / znorm
+    for it in range(1, 11):
+        if par == 0.0:
+            par = max(tiny, 0.001 * paru)
+        z, znorm = step(par)
+        fp_before, fp = fp, znorm - delta
+        if (abs(fp) <= 0.1 * delta or it == 10
+                or (parl == 0.0 and fp <= fp_before < 0.0)):
+            break
+        parc = (fp / delta) / slope(par, z, znorm)
+        if fp > 0.0:
+            parl = max(parl, par)
+        elif fp < 0.0:
+            paru = min(paru, par)
+        par = max(parl, par + parc)
+    return par, z
+
+
+def _levenberg_marquardt(fun, jac, x: np.ndarray, max_nfev: int):
+    """Minimise |fun(x)|^2 by MINPACK's lmder (J. J. Moré, "The
+    Levenberg-Marquardt algorithm: implementation and theory", Lecture
+    Notes in Mathematics 630, 1978), as scipy's least_squares(method="lm")
+    runs it: a trust region of radius delta in the variables scaled by D,
+    Marquardt's diagonal of the largest column norms of the Jacobian seen
+    so far, the initial radius 100 |D x0|, and MINPACK's tests at
+    ftol = xtol = gtol = FIT_TOL.
+
+    Returns (x, fun(x), message); the message is None on convergence,
+    which is a relative cost reduction, actual and predicted, of at most
+    ftol, a radius of at most xtol |D x|, or a cosine of at most gtol
+    between the residuals and every column of the Jacobian.  It names
+    the fault when a residual or the Jacobian is not finite or when
+    `max_nfev` residual evaluations have not converged.
+    """
+    f = fun(x)
+    fnorm = float(np.linalg.norm(f))
+    nfev, diag, first = 1, None, True
+    par = 0.0
+    while True:
+        if not (math.isfinite(fnorm) and np.all(np.isfinite(x))):
+            return x, f, "the residuals are not finite"
+        j = jac(x)
+        if not np.all(np.isfinite(j)):
+            return x, f, "the Jacobian is not finite"
+        col_norms = np.linalg.norm(j, axis=0)
+        if diag is None:
+            diag = np.where(col_norms > 0.0, col_norms, 1.0)
+            xnorm = float(np.linalg.norm(diag * x))
+            delta = 100.0 * xnorm or 100.0
+        g = np.abs(j.T @ f)
+        if fnorm == 0.0 or np.all(g <= FIT_TOL * fnorm * col_norms):
+            return x, f, None
+        diag = np.maximum(diag, col_norms)
+        u, s, vt = np.linalg.svd(j / diag, full_matrices=False)
+        c = u.T @ f
+        while True:
+            par, z = _lm_parameter(s, c, delta, par)
+            p = (vt.T @ z) / diag
+            pnorm = float(np.linalg.norm(z))
+            if first:
+                delta = min(delta, pnorm)
+            trial = x + p
+            f_trial = fun(trial)
+            nfev += 1
+            fnorm1 = float(np.linalg.norm(f_trial))
+            # relative reductions of the cost, actual and predicted by the
+            # linear model; a non-finite trial counts as a failed step
+            actred = (1.0 - (fnorm1 / fnorm)**2 if 0.1 * fnorm1 < fnorm
+                      else -1.0)
+            t1 = float(np.linalg.norm(j @ p)) / fnorm
+            t2 = math.sqrt(par) * pnorm / fnorm
+            prered = t1 * t1 + 2.0 * t2 * t2
+            dirder = -(t1 * t1 + t2 * t2)
+            ratio = actred / prered if prered != 0.0 else 0.0
+            if ratio <= 0.25:
+                temp = 0.5 if actred >= 0.0 else \
+                    0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par /= temp
+            elif par == 0.0 or ratio >= 0.75:
+                delta = pnorm / 0.5
+                par *= 0.5
+            if ratio >= 1e-4:
+                x, f, fnorm = trial, f_trial, fnorm1
+                xnorm = float(np.linalg.norm(diag * x))
+                first = False
+            if ((abs(actred) <= FIT_TOL and prered <= FIT_TOL
+                 and 0.5 * ratio <= 1.0) or delta <= FIT_TOL * xnorm):
+                return x, f, None
+            if nfev >= max_nfev:
+                return x, f, (f"{max_nfev} residual evaluations did not "
+                              "converge")
+            if ratio >= 1e-4:
+                break
+
+
 def lorentzian_fit(spectrum: SpectralDensity, mass: float) -> LorentzianFit:
     """Least-squares fit of the harmonic spectrum to (W0, gamma, T).
 
@@ -393,11 +554,17 @@ def lorentzian_fit(spectrum: SpectralDensity, mass: float) -> LorentzianFit:
     continuous-time line near Nyquist, and those bins would otherwise
     dominate the log-space cost.  The starting point is read off the
     spectrum: peak position, area over peak height, and total power.
-    A fitted gamma below one Welch bin, 2 pi / (segment x dt), is not
-    identified by the spectrum (nor is T_CM with it), and warns.
+    The parameters enter as their absolute values, and the cost is
+    minimised by Levenberg-Marquardt (`_levenberg_marquardt`, MINPACK's
+    steps and stopping tests at scipy's tolerances) on the analytic
+    Jacobian of log S; a resolved line gives scipy's
+    least_squares(method="lm") fit to about 1e-7 relative.  FitError is
+    raised with fewer than 3 bins, when the residuals, the Jacobian or
+    the fit are not finite, and when 20000 evaluations have not
+    converged.  A fitted gamma below one Welch bin,
+    2 pi / (segment x dt), is not identified by the spectrum (nor is
+    T_CM with it): the cost is a flat valley there, and the fit warns.
     """
-    from scipy.optimize import least_squares
-
     w, s = spectrum.omega, spectrum.values
     keep = (w > 0.0) & (w <= 0.25 * float(w.max())) & (s > 0)
     w, s = w[keep], s[keep]
@@ -412,17 +579,28 @@ def lorentzian_fit(spectrum: SpectralDensity, mass: float) -> LorentzianFit:
     t_g = 2.0 * area * mass * w0_g**2 / k_B
 
     log_s = np.log(s)
+    w2 = w * w
 
     def resid(p):
         w0, gam, temp = np.abs(p)
         model = psd_analytic(w, w0, gam, temp, mass)
         return np.log(model) - log_s
 
-    sol = least_squares(resid, (w0_g, g_g, t_g), method="lm", max_nfev=20000)
-    if not sol.success or not np.all(np.isfinite(sol.x)):
-        raise FitError(f"spectrum fit failed: {sol.message}; "
-                       f"residual norm {np.linalg.norm(sol.fun):.3g}")
-    w0, gam, temp = np.abs(sol.x)
+    def jac(p):
+        w0, gam, temp = np.abs(p)
+        denom = (w2 - w0**2) ** 2 + gam**2 * w2
+        cols = np.empty((len(w), 3))
+        cols[:, 0] = 4.0 * w0 * (w2 - w0**2) / denom
+        cols[:, 1] = 1.0 / gam - 2.0 * gam * w2 / denom
+        cols[:, 2] = 1.0 / temp
+        return cols * np.sign(p)
+
+    x, fun, message = _levenberg_marquardt(
+        resid, jac, np.array([w0_g, g_g, t_g]), max_nfev=20000)
+    if message is not None or not np.all(np.isfinite(x)):
+        raise FitError(f"spectrum fit failed: {message}; "
+                       f"residual norm {np.linalg.norm(fun):.3g}")
+    w0, gam, temp = np.abs(x)
     bin_width = 2.0 * math.pi / (len(spectrum.omega) * spectrum.dt)
     if gam < bin_width:
         warnings.warn(f"fitted gamma {gam:.3g} rad/s is below one Welch bin "

@@ -188,18 +188,21 @@ class Ensemble(NamedTuple):
     well label per sample and trajectory, or per-sample sums (`engine`),
     or, with `spectrum`, reduces the chunks to the Welch spectrum of
     `analysis.WelchStream`, or keeps nothing (`squeeze`, which reads the
-    final state).  A time step draws `draws_per_step` normals per
-    trajectory.  `steps(values)` is the number of steps when the run does
-    not integrate over simulation.duration_ms (unknown if a key it reads
-    is missing), and `groups` names a list key: the run integrates n_traj
-    trajectories for each of its entries side by side.  With `staircase`,
-    the trap frequency changes at every step (`thermo.stiffness_staircase`).
+    final state).  A time step draws one normal per trajectory, or two
+    with `energy_sde`: that run is `langevin.simulate_energy_sde`, which
+    writes each sample into its recorded array, with no chunk record and
+    no trap frequency per step.  `steps(values)` is the number of steps
+    when the run does not integrate over simulation.duration_ms (unknown
+    if a key it reads is missing), and `groups` names a list key: the run
+    integrates n_traj trajectories for each of its entries side by side.
+    With `staircase`, the trap frequency changes at every step
+    (`thermo.stiffness_staircase`).
     """
 
     recorded: int = 0
     labels: bool = False
     record_every: int | None = None
-    draws_per_step: int = 1
+    energy_sde: bool = False
     steps: Callable | None = None
     groups: str | None = None
     spectrum: bool = False
@@ -219,24 +222,30 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     noise draws padded to whole stream blocks, the recorded data, and
     working vectors: one stream's draws before they are copied into the
     block and 16 float64 per trajectory (the state, its copy at the start
-    of a chunk, force and transition temporaries).  A block holds
-    `draws_per_step` draws for each step of one chunk, sized by
+    of a chunk, force and transition temporaries).  A block holds one
+    draw (two with `energy_sde`) for each step of one chunk, sized by
     `langevin.chunk_steps` to at most CHUNK_STEPS rows and CHUNK_BYTES,
     or fewer if the run is shorter; without a step count it is taken at
     its largest, and a run without a time step draws its endpoints in
-    one exact transition, two draws.  A run with a step count adds one
-    float64 per step (the trap frequency), 32 B per step of a chunk (its
-    frequencies as Python floats), a staircase STAIRCASE_BYTES per step,
-    its chunk record, two float64 (q and p) per trajectory and sample of
-    one chunk, and 8 float64 per sample (the time, protocol and energy
-    temporaries of recorded paths, or an observer's per-sample sums);
-    a labelled run adds two float64 per trajectory and sample of one
-    chunk (the fill indices and comparisons of `langevin.well_labels`)
-    and three bytes per sample and trajectory of one group (the label
-    comparisons of its rate and hop count).  A spectrum adds the Welch
-    window of `analysis.WelchStream`, one float64 per trajectory and
-    segment sample, and the temporaries of one row block:
-    PSD_BYTES_PER_SAMPLE for each of PSD_BLOCK samples or of one
+    one exact transition, two draws.  A run with a step count adds 8
+    float64 per sample (the time, protocol and energy temporaries of
+    recorded paths, or an observer's per-sample sums) and, unless it is
+    the energy SDE, one float64 per step (the trap frequency), 32 B per
+    step of a chunk (its frequencies as Python floats), a staircase
+    STAIRCASE_BYTES per step, and its chunk record, two float64 (q and p)
+    per trajectory and sample of one chunk.  A recording `simulate` run
+    holds its q and p record, two of its recorded arrays, during the run;
+    it frees the noise block and the chunk record before it forms the
+    others and two row blocks of temporaries (the energy of `simulate`,
+    the variance of the subcommand), each of about 2**14 samples or one
+    path: the count is the larger of what it holds during the run and
+    after it.  A labelled run adds two float64 per trajectory and sample
+    of one chunk (the fill indices and comparisons of
+    `langevin.well_labels`) and three bytes per sample and trajectory of
+    one group (the label comparisons of its rate and hop count).  A
+    spectrum adds the Welch window of `analysis.WelchStream`, one float64
+    per trajectory and segment sample, and the temporaries of one row
+    block: PSD_BYTES_PER_SAMPLE for each of PSD_BLOCK samples or of one
     segment, whichever is more.
     """
     n_traj = values["simulation.n_traj"]
@@ -250,25 +259,37 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
     elif all(k in values for k in RUN):
         n_steps = int(round(values["simulation.duration_ms"]
                             / values["simulation.dt_ns"]))
-    chunk_steps = langevin.chunk_steps(width, run.draws_per_step)
-    rows = (run.draws_per_step * min(chunk_steps, n_steps or chunk_steps)
+    draws = 2 if run.energy_sde else 1
+    chunk_steps = langevin.chunk_steps(width, draws)
+    rows = (draws * min(chunk_steps, n_steps or chunk_steps)
             if "simulation.dt_ns" in values else 2)
     need = {"noise streams": n_blocks * langevin.STREAM_BYTES,
             "noise block": rows * n_blocks * langevin.BLOCK * 8}
     work = 8 * (rows * langevin.BLOCK + 16 * width)
+    # bytes a recording run forms after its noise block and chunk record
+    # are freed, and of those two
+    formed, freed = 0, need["noise block"]
     if n_steps:
         stride = values.get("simulation.record_every", run.record_every)
         samples = n_steps // stride + 1 if stride else 2
         chunk = min(samples, chunk_steps // (stride or n_steps) + 1)
-        need["chunk record"] = 16 * chunk * width
         work += 64 * samples
+        if not run.energy_sde:
+            need["chunk record"] = 16 * chunk * width
+            freed += need["chunk record"]
+            work += 8 * (n_steps + 1) + 32 * min(n_steps, chunk_steps)
         if run.labels:
             need[f"well labels of {width} trajectories x {samples} "
                  "samples"] = width * samples
             work += 16 * chunk * width + 3 * n_traj * samples
         if run.recorded:
+            path = n_traj * samples * 8
             need[f"{run.recorded} recorded arrays of n_traj x {samples} "
-                 "samples"] = run.recorded * n_traj * samples * 8
+                 "samples"] = run.recorded * path
+            if not run.energy_sde:
+                need["row blocks after the run"] = 16 * max(2**14, samples)
+                formed = ((run.recorded - 2) * path
+                          + need["row blocks after the run"])
         if run.spectrum:
             segment = samples
             if "psd.n_segments" in values:
@@ -277,17 +298,16 @@ def _memory_preflight(values: dict, run: Ensemble) -> list:
             need["welch window"] = 8 * n_traj * segment
             need["psd row block"] = (analysis.PSD_BYTES_PER_SAMPLE
                                      * max(analysis.PSD_BLOCK, segment))
-        work += 8 * (n_steps + 1) + 32 * min(n_steps, chunk_steps)
         if run.staircase:
             need["stiffness staircase"] = STAIRCASE_BYTES * (n_steps + 1)
     need["working vectors"] = work
-    total = sum(need.values())
+    total = sum(need.values()) - min(formed, freed)
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if total <= ram:
         return []
     parts = ", ".join(f"{name} {size:.3g}" for name, size in need.items())
-    return [f"simulation.n_traj: {parts} need {total:.3g} bytes, more than "
-            f"the {ram:.3g} bytes of physical memory"]
+    return [f"simulation.n_traj: {parts} need {total:.3g} bytes at once, "
+            f"more than the {ram:.3g} bytes of physical memory"]
 
 
 def _psd_segmentation(values: dict) -> list:
@@ -659,7 +679,7 @@ def modulate_cmd(c, em):
 
 @subcommand("relax", ("oscillator.damping_Hz", "oscillator.temperature_K")
             + RECORDED + _section("relax"),
-            run=Ensemble(recorded=1, draws_per_step=2))
+            run=Ensemble(recorded=1, energy_sde=True))
 def relax_cmd(c, em):
     """Energy relaxation from a fixed initial energy toward the bath."""
     e0 = c.ratio * k_B * c.temperature

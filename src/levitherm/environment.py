@@ -23,6 +23,7 @@ from . import optics
 from .constants import c_light, eps0, hbar, k_B
 from .optics import UnsupportedShapeError
 from .particles import ParticleSpec, Sphere
+from .roots import brentq
 
 # zeta(5), as scipy.special.zeta(5) gives it
 ZETA5 = 1.03692775514337
@@ -386,13 +387,13 @@ def internal_temperature(particle: ParticleSpec, gas: GasSpec, intensity: float,
     """Steady internal temperature from the surface power balance.
 
     Solves absorbed optical power + gas exchange + blackbody absorption
-    + blackbody emission = 0 for T_int by bracketed root finding on
-    [T_gas, 5000 K]; the gas temperature is also the blackbody
-    environment's.  Above 5000 K the particle is considered destroyed
-    and an error is raised with the bracket residuals.
+    + blackbody emission = 0 for T_int by Brent's method on
+    [T_gas, 5000 K], to within 1e-9 K + 1e-14 T_int (`roots.brentq`,
+    which takes scipy's steps and loads no scipy module); the gas
+    temperature is also the blackbody environment's.  Above 5000 K the
+    particle is considered destroyed and an error is raised with the
+    bracket residuals.
     """
-    from scipy.optimize import brentq
-
     terms = _power_balance(particle, gas, intensity, wavelength)
 
     def residual(t_int):

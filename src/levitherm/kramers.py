@@ -23,6 +23,7 @@ import numpy as np
 from .constants import k_B
 from .langevin import (BathModel, ForceModel, simulate_double_well,
                        well_labels)
+from .roots import brentq
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,10 @@ def extremize(potential, q_grid) -> list[Extremum]:
     """Locate extrema of a tabulated 1D potential by deflated root finding.
 
     Brackets sign changes of the numerical derivative on `q_grid`, then
-    refines each root; curvatures come from a central second difference
-    with relative step 1e-5.  Returned frequencies use unit mass; scale
-    by 1/sqrt(m) for a physical particle.
+    refines each root by `roots.brentq`; curvatures come from a central
+    second difference with relative step 1e-5.  Returned frequencies use
+    unit mass; scale by 1/sqrt(m) for a physical particle.
     """
-    from scipy.optimize import brentq
-
     q_grid = np.asarray(q_grid, dtype=float)
     h = 1e-5 * (q_grid[-1] - q_grid[0])
 

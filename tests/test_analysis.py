@@ -298,6 +298,61 @@ def test_lorentzian_fit_names_too_few_bins(segment):
         analysis.lorentzian_fit(spectrum, MASS)
 
 
+@pytest.mark.parametrize("q_factor, dt, duration, n_segments, seed", [
+    # the resolved spectra of the acceptance tests
+    (0.5, 5e-8, 5e-3, 16, 51), (10.0, 2e-7, 2e-2, 32, 52),
+    (100.0, 2e-7, 4e-2, 16, 53)])
+def test_lorentzian_fit_is_scipys_least_squares(monkeypatch, q_factor, dt,
+                                                duration, n_segments, seed):
+    # the same bins, start point and residuals, minimised by MINPACK as
+    # scipy's least_squares(method="lm") runs it, with a finite-difference
+    # Jacobian
+    from scipy.optimize import least_squares
+
+    force = ForceModel(mass=MASS, omega0=OMEGA0)
+    bath = BathModel(gamma=OMEGA0 / q_factor, temperature=300.0)
+    traj = simulate(force, bath, "thermal", dt, duration, seed, n_traj=16)
+    spectrum = analysis.psd(traj.q, dt, n_segments=n_segments)
+    fit = analysis.lorentzian_fit(spectrum, MASS)
+
+    def scipy_lm(fun, jac, x, max_nfev):
+        sol = least_squares(fun, x, method="lm", max_nfev=max_nfev)
+        return sol.x, sol.fun, None if sol.success else sol.message
+
+    monkeypatch.setattr(analysis, "_levenberg_marquardt", scipy_lm)
+    ref = analysis.lorentzian_fit(spectrum, MASS)
+    assert [fit.omega0, fit.gamma, fit.t_cm] == pytest.approx(
+        [ref.omega0, ref.gamma, ref.t_cm], rel=1e-6)
+
+
+def test_fast_fft_lengths_are_scipys():
+    from scipy.fft import next_fast_len, prev_fast_len
+
+    n = range(1, 70001)
+    assert [analysis._next_fast_len(k) for k in n] == [next_fast_len(k)
+                                                       for k in n]
+    assert [analysis._prev_fast_len(k) for k in n] == [
+        prev_fast_len(k, real=True) for k in n]
+
+
+def test_autocorrelations_are_scipy_ffts_bit_for_bit(monkeypatch):
+    import scipy.fft
+
+    force = ForceModel(mass=MASS, omega0=OMEGA0)
+    bath = BathModel(gamma=OMEGA0 / 10.0, temperature=300.0)
+    # 1000, 2048 and 10080 samples: transforms of 2000, 4096 and 20160
+    for duration in (0.999e-4, 2.047e-4, 1.0079e-3):
+        traj = simulate(force, bath, "thermal", 1e-7, duration, seed=5,
+                        n_traj=3)
+        ours = analysis.autocorrelations(traj, 50)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_next_fast_len", scipy.fft.next_fast_len)
+            m.setattr(analysis.np, "fft", scipy.fft)
+            ref = analysis.autocorrelations(traj, 50)
+        for a, b in zip(ours, ref):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_nonlinear_psd_reduces_to_lorentzian():
     gamma = OMEGA0 / 50.0
     w = np.linspace(0.97 * OMEGA0, 1.03 * OMEGA0, 7)

@@ -479,6 +479,30 @@ def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
         assert float(terms["welch window"]) < 2 * peak
 
 
+def test_memory_preflight_counts_what_a_recording_run_holds(
+        tmp_path, monkeypatch, capsys):
+    # at 500 x 5001 samples: simulate frees its noise block and chunk
+    # record before it forms the third of its q, p and energy arrays, and
+    # relax writes each energy sample into its one array, with no chunk
+    # record
+    from levitherm import cli
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)
+    cfg = write_config(tmp_path, {"simulation": {"duration_ms": 2.0,
+                                                 "n_traj": 500}})
+    counted = {}
+    for command in ("simulate", "relax"):
+        with pytest.raises(SystemExit):
+            cli.main.main([command, "--config", str(cfg), "--out",
+                           str(tmp_path / "out")], standalone_mode=False)
+        (violation,) = json.loads(capsys.readouterr().err)["error"][
+            "violations"]
+        counted[command] = (_preflight_terms(violation), float(
+            re.search(r"need (\S+) bytes", violation).group(1)))
+    terms, total = counted["simulate"]
+    assert total - 3 * 500 * 5001 * 8 < float(terms["noise block"])
+    assert "chunk record" not in counted["relax"][0]
+
+
 def test_modulate_runs_do_not_reuse_the_streams_of_another_seed(tmp_path):
     # with seed + i, depth 1 of --seed 7 repeated depth 0 of --seed 8
     cfg = write_config(tmp_path, {"modulation": {"depths": [0.01, 0.01]},
@@ -498,11 +522,19 @@ def test_modulate_runs_do_not_reuse_the_streams_of_another_seed(tmp_path):
 
 UNDERDAMPED = {"engine": {"regime": "underdamped", "damping_Hz": 5000,
                           "tau_hot_ms": 0.2, "tau_cold_ms": 0.2}}
+# the psd step of the calibrate benchmark workload: a resolved line
+CALIBRATE_PSD = {"oscillator": {"damping_Hz": 5000},
+                 "simulation": {"duration_ms": 2.0, "n_traj": 500}}
 
 
 @pytest.mark.parametrize("command, overrides, loads", [
     pytest.param(None, None, (), id="import"),
     pytest.param("simulate", None, (), id="simulate"),
+    # Brent's method, the Welch transforms and the Lorentzian fit are
+    # the package's own; BASE_CONFIG's line is narrower than a bin
+    pytest.param("env-sweep", None, (), id="env-sweep"),
+    pytest.param("psd", None, (), id="psd"),
+    pytest.param("psd", CALIBRATE_PSD, (), id="psd-calibrate"),
     pytest.param("relax", None, (), id="relax"),
     pytest.param("squeeze", None, (), id="squeeze"),
     pytest.param("modulate", None, (), id="modulate"),
