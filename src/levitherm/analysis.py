@@ -198,10 +198,8 @@ class SpectralDensity:
 
 
 # samples of the ensemble that `psd` windows, transforms and squares at
-# once: its temporaries stay near PSD_BYTES_PER_SAMPLE * PSD_BLOCK bytes
+# once (see `welch_stream_bytes`)
 PSD_BLOCK = 2**14
-# the windowed block, its half-spectrum transform and the modulus
-PSD_BYTES_PER_SAMPLE = 32
 
 
 def welch_segment(n_samples: int, n_segments: int) -> int:
@@ -210,6 +208,17 @@ def welch_segment(n_samples: int, n_segments: int) -> int:
     length is rounded down to the largest 5-smooth one, a fast length of
     numpy's real FFT (scipy.fft.prev_fast_len(n, real=True))."""
     return _prev_fast_len(max(8, int(2 * n_samples / (n_segments + 1))))
+
+
+def welch_stream_bytes(n_traj: int, n_samples: int, n_segments: int) -> dict:
+    """Bytes, by name, that a `WelchStream` holds at once: a segment of
+    every trajectory, a row block with its transform and modulus (32 B a
+    sample), then, beyond the window it frees, the spectrum and the fit,
+    model line and table `psd` forms from it (80 B a segment sample)."""
+    seg = welch_segment(n_samples, n_segments)
+    return {"welch window": 8 * n_traj * seg,
+            "psd row block": 32 * max(PSD_BLOCK, seg),
+            "spectrum after the run": 8 * seg * max(0, 10 - n_traj)}
 
 
 class WelchStream:

@@ -23,9 +23,9 @@ import sys
 import time
 import warnings
 import zlib
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -175,171 +175,50 @@ def _si(spec: Key, value):
     return _number(spec.kind, spec, value)
 
 
-class Ensemble(NamedTuple):
-    """How the ensemble run of a subcommand uses memory; see
-    `_memory_preflight`.
-
-    The run records a chunk of (q, p) samples at a time, a sample every
-    simulation.record_every steps, or every `record_every` steps if the
-    subcommand fixes its own stride, or its first and last sample.  It
-    keeps `recorded` float64 (n_traj, samples) arrays, counting those
-    the subcommand forms from the paths after the run; a run that keeps
-    none hands each chunk to an observer, which keeps `labels`, one int8
-    well label per sample and trajectory, or per-sample sums (`engine`),
-    or, with `spectrum`, reduces the chunks to the Welch spectrum of
-    `analysis.WelchStream`, or keeps nothing (`squeeze`, which reads the
-    final state).  A time step draws one normal per trajectory, or two
-    with `energy_sde`: that run is `langevin.simulate_energy_sde`, which
-    writes each sample into its recorded array, with no chunk record and
-    no trap frequency per step.  `steps(values)` is the number of steps
-    when the run does not integrate over simulation.duration_ms (unknown
-    if a key it reads is missing), and `groups` names a list key: the run
-    integrates n_traj trajectories for each of its entries side by side.
-    With `staircase`, the trap frequency changes at every step
-    (`thermo.stiffness_staircase`).
-    """
-
-    recorded: int = 0
-    labels: bool = False
-    record_every: int | None = None
-    energy_sde: bool = False
-    steps: Callable | None = None
-    groups: str | None = None
-    spectrum: bool = False
-    staircase: bool = False
-
-
-# one step of a `thermo.stiffness_staircase`: its (time, omega) entry, 118 B
-# by tracemalloc, and the trap frequency the engine reads from it
-STAIRCASE_BYTES = 128
-
-
-def _memory_preflight(values: dict, run: Ensemble) -> list:
-    """The memory an ensemble run needs, if more than physical RAM.
-
-    The width of the run is n_traj times its number of groups.  Counts
-    one noise stream per BLOCK trajectories of each group, one block of
-    noise draws padded to whole stream blocks, the recorded data, and
-    working vectors: one stream's draws before they are copied into the
-    block and 16 float64 per trajectory (the state, its copy at the start
-    of a chunk, force and transition temporaries).  A block holds one
-    draw (two with `energy_sde`) for each step of one chunk, sized by
-    `langevin.chunk_steps` to at most CHUNK_STEPS rows and CHUNK_BYTES,
-    or fewer if the run is shorter; without a step count it is taken at
-    its largest, and a run without a time step draws its endpoints in
-    one exact transition, two draws.  A run with a step count adds 8
-    float64 per sample (the time, protocol and energy temporaries of
-    recorded paths, or an observer's per-sample sums) and, unless it is
-    the energy SDE, one float64 per step (the trap frequency), 32 B per
-    step of a chunk (its frequencies as Python floats), a staircase
-    STAIRCASE_BYTES per step, and its chunk record, two float64 (q and p)
-    per trajectory and sample of one chunk.  A recording `simulate` run
-    holds its q and p record, two of its recorded arrays, during the run;
-    it frees the noise block and the chunk record before it forms the
-    others and two row blocks of temporaries (the energy of `simulate`,
-    the variance of the subcommand), each of about 2**14 samples or one
-    path: the count is the larger of what it holds during the run and
-    after it.  A labelled run adds two float64 per trajectory and sample
-    of one chunk (the fill indices and comparisons of
-    `langevin.well_labels`) and three bytes per sample and trajectory of
-    one group (the label comparisons of its rate and hop count).  A
-    spectrum adds the Welch window of `analysis.WelchStream`, one float64
-    per trajectory and segment sample, and the temporaries of one row
-    block: PSD_BYTES_PER_SAMPLE for each of PSD_BLOCK samples or of one
-    segment, whichever is more.
-    """
-    n_traj = values["simulation.n_traj"]
-    n_groups = len(values[run.groups]) if run.groups in values else 1
-    width = n_traj * n_groups
-    n_blocks = n_groups * -(-n_traj // langevin.BLOCK)
-    n_steps = None
-    if run.steps is not None:
-        with suppress(KeyError):    # a key it reads failed validation
-            n_steps = run.steps(values)
-    elif all(k in values for k in RUN):
-        n_steps = int(round(values["simulation.duration_ms"]
-                            / values["simulation.dt_ns"]))
-    draws = 2 if run.energy_sde else 1
-    chunk_steps = langevin.chunk_steps(width, draws)
-    rows = (draws * min(chunk_steps, n_steps or chunk_steps)
-            if "simulation.dt_ns" in values else 2)
-    need = {"noise streams": n_blocks * langevin.STREAM_BYTES,
-            "noise block": rows * n_blocks * langevin.BLOCK * 8}
-    work = 8 * (rows * langevin.BLOCK + 16 * width)
-    # bytes a recording run forms after its noise block and chunk record
-    # are freed, and of those two
-    formed, freed = 0, need["noise block"]
-    if n_steps:
-        stride = values.get("simulation.record_every", run.record_every)
-        samples = n_steps // stride + 1 if stride else 2
-        chunk = min(samples, chunk_steps // (stride or n_steps) + 1)
-        work += 64 * samples
-        if not run.energy_sde:
-            need["chunk record"] = 16 * chunk * width
-            freed += need["chunk record"]
-            work += 8 * (n_steps + 1) + 32 * min(n_steps, chunk_steps)
-        if run.labels:
-            need[f"well labels of {width} trajectories x {samples} "
-                 "samples"] = width * samples
-            work += 16 * chunk * width + 3 * n_traj * samples
-        if run.recorded:
-            path = n_traj * samples * 8
-            need[f"{run.recorded} recorded arrays of n_traj x {samples} "
-                 "samples"] = run.recorded * path
-            if not run.energy_sde:
-                need["row blocks after the run"] = 16 * max(2**14, samples)
-                formed = ((run.recorded - 2) * path
-                          + need["row blocks after the run"])
-        if run.spectrum:
-            segment = samples
-            if "psd.n_segments" in values:
-                segment = min(samples, analysis.welch_segment(
-                    samples, values["psd.n_segments"]))
-            need["welch window"] = 8 * n_traj * segment
-            need["psd row block"] = (analysis.PSD_BYTES_PER_SAMPLE
-                                     * max(analysis.PSD_BLOCK, segment))
-        if run.staircase:
-            need["stiffness staircase"] = STAIRCASE_BYTES * (n_steps + 1)
-    need["working vectors"] = work
-    total = sum(need.values()) - min(formed, freed)
+def _memory_preflight(need: dict) -> list:
+    """A violation if the bytes `need`, by name, exceed physical RAM."""
+    total = sum(need.values())
     ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if total <= ram:
         return []
-    parts = ", ".join(f"{name} {size:.3g}" for name, size in need.items())
+    parts = ", ".join(f"{name} {size:.3g}" for name, size in need.items()
+                      if size)
     return [f"simulation.n_traj: {parts} need {total:.3g} bytes at once, "
             f"more than the {ram:.3g} bytes of physical memory"]
 
 
-def _psd_segmentation(values: dict) -> list:
+def _samples(c) -> int:
+    return langevin.step_count(c.duration, c.dt) // c.record_every + 1
+
+
+def _psd_segmentation(c) -> list:
     """Violations of a psd.n_segments whose segments are longer than the
     run, or leave fewer bins than the 3 parameters of the Lorentzian fit."""
-    n_segments = values["psd.n_segments"]
-    n_steps = int(round(values["simulation.duration_ms"]
-                        / values["simulation.dt_ns"]))
-    samples = n_steps // values["simulation.record_every"] + 1
-    segment = analysis.welch_segment(samples, n_segments)
+    samples = _samples(c)
+    segment = analysis.welch_segment(samples, c.n_segments)
     if segment > samples:
-        return [f"psd.n_segments = {n_segments}: a segment needs {segment} "
-                f"samples, more than the {samples} the run records"]
+        return [f"psd.n_segments = {c.n_segments}: a segment needs "
+                f"{segment} samples, more than the {samples} the run records"]
     bins = analysis.fit_bins(segment)
     if bins < 3:
-        return [f"psd.n_segments = {n_segments}: {segment}-sample segments "
+        return [f"psd.n_segments = {c.n_segments}: {segment}-sample segments "
                 f"leave {bins} positive bins up to a quarter of the Nyquist "
                 "rate, fewer than the 3 parameters of the Lorentzian fit"]
     return []
 
 
 def validate(raw: dict, keys, extra=lambda values: (),
-             run: Ensemble = Ensemble()) -> SimpleNamespace:
+             run=lambda c: langevin.simulate_bytes(c.dt, c.duration, c.n_traj)
+             ) -> SimpleNamespace:
     """Check `raw` against KEYS; return the SI values a subcommand reads.
 
-    `keys` (plus simulation.seed) are read always, `extra(values)` names
-    the keys read only for some values of those, and `run` says how the
-    subcommand's ensemble run uses memory.
-    Unknown keys, type, bound, missing-key and cross-key violations and,
-    for an ensemble run, a memory estimate above physical RAM (see
-    `_memory_preflight`) are all collected into one ValidationError.
-    The result holds each value under its Key.name.
+    `keys` (plus simulation.seed) are read always, and `extra(values)`
+    names the keys read only for some values of those.  Unknown keys,
+    type, bound, missing-key and cross-key violations are collected into
+    one ValidationError; once there are none, so is a run too large for
+    physical RAM: `run(result)` counts, by name, the bytes its ensemble
+    run holds at once (None: no run).  The result holds each value under
+    its Key.name.
     """
     violations = []
     for section, entries in raw.items():
@@ -375,13 +254,14 @@ def validate(raw: dict, keys, extra=lambda values: (),
         if (big in values and small in values
                 and not values[big] > values[small]):
             violations.append(f"{big} must exceed {small}")
+    c = SimpleNamespace(**{KEYS[k].name: v for k, v in values.items()})
     if all(k in values for k in RECORDED + ("psd.n_segments",)):
-        violations += _psd_segmentation(values)
-    if "simulation.n_traj" in values:
-        violations += _memory_preflight(values, run)
+        violations += _psd_segmentation(c)
+    if not violations and run is not None:
+        violations = _memory_preflight(run(c))
     if violations:
         raise ValidationError(violations)
-    return SimpleNamespace(**{KEYS[k].name: v for k, v in values.items()})
+    return c
 
 
 def _load_config(path: str, seed) -> dict:
@@ -534,8 +414,7 @@ OPTIONS = (
 )
 
 
-def subcommand(name: str, keys, extra=lambda values: (),
-               run: Ensemble = Ensemble()):
+def subcommand(name: str, keys, extra=lambda values: (), run=None):
     """Register `body(c, em)` as subcommand `name`; see `validate`.
 
     The config is loaded and validated before `body` runs, so `c` holds
@@ -596,8 +475,12 @@ def _sample_variance(q: np.ndarray) -> np.ndarray:
     return total / q.shape[0]
 
 
+# after the run, 4 float64 per sample and a row block of about 2**14 samples
 @subcommand("simulate", OSCILLATOR + ("oscillator.duffing_um2",) + RECORDED,
-            run=Ensemble(recorded=3))
+            run=lambda c: {**langevin.simulate_bytes(
+                c.dt, c.duration, c.n_traj, c.record_every, recorded=True),
+                "sample moments": 32 * _samples(c)
+                + 8 * max(2**14, _samples(c))})
 def simulate_cmd(c, em):
     """Harmonic (optionally Duffing) Langevin ensemble; summary statistics."""
     force = ForceModel(mass=c.mass, omega0=c.omega0, duffing_xi=c.duffing_xi)
@@ -624,15 +507,17 @@ def simulate_cmd(c, em):
 
 
 @subcommand("psd", OSCILLATOR + RECORDED + _section("psd"),
-            run=Ensemble(spectrum=True))
+            run=lambda c: {**langevin.simulate_bytes(
+                c.dt, c.duration, c.n_traj, c.record_every),
+                **analysis.welch_stream_bytes(c.n_traj, _samples(c),
+                                              c.n_segments)})
 def psd_cmd(c, em):
     """Welch spectrum of a simulated ensemble plus a Lorentzian fit."""
     force = ForceModel(mass=c.mass, omega0=c.omega0)
     bath = BathModel(gamma=c.gamma, temperature=c.temperature)
     # the spectrum is reduced chunk by chunk; the run keeps no path
-    stream = analysis.WelchStream(
-        c.n_traj, int(round(c.duration / c.dt)) // c.record_every + 1,
-        c.record_every * c.dt, n_segments=c.n_segments)
+    stream = analysis.WelchStream(c.n_traj, _samples(c), c.record_every
+                                  * c.dt, n_segments=c.n_segments)
     langevin.simulate(force, bath, "thermal", c.dt, c.duration, c.seed,
                       n_traj=c.n_traj, record_every=c.record_every,
                       observe=lambda i0, q, p: stream(i0, q))
@@ -655,7 +540,8 @@ def psd_cmd(c, em):
 
 
 @subcommand("modulate", OSCILLATOR + RECORDED + _section("modulation"),
-            run=Ensemble(recorded=3))
+            run=lambda c: langevin.simulate_bytes(
+                c.dt, c.duration, c.n_traj, c.record_every, recorded=True))
 def modulate_cmd(c, em):
     """Effective temperature under phase-locked parametric modulation."""
     rows = {"depth": [], "t_measured_K": [], "t_predicted_K": []}
@@ -674,12 +560,16 @@ def modulate_cmd(c, em):
         rows["depth"].append(depth)
         rows["t_measured_K"].append(float(tail.mean() / k_B))
         rows["t_predicted_K"].append(t_pred)
+        del traj, tail    # the next depth's run starts with no paths
     em.table("modulate", rows)
 
 
+# after the run, 8 float64 per sample, with the table read back to hash it
 @subcommand("relax", ("oscillator.damping_Hz", "oscillator.temperature_K")
             + RECORDED + _section("relax"),
-            run=Ensemble(recorded=1, energy_sde=True))
+            run=lambda c: {**langevin.simulate_energy_sde_bytes(
+                c.dt, c.duration, c.n_traj, c.record_every),
+                "sample means": 64 * _samples(c)})
 def relax_cmd(c, em):
     """Energy relaxation from a fixed initial energy toward the bath."""
     e0 = c.ratio * k_B * c.temperature
@@ -695,11 +585,10 @@ def relax_cmd(c, em):
     })
 
 
-# the start energies, entropy arrays and fit peak at 13.4 float64 per
-# trajectory (tracemalloc, 40000 trajectories), within the 16 always counted
 @subcommand("fluctuation", OSCILLATOR + ("simulation.duration_ms",
                                          "simulation.n_traj")
-            + _section("fluctuation"))
+            + _section("fluctuation"),
+            run=lambda c: thermo.transient_ft_bytes(c.n_traj))
 def fluctuation_cmd(c, em):
     """Entropy-production fluctuation theorem for a relaxation step."""
     dist = analysis.steady_state_distribution(c.temperature, c.gamma,
@@ -722,8 +611,10 @@ def fluctuation_cmd(c, em):
 
 @subcommand("kramers", _section("well") + _section("kramers"),
             extra=lambda values: RUN if values.get("kramers.mc_damping_Hz")
-            else (), run=Ensemble(labels=True, groups="kramers.mc_damping_Hz",
-                                  record_every=kramers.MC_RECORD_EVERY))
+            else (),
+            run=lambda c: kramers.monte_carlo_bytes(
+                c.dt, c.duration, c.n_traj, len(c.mc_gammas))
+            if c.mc_gammas else {})
 def kramers_cmd(c, em):
     """Interwell hopping rates: turnover theory and optional Monte Carlo."""
     q_m = c.separation / 2.0
@@ -752,15 +643,12 @@ def kramers_cmd(c, em):
     em.table("kramers_mc", rows)
 
 
-def _stroke_steps(v: dict) -> int:
-    return round(max(v["engine.tau_hot_ms"], v["engine.tau_cold_ms"])
-                 / v["simulation.dt_ns"])
-
-
 @subcommand("engine", _section("engine"),
             extra=lambda values: ("simulation.dt_ns", "simulation.n_traj")
             if values.get("engine.regime") == "underdamped" else (),
-            run=Ensemble(record_every=1, steps=_stroke_steps, staircase=True))
+            run=lambda c: thermo.underdamped_cycle_sde_bytes(
+                c.tau_hot, c.tau_cold, c.dt, c.n_traj)
+            if c.regime == "underdamped" else {})
 def engine_cmd(c, em):
     """Cyclic two-bath heat engine; per-stroke CSV and a cycle summary."""
     spec = thermo.EngineCycleSpec(mass=c.mass, gamma=c.gamma, k_max=c.k_max,
@@ -794,17 +682,17 @@ def _quench_pulse(omega0: float, ratio: float, t_start: float, dt: float):
     """Squeezed frequency, pulse length and the step the pulse ends on."""
     omega_s = omega0 / ratio
     tau = math.pi / (2.0 * omega_s)
-    return omega_s, tau, round((t_start + tau) / dt)
+    return omega_s, tau, langevin.step_count(t_start + tau, dt)
 
 
-def _squeeze_steps(values: dict) -> int:
-    return _quench_pulse(*(values[k] for k in (
-        "oscillator.frequency_kHz", "squeeze.ratio", "squeeze.time_ms",
-        "simulation.dt_ns")))[2]
+def _squeeze_run(c) -> dict:
+    n_end = _quench_pulse(c.omega0, c.ratio, c.t_start, c.dt)[2]
+    # `simulate` refuses a pulse that ends on step 0
+    return langevin.simulate_bytes(c.dt, n_end * c.dt, c.n_traj, n_end or 1)
 
 
 @subcommand("squeeze", OSCILLATOR + ("simulation.dt_ns", "simulation.n_traj")
-            + _section("squeeze"), run=Ensemble(steps=_squeeze_steps))
+            + _section("squeeze"), run=_squeeze_run)
 def squeeze_cmd(c, em):
     """Quadrature statistics after a trap-frequency quench pulse."""
     # run to the step the pulse ends on and keep the state there

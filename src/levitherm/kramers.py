@@ -21,8 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .constants import k_B
-from .langevin import (BathModel, ForceModel, simulate_double_well,
-                       well_labels)
+from .langevin import (BathModel, ForceModel, after_run_bytes,
+                       simulate_double_well, simulate_double_well_bytes,
+                       step_count, well_labels)
 from .roots import brentq
 
 
@@ -294,6 +295,17 @@ def hop_statistics(q: np.ndarray, minima: tuple, dt: float):
 
 # Steps per recorded sample of `monte_carlo_rates`.
 MC_RECORD_EVERY = 4
+
+
+def monte_carlo_bytes(dt: float, duration: float, n_traj: int,
+                      n_groups: int) -> dict:
+    """Bytes, by name, that `monte_carlo_rates` holds at once: its run of
+    n_groups dampings, then two bytes per label of one damping."""
+    need = simulate_double_well_bytes(dt, duration, n_traj,
+                                      MC_RECORD_EVERY, n_groups)
+    need["label comparisons"] = after_run_bytes(need, 2 * n_traj * (
+        step_count(duration, dt) // MC_RECORD_EVERY + 1))
+    return need
 
 
 def monte_carlo_rates(spec: DoubleWellSpec, gammas, temperature: float,

@@ -39,8 +39,8 @@ as a `Trajectory`.  Hysteresis well labels (`simulate_double_well`), the
 Welch spectrum of `psd` and the per-sample sums of the engine's work
 are observed, so those runs keep no paths.  A chunk is sized by bytes
 (`chunk_steps`): its noise block stays near CHUNK_BYTES and its (q, p)
-record near twice that at any width, so the working memory of an
-observed run is O(n_traj) beyond one trap frequency per step.
+record near twice that at any width.  Each runner states the bytes it
+holds at once by name (`simulate_bytes` and its siblings).
 
 All state is integrated in dimensionless internal units (lengths in
 sqrt(k_B T_ref / m) / W_ref, times in 1/W_ref) and converted back to SI
@@ -231,6 +231,11 @@ def derive_seed(seed: int, *key) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def step_count(duration: float, dt: float) -> int:
+    """Steps of `dt` in a run of `duration`: the nearest whole number."""
+    return int(round(duration / dt))
+
+
 def chunk_steps(width: int, rows_per_step: int = 1) -> int:
     """Steps of one chunk of a run whose noise block is `width` columns
     wide and takes `rows_per_step` rows a step: at least one, and as
@@ -256,6 +261,21 @@ def _draw_normals(streams, count: int, n_traj: int,
         cols = out[:, b * BLOCK:(b + 1) * BLOCK]
         cols[:] = g.standard_normal(out=buf)[:, :cols.shape[1]]
     return out
+
+
+def noise_bytes(n_traj: int, rows: int, n_groups: int = 1) -> dict:
+    """Bytes, by name, of drawing `rows` rows at a time: the streams, the
+    block (padded to whole stream blocks) and one stream's buffer."""
+    n_streams = n_groups * -(-n_traj // BLOCK)
+    return {"noise streams": n_streams * STREAM_BYTES,
+            "noise block": 8 * rows * n_streams * BLOCK,
+            "draw buffer": 8 * rows * BLOCK}
+
+
+def after_run_bytes(need: dict, formed: int) -> int:
+    """Bytes `formed` once the run `need` counts has freed its noise block
+    and chunk record, beyond those two."""
+    return max(0, formed - need["noise block"] - need["chunk record"])
 
 
 def _omega_per_step(force: ForceModel, dt: float, n_steps: int) -> np.ndarray:
@@ -351,6 +371,28 @@ def _compile_force(force: ForceModel, x0: float, w_ref: float,
     return force_at, mod is None and eta == 0.0 and f_ext is None
 
 
+def simulate_bytes(dt: float, duration: float, n_traj: int,
+                   record_every: int = 1, n_groups: int = 1,
+                   recorded: bool = False) -> dict:
+    """Bytes, by name, that `simulate` holds at once: the noise and (q, p)
+    record of a chunk, the frequency of each step and 16 float64 per
+    trajectory.  A `recorded` run keeps q and p, then forms the energy,
+    its row blocks and 4 float64 per sample once the chunk is freed."""
+    n_steps, width = step_count(duration, dt), n_traj * n_groups
+    chunk = min(chunk_steps(width), n_steps)
+    samples = n_steps // record_every + 1
+    need = noise_bytes(n_traj, chunk, n_groups)
+    need["chunk record"] = 16 * width * (chunk // record_every + 1)
+    need["trap frequencies"] = 8 * (n_steps + 1) + 32 * chunk
+    need["working vectors"] = 128 * width
+    if recorded:
+        path = 8 * width * samples
+        need[f"q and p record of n_traj x {samples} samples"] = 2 * path
+        need["energy array after the run"] = after_run_bytes(
+            need, path + 16 * max(2**14, samples) + 32 * samples)
+    return need
+
+
 def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
              dt: float, duration: float, seed: int | Sequence[int],
              n_traj: int = 1, record_every: int = 1,
@@ -391,7 +433,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
     width = n_traj // len(baths)
     temperature = baths[0].temperature
     m = force.mass
-    n_steps = int(round(duration / dt))
+    n_steps = step_count(duration, dt)
     if n_steps < 1:
         raise ValueError("duration must cover at least one step")
     omega_steps = _omega_per_step(force, dt, n_steps)
@@ -581,6 +623,19 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
     return Trajectory(time, q_si, p_si, energy, protocol, dt, m)
 
 
+def simulate_double_well_bytes(dt: float, duration: float, n_traj: int,
+                               record_every: int, n_groups: int) -> dict:
+    """Bytes, by name, that `simulate_double_well` holds at once: its run,
+    its labels and `well_labels`' temporaries, as large as a chunk record."""
+    need = simulate_bytes(dt, duration, n_traj, record_every, n_groups)
+    width = n_traj * n_groups
+    samples = step_count(duration, dt) // record_every + 1
+    need[f"well labels of {width} trajectories x {samples} samples"] = (
+        width * samples)
+    need["label temporaries"] = need["chunk record"]
+    return need
+
+
 def simulate_double_well(double_well: tuple, minima: tuple,
                          force_template: ForceModel,
                          bath: BathModel | Sequence[BathModel], init,
@@ -593,7 +648,7 @@ def simulate_double_well(double_well: tuple, minima: tuple,
     `bath` and `seed` may be sequences, one entry per group of
     trajectories (see `simulate`).
     """
-    n_samples = int(round(duration / dt)) // kw.get("record_every", 1) + 1
+    n_samples = step_count(duration, dt) // kw.get("record_every", 1) + 1
     labels = np.empty((kw.get("n_traj", 1), n_samples), dtype=np.int8)
 
     def label(i0, q, p):
@@ -661,6 +716,17 @@ def energy_transition(x, gamma_h: float, noise) -> np.ndarray:
             + c * noise[1] ** 2)
 
 
+def simulate_energy_sde_bytes(dt: float, duration: float, n_traj: int,
+                              record_every: int) -> dict:
+    """Bytes, by name, that `simulate_energy_sde` holds at once: noise of
+    two rows a step, its energies and times, and 16 float64 a trajectory."""
+    n_steps = step_count(duration, dt)
+    samples = n_steps // record_every + 1
+    return {**noise_bytes(n_traj, 2 * min(chunk_steps(n_traj, 2), n_steps)),
+            f"energies of n_traj x {samples} samples": 8 * n_traj * samples,
+            "working vectors": 128 * n_traj + 8 * samples}
+
+
 def simulate_energy_sde(bath: BathModel, e0, dt: float, duration: float,
                         seed: int, n_traj: int = 1,
                         record_every: int = 1) -> EnergyPath:
@@ -682,7 +748,7 @@ def simulate_energy_sde(bath: BathModel, e0, dt: float, duration: float,
     e0 = np.broadcast_to(np.asarray(e0, dtype=float), (n_traj,))
     if not np.all(np.isfinite(e0) & (e0 >= 0)):
         raise ValueError("starting energies must be finite and non-negative")
-    n_steps = int(round(duration / dt))
+    n_steps = step_count(duration, dt)
     streams = trajectory_streams(seed, n_traj)
     x = e0 / (k_B * bath.temperature)
     gamma_h = bath.gamma * dt

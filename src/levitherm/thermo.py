@@ -17,7 +17,8 @@ import numpy as np
 
 from .constants import k_B
 from .langevin import (BathModel, ForceModel, Trajectory, _draw_normals,
-                       derive_seed, energy_transition, simulate,
+                       derive_seed, energy_transition, noise_bytes,
+                       simulate, simulate_bytes, step_count,
                        trajectory_streams)
 
 
@@ -113,6 +114,11 @@ def work_conjugate_force(traj: Trajectory) -> np.ndarray:
 # protocols
 
 
+# a step of a stroke of `underdamped_cycle_sde`: its `stiffness_staircase`
+# entry, frequency and stiffness step (128 B by tracemalloc) and q^2 sum
+STAIRCASE_BYTES = 136
+
+
 def stiffness_staircase(mass: float, k_start: float, k_end: float,
                         duration: float, dt: float) -> tuple:
     """Per-step stiffness schedule approximating a linear ramp.
@@ -124,7 +130,7 @@ def stiffness_staircase(mass: float, k_start: float, k_end: float,
     energies are those of the nominal ramp.
     Returns a schedule of (time, omega) pairs for `ForceModel`.
     """
-    n = int(round(duration / dt))
+    n = step_count(duration, dt)
     if n < 1:
         raise ValueError("ramp must span at least one step")
     frac = np.arange(n) / n
@@ -353,6 +359,13 @@ def relaxation_entropy_samples(dist, gamma: float, t_relax: float,
                                  _draw_normals(streams, 2, n_traj))
     heat = -(e_t - e0)
     return dist.beta * heat + stochastic_entropy_change(e0, e_t, dist)
+
+
+def transient_ft_bytes(n_traj: int) -> dict:
+    """Bytes, by name, that `transient_ft_check` holds at once: the noise
+    of its one exact transition and 9 float64 per trajectory (tracemalloc,
+    40000: 4.8 beside the noise in the transition, 9.4 in the fit)."""
+    return {**noise_bytes(n_traj, 2), "working vectors": 72 * n_traj}
 
 
 @dataclass
@@ -613,6 +626,17 @@ def underdamped_cycle_moments(spec: EngineCycleSpec,
         heats.append(w - (e[-1] - e[0]))
     return _engine_result(spec, works, heats,
                           detail={"state_start": y_star, "state_end": y_end})
+
+
+def underdamped_cycle_sde_bytes(tau_hot: float, tau_cold: float, dt: float,
+                                n_traj: int) -> dict:
+    """Bytes, by name, that `underdamped_cycle_sde` holds at once: the run
+    of its longer stroke, the steps of both strokes and the temporaries,
+    80 B a step (tracemalloc), of `simulate` reading a staircase."""
+    n_hot, n_cold = step_count(tau_hot, dt), step_count(tau_cold, dt)
+    return {**simulate_bytes(dt, max(tau_hot, tau_cold), n_traj),
+            "stiffness staircases": STAIRCASE_BYTES * (n_hot + n_cold + 2),
+            "staircase temporaries": 80 * (max(n_hot, n_cold) + 1)}
 
 
 def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,

@@ -469,6 +469,9 @@ def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
     assert exc.value.code == 2
     (violation,) = json.loads(capsys.readouterr().err)["error"]["violations"]
     assert "physical memory" in violation
+    # nor is the run overcounted: within a quarter of the peak and 1 MiB
+    count = float(re.search(r"need (\S+) bytes", violation).group(1))
+    assert count <= 1.25 * peak + 2**20
     # nor is the noise block overcounted: squeeze, which reads no
     # duration, draws only up to the step its pulse ends on (188 rows),
     # in chunks of CHUNK_BYTES (13 rows at 20000 trajectories)
@@ -477,6 +480,22 @@ def test_memory_preflight_covers_the_measured_peak(tmp_path, monkeypatch,
     # nor the Welch window of `psd`, one segment of the ensemble
     if command == "psd":
         assert float(terms["welch window"]) < 2 * peak
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("env-sweep", {}),
+    ("engine", {}),                 # the overdamped moment engine
+    ("kramers", {"well": WELL}),    # the turnover theory, no Monte Carlo
+])
+def test_memory_preflight_never_refuses_a_subcommand_without_a_run(
+        tmp_path, monkeypatch, command, overrides):
+    from levitherm import cli
+    # a machine with 1 byte of RAM
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)
+    out = tmp_path / "out"
+    cli.main.main([command, "--config", str(write_config(tmp_path, overrides)),
+                   "--out", str(out)], standalone_mode=False)
+    assert json.loads((out / "manifest.json").read_text())["complete"]
 
 
 def test_memory_preflight_counts_what_a_recording_run_holds(
