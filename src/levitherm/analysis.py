@@ -214,11 +214,11 @@ def welch_stream_bytes(n_traj: int, n_samples: int, n_segments: int) -> dict:
     """Bytes, by name, that a `WelchStream` holds at once: a segment of
     every trajectory, a row block with its transform and modulus (32 B a
     sample), then, beyond the window it frees, the spectrum and the fit,
-    model line and table `psd` forms from it (80 B a segment sample)."""
+    model line and table `psd` forms from it (40 B a segment sample)."""
     seg = welch_segment(n_samples, n_segments)
     return {"welch window": 8 * n_traj * seg,
             "psd row block": 32 * max(PSD_BLOCK, seg),
-            "spectrum after the run": 8 * seg * max(0, 10 - n_traj)}
+            "spectrum after the run": 8 * seg * max(0, 5 - n_traj)}
 
 
 class WelchStream:
@@ -395,17 +395,18 @@ def psd_quantum(omega, omega0: float, gamma_eff: float, t_cm: float,
     """Asymmetric spectrum when k_B T_CM is comparable to hbar W0.
 
     (hbar/pi) Im chi / (1 - e^{-x}), x = hbar W / k_B T_CM, written as
-    gamma k_B T_CM / (pi m D exprel(-x)) with D the denominator of |chi|^2:
-    finite at W = 0, where it is `psd_analytic`, and tending to it for
-    |x| << 1.  The sideband ratio S(+W0)/S(-W0) = exp(hbar W0 / k_B T_CM).
+    gamma k_B T_CM / (pi m D exprel(-x)) with D the denominator of |chi|^2
+    and exprel(y) = expm1(y) / y (1 at y = 0): finite at W = 0, where it
+    is `psd_analytic`, and tending to it for |x| << 1.  The sideband
+    ratio S(+W0)/S(-W0) = exp(hbar W0 / k_B T_CM).
     """
-    from scipy.special import exprel
-
     omega = np.asarray(omega, dtype=float)
     denom_chi = (omega0**2 - omega**2) ** 2 + gamma_eff**2 * omega**2
     kt = k_B * t_cm
-    return (gamma_eff * kt / (math.pi * mass * denom_chi)
-            / exprel(-hbar * omega / kt))
+    y = -hbar * omega / kt
+    tiny = np.abs(y) < 1e-16
+    exprel = np.where(tiny, 1.0, np.expm1(y) / np.where(tiny, 1.0, y))
+    return gamma_eff * kt / (math.pi * mass * denom_chi) / exprel
 
 
 @dataclass
@@ -659,6 +660,175 @@ def effective_temperature_modulated(eps0: float, phi: float, omega0: float,
     return t_eff, gamma * s
 
 
+# Cody's rational Chebyshev approximations of erf and erfc (Math. Comp. 23,
+# 631 (1969)), as in his CALERF, coefficients highest power first: erf(x) =
+# x A(x^2) on |x| <= 0.46875, erfcx(x) = C(x) on (0.46875, 4] and
+# erfcx(x) = (1/sqrt(pi) - P(1/x^2)) / x beyond 4
+_ERF_A = ((1.85777706184603153e-1, 3.16112374387056560e0,
+           1.13864154151050156e2, 3.77485237685302021e2,
+           3.20937758913846947e3),
+          (1.0, 2.36012909523441209e1, 2.44024637934444173e2,
+           1.28261652607737228e3, 2.84423683343917062e3))
+_ERFCX_C = ((2.15311535474403846e-8, 5.64188496988670089e-1,
+             8.88314979438837594e0, 6.61191906371416295e1,
+             2.98635138197400131e2, 8.81952221241769090e2,
+             1.71204761263407058e3, 2.05107837782607147e3,
+             1.23033935479799725e3),
+            (1.0, 1.57449261107098347e1, 1.17693950891312499e2,
+             5.37181101862009858e2, 1.62138957456669019e3,
+             3.29079923573345963e3, 4.36261909014324716e3,
+             3.43936767414372164e3, 1.23033935480374942e3))
+_ERFCX_P = ((1.63153871373020978e-2, 3.05326634961232344e-1,
+             3.60344899949804439e-1, 1.25781726111229246e-1,
+             1.60837851487422766e-2, 6.58749161529837803e-4),
+            (1.0, 2.56852019228982242e0, 1.87295284992346725e0,
+             5.27905102951428412e-1, 6.05183413124413191e-2,
+             2.33520497626869185e-3))
+# erfcx(x) for x below -26.628 exceeds the largest float
+_ERFCX_XNEG = -26.628
+# beyond 6.71e7, 1/(x sqrt(pi)) is erfcx to rounding
+_ERFCX_XHUGE = 6.71e7
+_INV_SQRT_PI = 0.56418958354775628695
+
+# Wichura's AS241 (PPND16, Appl. Stat. 37, 477 (1988)): the inverse normal
+# CDF as a ratio of degree-7 polynomials, highest power first, in
+# 0.180625 - q^2 on |q| = |p - 1/2| <= 0.425, and beyond in r - 1.6 for
+# r = sqrt(-log min(p, 1-p)) <= 5, then in r - 5
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4,
+     6.7265770927008700853e4, 4.5921953931549871457e4,
+     1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528544610e3, 2.8729085735721942674e4,
+     3.9307895800092710610e4, 2.1213794301586595867e4,
+     5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0))
+_AS241_NEAR = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2,
+     2.41780725177450611770e-1, 1.27045825245236838258e0,
+     3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4,
+     1.51986665636164571966e-2, 1.48103976427480074590e-1,
+     6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0))
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5,
+     1.24266094738807843860e-3, 2.65321895265761230930e-2,
+     2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7,
+     1.84631831751005468180e-5, 7.86869131145613259100e-4,
+     1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0))
+# AS241 is fitted for r <= 27 (p above about 1e-317); beyond, the
+# quantile is found from its asymptote
+_AS241_R_MAX = 27.0
+
+
+def _rational(coefs, x):
+    """num(x) / den(x) by Horner's rule, for `coefs` = (num, den)."""
+    num, den = (np.full_like(x, c[0]) for c in coefs)
+    for out, c in ((num, coefs[0]), (den, coefs[1])):
+        for k in c[1:]:
+            out *= x
+            out += k
+    return num / den
+
+
+def _erfcx(x):
+    """exp(x^2) erfc(x) by Cody's approximations, for a float or an array.
+
+    Finite for every x above -26.628 (where it exceeds the largest float)
+    and never under- or overflowing on the way, as exp(x^2) erfc(x)
+    does beyond |x| of about 26; negative x below -0.46875 reflect by
+    erfcx(-x) = 2 exp(x^2) - erfcx(x).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    out = np.full_like(y, np.nan)
+    small = y <= 0.46875
+    xs = x[small]
+    ysq = xs * xs
+    out[small] = np.exp(ysq) * (1.0 - xs * _rational(_ERF_A, ysq))
+    mid = (y > 0.46875) & (y <= 4.0)
+    out[mid] = _rational(_ERFCX_C, y[mid])
+    big = (y > 4.0) & (y < _ERFCX_XHUGE)
+    yb = y[big]
+    ysq = 1.0 / (yb * yb)
+    out[big] = (_INV_SQRT_PI - ysq * _rational(_ERFCX_P, ysq)) / yb
+    huge = y >= _ERFCX_XHUGE
+    out[huge] = _INV_SQRT_PI / y[huge]
+    neg = (x < -0.46875) & (x >= _ERFCX_XNEG)
+    xn = x[neg]
+    # exp(x^2) with x^2 split so that its rounding does not enter
+    ysq = np.trunc(xn * 16.0) / 16.0
+    e2 = np.exp(ysq * ysq) * np.exp((xn - ysq) * (xn + ysq))
+    out[neg] = (e2 + e2) - out[neg]
+    out[x < _ERFCX_XNEG] = np.inf
+    return out[()]
+
+
+def _log_ndtr(x: float) -> float:
+    """log Phi(x), the log of the standard normal CDF, at a float.
+
+    From math.erfc (by log1p above the median) down to x = -20, and
+    below by erfcx, log(erfcx(-x/sqrt 2) / 2) - x^2 / 2, since
+    erfc(-x/sqrt 2) loses digits and then underflows beyond x = -37.5.
+    """
+    z = x / math.sqrt(2.0)
+    if x > 0.0:
+        return math.log1p(-0.5 * math.erfc(z))
+    if x > -20.0:
+        return math.log(0.5 * math.erfc(-z))
+    return math.log(0.5 * float(_erfcx(-z))) - 0.5 * x * x
+
+
+def _ndtri_exp(w):
+    """Phi^{-1}(e^w) for an array of w <= 0: the standard normal quantile
+    of p = e^w, with no p formed where it would underflow.
+
+    Wichura's AS241: a rational in q = e^w - 1/2 near the median; in the
+    tails a rational in r = sqrt(-log min(p, 1-p)), with r = sqrt(-w)
+    below the median and sqrt(-log(-expm1(w))) above it.  Beyond
+    r = 27 the quantile solves log Phi(x) = w by two Newton steps from
+    its asymptote x^2 = -2w - log(-4 pi w), with Phi / phi =
+    sqrt(pi/2) erfcx(-x / sqrt 2).
+    """
+    w = np.asarray(w, dtype=float)
+    q = np.exp(w) - 0.5
+    # the central rational is finite for every |q| <= 1/2 (its denominator
+    # stays above 0.002), so it runs on every w and the tails overwrite it
+    x = q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
+    tail = np.abs(q) > 0.425
+    upper = q[tail] > 0.0
+    lw = w[tail]
+    lw[upper] = np.log(-np.expm1(lw[upper]))
+    r = np.sqrt(-lw)
+    xt = np.empty_like(r)
+    near = r <= 5.0
+    xt[near] = _rational(_AS241_NEAR, r[near] - 1.6)
+    far = (r > 5.0) & (r <= _AS241_R_MAX)
+    xt[far] = _rational(_AS241_FAR, r[far] - 5.0)
+    deep = r > _AS241_R_MAX
+    if deep.any():
+        xt[deep] = -_ndtri_exp_asymptotic(lw[deep])
+    xt[~upper] *= -1.0
+    x[tail] = xt
+    return x
+
+
+def _ndtri_exp_asymptotic(w):
+    """Phi^{-1}(e^w) for w < -729 (and -inf at w = -inf)."""
+    with np.errstate(invalid="ignore"):
+        x = -np.sqrt(-2.0 * w - np.log(-4.0 * math.pi * w))
+        for _ in range(2):
+            h = _erfcx(-x / math.sqrt(2.0))
+            x -= ((np.log(0.5 * h) - 0.5 * x * x - w)
+                  * math.sqrt(0.5 * math.pi) * h)
+    return np.where(np.isneginf(w), w, x)
+
+
 @dataclass
 class SteadyStateDistribution:
     """Energy law P_E(E) = Z^{-1} exp(-beta [(1+s) E + c E^2]).
@@ -684,13 +854,12 @@ class SteadyStateDistribution:
     @cached_property
     def normalization(self) -> float:
         """Z = (1/2) sqrt(pi / (beta c)) erfcx(beta(1+s) / (2 sqrt(beta c)))."""
-        from scipy.special import erfcx
-
         a = self.beta * self.linear
         b = self.beta * self.quadratic
         if b == 0:
             return 1.0 / a
-        return 0.5 * math.sqrt(math.pi / b) * erfcx(a / (2.0 * math.sqrt(b)))
+        return 0.5 * math.sqrt(math.pi / b) * float(
+            _erfcx(a / (2.0 * math.sqrt(b))))
 
     def pdf(self, energy):
         e = np.asarray(energy, dtype=float)
@@ -707,8 +876,6 @@ class SteadyStateDistribution:
         """<E>: the mean of the Gaussian in E truncated to E >= 0,
         loc + sigma sqrt(2/pi) / erfcx(alpha / sqrt 2), alpha = -loc / sigma
         (1 / (beta (1+s)) when c = 0)."""
-        from scipy.special import erfcx
-
         a = self.beta * self.linear
         b = self.beta * self.quadratic
         if b == 0:
@@ -717,21 +884,19 @@ class SteadyStateDistribution:
         scale = 1.0 / math.sqrt(2.0 * b)
         alpha = -loc / scale
         return loc + scale * math.sqrt(2.0 / math.pi) / float(
-            erfcx(alpha / math.sqrt(2.0)))
+            _erfcx(alpha / math.sqrt(2.0)))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Exact draws: a truncated Gaussian in E, by its inverse CDF in log
         space from one uniform each (exponential when c = 0)."""
-        from scipy.special import log_ndtr, ndtri_exp
-
         a = self.beta * self.linear
         b = self.beta * self.quadratic
         if b == 0:
             return rng.exponential(1.0 / a, size=n)
         loc = -a / (2.0 * b)
         scale = 1.0 / math.sqrt(2.0 * b)
-        w = np.log(rng.random(n)) + log_ndtr(loc / scale)
-        return loc - scale * ndtri_exp(w)
+        w = np.log(rng.random(n)) + _log_ndtr(loc / scale)
+        return loc - scale * _ndtri_exp(w)
 
     def sample_phase_space(self, n: int, rng: np.random.Generator):
         """(q, p) draws: energy from `sample`, phase uniform on the orbit."""
@@ -759,9 +924,7 @@ def steady_state_distribution(temperature: float, gamma: float, omega0: float,
 
 def h_function(x):
     """h(x) = exp(x^2) erfc(x), evaluated stably as erfcx."""
-    from scipy.special import erfcx
-
-    return erfcx(np.asarray(x, dtype=float))
+    return _erfcx(x)
 
 
 # ---------------------------------------------------------------------------

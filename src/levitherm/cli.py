@@ -287,6 +287,9 @@ def config_hash(config: dict) -> str:
 # ---------------------------------------------------------------------------
 # output plumbing
 
+# bytes of an emitted file that `Emitter` reads at once to hash it
+HASH_BLOCK = 2**16
+
 
 class Emitter:
     """Writes data files and the run manifest for one invocation."""
@@ -301,10 +304,12 @@ class Emitter:
         os.makedirs(out_dir, exist_ok=True)
 
     def _register(self, path: str):
+        digest = hashlib.sha256()
         with open(path, "rb") as f:
-            digest = hashlib.sha256(f.read()).hexdigest()
+            for block in iter(lambda: f.read(HASH_BLOCK), b""):
+                digest.update(block)
         self.outputs.append({"path": os.path.basename(path),
-                             "sha256": digest})
+                             "sha256": digest.hexdigest()})
 
     def table(self, name: str, columns: dict):
         """Emit a column table as CSV or JSON depending on --format."""
@@ -564,12 +569,12 @@ def modulate_cmd(c, em):
     em.table("modulate", rows)
 
 
-# after the run, 8 float64 per sample, with the table read back to hash it
+# after the run, 4 float64 per sample: the table's columns and a temporary
 @subcommand("relax", ("oscillator.damping_Hz", "oscillator.temperature_K")
             + RECORDED + _section("relax"),
             run=lambda c: {**langevin.simulate_energy_sde_bytes(
                 c.dt, c.duration, c.n_traj, c.record_every),
-                "sample means": 64 * _samples(c)})
+                "sample means": 32 * _samples(c)})
 def relax_cmd(c, em):
     """Energy relaxation from a fixed initial energy toward the bath."""
     e0 = c.ratio * k_B * c.temperature

@@ -63,6 +63,7 @@ at any dt; the energy law of a driven steady state is
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -279,17 +280,28 @@ def after_run_bytes(need: dict, formed: int) -> int:
 
 
 def _omega_per_step(force: ForceModel, dt: float, n_steps: int) -> np.ndarray:
-    omega = np.full(n_steps + 1, force.omega0)
-    if force.stiffness_schedule:
-        sched = np.asarray(force.stiffness_schedule, dtype=float)
-        switch_steps = np.rint(sched[:, 0] / dt).astype(int)
-        order = np.argsort(switch_steps, kind="stable")
-        switch_steps, values = switch_steps[order], sched[order, 1]
-        idx = np.searchsorted(switch_steps, np.arange(n_steps + 1),
-                              side="right") - 1
-        active = idx >= 0
-        omega[active] = values[idx[active]]
-    return omega
+    """The trap frequency of steps 0..n_steps: `omega0` before the first
+    switch of the schedule, then each entry's value from its switch step
+    on; of entries that share a step the later one holds, and switches
+    beyond n_steps are clipped."""
+    sched = force.stiffness_schedule
+    if not sched:
+        return np.full(n_steps + 1, force.omega0)
+    # the first step of omega0 and of each entry's value (its time / dt,
+    # rounded half to even), then the end of the run
+    bounds = np.fromiter(itertools.chain(
+        (0,), (round(t / dt) for t, _ in sched), (n_steps + 1,)),
+        np.intp, len(sched) + 2)
+    values = np.fromiter(itertools.chain(
+        (force.omega0,), (w for _, w in sched)), float, len(sched) + 1)
+    starts = bounds[1:-1]
+    if np.any(starts[1:] < starts[:-1]):
+        order = np.argsort(starts, kind="stable")
+        starts[:], values[1:] = starts[order], values[1:][order]
+    np.clip(bounds, 0, n_steps + 1, out=bounds)
+    counts = np.diff(bounds)
+    del bounds, starts    # freed before the frequencies are formed
+    return np.repeat(values, counts)
 
 
 def _check_dt(dt: float, omega_max: float, gamma: float, allow_coarse: bool):
@@ -373,17 +385,20 @@ def _compile_force(force: ForceModel, x0: float, w_ref: float,
 
 def simulate_bytes(dt: float, duration: float, n_traj: int,
                    record_every: int = 1, n_groups: int = 1,
-                   recorded: bool = False) -> dict:
+                   recorded: bool = False, switches: int = 0) -> dict:
     """Bytes, by name, that `simulate` holds at once: the noise and (q, p)
-    record of a chunk, the frequency of each step and 16 float64 per
-    trajectory.  A `recorded` run keeps q and p, then forms the energy,
-    its row blocks and 4 float64 per sample once the chunk is freed."""
+    record of a chunk, the frequency of each step (read from a stiffness
+    schedule of `switches` entries through three arrays of its length)
+    and 16 float64 per trajectory.  A `recorded` run keeps q and p, then
+    forms the energy, its row blocks and 4 float64 per sample once the
+    chunk is freed."""
     n_steps, width = step_count(duration, dt), n_traj * n_groups
     chunk = min(chunk_steps(width), n_steps)
     samples = n_steps // record_every + 1
     need = noise_bytes(n_traj, chunk, n_groups)
     need["chunk record"] = 16 * width * (chunk // record_every + 1)
-    need["trap frequencies"] = 8 * (n_steps + 1) + 32 * chunk
+    need["trap frequencies"] = (8 * (n_steps + 1) + 24 * switches
+                                + 32 * chunk)
     need["working vectors"] = 128 * width
     if recorded:
         path = 8 * width * samples

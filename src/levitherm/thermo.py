@@ -631,12 +631,12 @@ def underdamped_cycle_moments(spec: EngineCycleSpec,
 def underdamped_cycle_sde_bytes(tau_hot: float, tau_cold: float, dt: float,
                                 n_traj: int) -> dict:
     """Bytes, by name, that `underdamped_cycle_sde` holds at once: the run
-    of its longer stroke, the steps of both strokes and the temporaries,
-    80 B a step (tracemalloc), of `simulate` reading a staircase."""
+    of its longer stroke, reading its staircase, and the steps of both
+    strokes."""
     n_hot, n_cold = step_count(tau_hot, dt), step_count(tau_cold, dt)
-    return {**simulate_bytes(dt, max(tau_hot, tau_cold), n_traj),
-            "stiffness staircases": STAIRCASE_BYTES * (n_hot + n_cold + 2),
-            "staircase temporaries": 80 * (max(n_hot, n_cold) + 1)}
+    return {**simulate_bytes(dt, max(tau_hot, tau_cold), n_traj,
+                             switches=max(n_hot, n_cold) + 1),
+            "stiffness staircases": STAIRCASE_BYTES * (n_hot + n_cold + 2)}
 
 
 def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,

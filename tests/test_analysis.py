@@ -431,6 +431,65 @@ def test_h_function_asymptote():
     assert analysis.h_function(0.0) == 1.0
 
 
+def test_erfcx_is_scipys():
+    from scipy.special import erfcx
+    x = np.concatenate([np.linspace(-26.0, 26.0, 52001),
+                        np.geomspace(26.0, 1e8, 2001)])
+    ref = erfcx(x)
+    rel = np.abs(analysis._erfcx(x) - ref) / ref
+    # Cody's three ranges: worst seen 8.4e-16
+    right = x >= -0.46875
+    assert rel[right].max() <= 1e-15
+    # the reflection 2 exp(x^2) - erfcx(-x): scipy forms exp(x^2) from a
+    # rounded x^2, off by up to 2^-53 x^2 relative (5.7e-14 at -23.6),
+    # where Cody's split x^2 is not; worst seen 4.1e-16 beyond that
+    assert (rel[~right] - 2.0**-53 * x[~right] ** 2).max() <= 1e-15
+    # finite and exact for large x, where exp(x^2) erfc(x) is not
+    assert analysis._erfcx(1e9) == 1.0 / (1e9 * math.sqrt(math.pi))
+    assert analysis._erfcx(-27.0) == math.inf
+
+
+def test_log_ndtr_is_scipys():
+    from scipy.special import log_ndtr
+    x = np.linspace(-40.0, 8.0, 4801)
+    ref = log_ndtr(x)
+    rel = np.abs(np.array([analysis._log_ndtr(float(v)) for v in x]) - ref) \
+        / np.abs(ref)
+    # worst seen 6.3e-16
+    assert rel[x <= 0].max() <= 1e-15
+    # log Phi(x) = log1p(-erfc(x / sqrt 2) / 2): the rounding of x / sqrt 2
+    # moves erfc by up to 2^-53 x^2 relative in both (7e-15 at x = 8);
+    # worst seen 1.3e-14
+    assert rel[x > 0].max() <= 2e-14
+
+
+def test_ndtri_exp_is_scipys():
+    from scipy.special import ndtri_exp
+    w = np.concatenate([-np.geomspace(700.0, 1e-12, 20001),
+                        np.linspace(-3.0, -1e-3, 20001)])
+    # every AS241 branch, below and above the median: the central
+    # rational in q = p - 1/2, then r = sqrt(-log min(p, 1-p)) up to 5
+    # and beyond it
+    q = np.exp(w) - 0.5
+    r = np.sqrt(-np.where(q < 0, w, np.log(-np.expm1(w))))
+    for branch in (np.abs(q) <= 0.425, (q < -0.425) & (r <= 5),
+                   (q < -0.425) & (r > 5), (q > 0.425) & (r <= 5),
+                   (q > 0.425) & (r > 5)):
+        assert branch.sum() > 1000
+    ref = ndtri_exp(w)
+    # relative, and absolute near the median: worst seen 1.4e-15
+    err = np.abs(analysis._ndtri_exp(w) - ref) / np.maximum(np.abs(ref), 1.0)
+    assert err.max() <= 2e-15
+    # beyond r = 27, Newton from the asymptote: log Phi(x) returns w to
+    # 3.1e-16 relative, and scipy agrees to its own 5.6e-13
+    deep = -np.geomspace(729.5, 1e300, 301)
+    x = analysis._ndtri_exp(deep)
+    resid = np.array([analysis._log_ndtr(float(v)) for v in x]) - deep
+    assert np.abs(resid / deep).max() <= 1e-15
+    np.testing.assert_allclose(x, ndtri_exp(deep), rtol=1e-12)
+    assert analysis._ndtri_exp(np.array([-np.inf]))[0] == -np.inf
+
+
 # ---------------------------------------------------------------------------
 # modulated steady states
 

@@ -278,16 +278,21 @@ def test_memory_preflight_refuses_runs_larger_than_ram(tmp_path, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "fluctuation"])
+@pytest.mark.parametrize("command, ram", [
+    # 385 kiB: simulate's one trajectory of 2 samples, with the energy
+    # row block (262 kB) and sample moments (131 kB) it forms after the
+    # run, needs 394080 B less its noise stream (958 B)
+    pytest.param("simulate", 385 * 1024, id="simulate"),
+    # 2.25 kiB: fluctuation's noise block padded to a 64-column stream
+    # block, draw buffer and working vectors need 2120 B
+    pytest.param("fluctuation", 2304, id="fluctuation")])
 def test_memory_preflight_counts_noise_streams(tmp_path, monkeypatch, capsys,
-                                               command):
+                                               command, ram):
     from levitherm import cli
-    # 2.25 kB of RAM: one trajectory's 2 recorded samples (48 B), its
-    # noise block padded to a 64-column stream block (at most 1 kB) and
-    # its working vectors (at most 1.2 kB) fit, but its noise stream
-    # (about 1 kB) does not
+    # one trajectory of one step fits the machine `ram` but for its noise
+    # stream
     monkeypatch.setattr(os, "sysconf",
-                        lambda name: 2304 if name == "SC_PAGE_SIZE" else 1)
+                        lambda name: ram if name == "SC_PAGE_SIZE" else 1)
     cfg = write_config(tmp_path, {"simulation": {"n_traj": 1,
                                                  "duration_ms": 0.0004}})
     out = tmp_path / "out"
@@ -560,8 +565,10 @@ CALIBRATE_PSD = {"oscillator": {"damping_Hz": 5000},
     pytest.param("engine", UNDERDAMPED, (), id="engine-underdamped"),
     # 500 trajectories: the 50 of BASE_CONFIG draw too few negative
     # samples to fit
-    pytest.param("fluctuation", {"simulation": {"n_traj": 500}},
-                 ("special",), id="fluctuation"),
+    # the truncated-Gaussian start energies are drawn by the package's
+    # own erfcx, log Phi and inverse CDF
+    pytest.param("fluctuation", {"simulation": {"n_traj": 500}}, (),
+                 id="fluctuation"),
     # the well actions are closed-form and the depopulation integral is
     # summed on fixed nodes, with or without the Monte Carlo
     pytest.param("kramers", {"well": WELL, "kramers": {"n_points": 5}}, (),

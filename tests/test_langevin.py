@@ -253,6 +253,20 @@ def test_stiffness_schedule_is_right_continuous():
     assert np.all(omega[70:] == OMEGA0)
 
 
+def test_schedule_entries_on_a_shared_step_and_out_of_range():
+    # in any order: an entry before step 0 holds from it, the later of
+    # two entries on step 3 wins, and one past the last step never acts
+    force, _ = make_models(stiffness_schedule=(
+        (3 * DT, 5.0), (20 * DT, 9.0), (-2 * DT, 7.0), (3 * DT, 6.0)))
+    assert langevin._omega_per_step(force, DT, 10).tolist() \
+        == [7.0] * 3 + [6.0] * 8
+    # a staircase of one entry per step, and a gap before its first
+    force, _ = make_models(stiffness_schedule=tuple(
+        (k * DT, float(k)) for k in range(2, 6)))
+    assert langevin._omega_per_step(force, DT, 5).tolist() \
+        == [OMEGA0, OMEGA0, 2.0, 3.0, 4.0, 5.0]
+
+
 def test_energy_uses_scheduled_stiffness():
     omega_s = OMEGA0 / 2.0
     force, _ = make_models(stiffness_schedule=((30 * DT, omega_s),
