@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import hbar, k_B
-from .langevin import Trajectory
+from .langevin import ForceModel, Trajectory, mechanical_energy
 
 
 class FitError(RuntimeError):
@@ -312,6 +312,51 @@ class WelchStream:
                                np.concatenate([half[:0:-1],
                                                half[:(seg + 1) // 2]]),
                                count, self.dt)
+
+
+def sample_moments_bytes(n_traj: int, n_samples: int) -> dict:
+    """Bytes, by name, that a `SampleMoments` holds at once: its three
+    moments of each sample and four arrays of a row block."""
+    rows = min(n_samples, max(1, PSD_BLOCK // n_traj))
+    return {f"moments of {n_samples} samples": 24 * n_samples,
+            "moment blocks": 32 * rows * n_traj}
+
+
+class SampleMoments:
+    """Per-sample ensemble moments of a `langevin.simulate` run, reduced
+    while it runs by the observer moments(i0, q, p): the mean and variance
+    of q and the mean `langevin.mechanical_energy` at the trap frequency
+    omega0, bit for bit numpy's mean(axis=0) and var(axis=0) of the
+    (n_traj, n_samples) paths.  Row blocks of about PSD_BLOCK values are
+    summed over trajectories in their order, as numpy's axis-0 sum adds,
+    the variance over deviations from the mean (Chan, Golub and LeVeque,
+    Am. Stat. 37, 242 (1983)).
+    """
+
+    def __init__(self, force: ForceModel, n_traj: int, n_samples: int):
+        # squared as an array, as the recorder squares its frequencies
+        self.force, self.omega = force, np.full(1, force.omega0)
+        self.q_mean, self.q_var, self.energy = np.empty((3, n_samples))
+        self.rows = min(n_samples, max(1, PSD_BLOCK // n_traj))
+        self.pairwise = n_samples == 1
+
+    def _mean(self, rows: np.ndarray) -> np.ndarray:
+        # each row's mean over trajectories, added in numpy's axis-0
+        # order: row by row, but pairwise for a path of one sample
+        if self.pairwise:
+            return rows.mean(axis=1)
+        return np.add.accumulate(rows, axis=1)[:, -1] / rows.shape[1]
+
+    def __call__(self, i0: int, q: np.ndarray, p: np.ndarray):
+        for r in range(0, len(q), self.rows):
+            q_r, p_r = q[r:r + self.rows], p[r:r + self.rows]
+            at = slice(i0 + r, i0 + r + len(q_r))
+            self.q_mean[at] = self._mean(q_r)
+            dev = q_r - self.q_mean[at, None]
+            dev *= dev
+            self.q_var[at] = self._mean(dev)
+            self.energy[at] = self._mean(mechanical_energy(
+                self.force, q_r, p_r, self.omega))
 
 
 def psd(q: np.ndarray, dt: float, n_segments: int = 8) -> SpectralDensity:

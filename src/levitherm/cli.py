@@ -545,8 +545,9 @@ def psd_cmd(c, em):
 
 
 @subcommand("modulate", OSCILLATOR + RECORDED + _section("modulation"),
-            run=lambda c: langevin.simulate_bytes(
-                c.dt, c.duration, c.n_traj, c.record_every, recorded=True))
+            run=lambda c: {**langevin.simulate_bytes(
+                c.dt, c.duration, c.n_traj, c.record_every),
+                **analysis.sample_moments_bytes(c.n_traj, _samples(c))})
 def modulate_cmd(c, em):
     """Effective temperature under phase-locked parametric modulation."""
     rows = {"depth": [], "t_measured_K": [], "t_predicted_K": []}
@@ -555,17 +556,18 @@ def modulate_cmd(c, em):
         force = ForceModel(mass=c.mass, omega0=c.omega0,
                            modulation=langevin.Modulation(
                                depth, phase=c.phase, phase_locked=True))
-        traj = langevin.simulate(
-            force, bath, "thermal", c.dt, c.duration,
-            langevin.derive_seed(c.seed, "modulate", i), n_traj=c.n_traj,
-            record_every=c.record_every)
-        tail = traj.energy[:, traj.energy.shape[1] // 2:]
+        # the run is reduced to per-sample moments; it keeps no path
+        moments = analysis.SampleMoments(force, c.n_traj, _samples(c))
+        langevin.simulate(force, bath, "thermal", c.dt, c.duration,
+                          langevin.derive_seed(c.seed, "modulate", i),
+                          n_traj=c.n_traj, record_every=c.record_every,
+                          observe=moments)
         t_pred, _ = analysis.effective_temperature_modulated(
             depth, c.phase, c.omega0, c.omega0, c.gamma, c.temperature)
         rows["depth"].append(depth)
-        rows["t_measured_K"].append(float(tail.mean() / k_B))
+        rows["t_measured_K"].append(
+            float(moments.energy[_samples(c) // 2:].mean() / k_B))
         rows["t_predicted_K"].append(t_pred)
-        del traj, tail    # the next depth's run starts with no paths
     em.table("modulate", rows)
 
 

@@ -34,10 +34,11 @@ or sample; the SI arrays of a `Trajectory` are (n_traj, n_samples).
 One call can integrate several groups of trajectories side by side,
 each with its own damping and seed.  A run records (q, p) one chunk at
 a time and hands each chunk, in SI, to an observer `observe(i0, q, p)`;
-without one it records whole paths and returns them with their energy
-as a `Trajectory`.  Hysteresis well labels (`simulate_double_well`), the
-Welch spectrum of `psd` and the per-sample sums of the engine's work
-are observed, so those runs keep no paths.  A chunk is sized by bytes
+without one it returns whole paths and their `mechanical_energy` as a
+`Trajectory`.  Hysteresis well labels (`simulate_double_well`), the
+Welch spectrum of `psd`, the per-sample moments of `modulate` and the
+per-sample sums of the engine's work are observed, so those runs keep
+no paths.  A chunk is sized by bytes
 (`chunk_steps`): its noise block stays near CHUNK_BYTES and its (q, p)
 record near twice that at any width.  Each runner states the bytes it
 holds at once by name (`simulate_bytes` and its siblings).
@@ -408,6 +409,32 @@ def simulate_bytes(dt: float, duration: float, n_traj: int,
     return need
 
 
+def mechanical_energy(force: ForceModel, q, p, omega,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """p^2 / 2m + m omega^2 q^2 / 2 + m omega0^2 xi q^4 / 4 of `force` at
+    the SI (q, p), or p^2 / 2m + b (q^2 - q_m^2)^2 in its double well,
+    into `out` if given; `omega` is the trap frequency of each sample."""
+    m = force.mass
+    out = np.square(p, out=out)
+    out /= 2.0 * m
+    u = np.square(q)
+    if force.double_well is not None:
+        b, q_m = force.double_well
+        u -= q_m**2
+        np.square(u, out=u)
+        u *= b
+    else:
+        u *= 0.5 * m * omega**2
+        if force.duffing_xi != 0.0:
+            out += u
+            # q^4 as q2 * q2: q**4 goes through the generic pow
+            np.multiply(q, q, out=u)
+            u *= u
+            u *= 0.25 * force.duffing_xi * m * force.omega0**2
+    out += u
+    return out
+
+
 def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
              dt: float, duration: float, seed: int | Sequence[int],
              n_traj: int = 1, record_every: int = 1,
@@ -495,7 +522,6 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
         q[:] = np.asarray(q0, dtype=float) / x0
         p[:] = np.asarray(p0, dtype=float) / p0_scale
 
-    well = force.double_well
     mul, add = np.multiply, np.add    # a ufunc's third argument is its output
     tmp = np.empty_like(x)
     t0, t1 = tmp
@@ -503,7 +529,7 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
     force_at, q_only = _compile_force(force, x0, w_ref, t_ref_temp, q, p, dp)
     # the half step is chosen once per run: free drift in a double well
     # or a free trap, else the exact rotation of the harmonic part
-    drifts = well is not None or not (omega_steps > 0).any()
+    drifts = force.double_well is not None or not (omega_steps > 0).any()
     if drifts or force_at is not None:
         h2 = np.full(n_traj, half_h)
 
@@ -610,24 +636,11 @@ def simulate(force: ForceModel, bath: BathModel | Sequence[BathModel], init,
     p_si[:] = rec[1].T
     energy = rec[1].reshape(shape)
     omega_out = np.ascontiguousarray(omega_steps[::record_every])
-    stiffness = 0.5 * m * omega_out[None, :]**2
     # row blocks of about 2**14 samples bound the temporaries
     rows = max(1, 2**14 // n_samples)
     for r in range(0, n_traj, rows):
-        q_r, e_r = q_si[r:r + rows], energy[r:r + rows]
-        np.square(p_si[r:r + rows], out=e_r)
-        e_r /= 2.0 * m
-        if well is not None:
-            b, q_m = well
-            e_r += b * np.square(np.square(q_r) - q_m**2)
-        else:
-            e_r += stiffness * np.square(q_r)
-            if force.duffing_xi != 0.0:
-                # q^4 as q2 * q2: q_si**4 goes through the generic pow
-                q4 = q_r * q_r
-                q4 *= q4
-                q4 *= 0.25 * force.duffing_xi * m * force.omega0**2
-                e_r += q4
+        mechanical_energy(force, q_si[r:r + rows], p_si[r:r + rows],
+                          omega_out, energy[r:r + rows])
     fext_out = np.zeros(n_samples)
     f_ext = force.external_force
     if f_ext is not None:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .constants import k_B
 from .langevin import (BathModel, ForceModel, Trajectory, _draw_normals,
-                       derive_seed, energy_transition, noise_bytes,
-                       simulate, simulate_bytes, step_count,
+                       derive_seed, energy_transition, mechanical_energy,
+                       noise_bytes, simulate, simulate_bytes, step_count,
                        trajectory_streams)
 
 
@@ -679,8 +679,8 @@ def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,
                 observe=square_sum)
             if cyc >= N_TRANSIENT:
                 work = 0.5 * float(q2_sum[1:] @ dk) / n_traj
-                delta_e = (_energy(q_end, p_end, m, omega[-1])
-                           - _energy(q, p, m, omega[0]))
+                delta_e = (mechanical_energy(force, q_end, p_end, omega[-1])
+                           - mechanical_energy(force, q, p, omega[0]))
                 works[cyc - N_TRANSIENT, idx] = work
                 heats[cyc - N_TRANSIENT, idx] = work - float(delta_e.mean())
             q, p = q_end, p_end
@@ -690,8 +690,3 @@ def underdamped_cycle_sde(spec: EngineCycleSpec, dt: float, seed: int,
                           detail={"work_stderr": float(stderr),
                                   "n_cycles": N_CYCLES})
 
-
-def _energy(q, p, mass: float, omega: float) -> np.ndarray:
-    """p^2 / 2m + m omega^2 q^2 / 2 of each trajectory, formed as
-    `simulate` forms its recorded energy."""
-    return np.square(p) / (2.0 * mass) + 0.5 * mass * omega**2 * np.square(q)

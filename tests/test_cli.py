@@ -696,11 +696,30 @@ def test_json_format(tmp_path):
 @pytest.mark.parametrize("shape", [(500, 5001), (50, 2501), (70, 301),
                                    (20000, 2), (20000, 1)])
 def test_sample_variance_is_numpy_variance_bit_for_bit(shape):
-    # numpy sums a one-sample (n, 1) column pairwise, not row by row
-    from levitherm import cli
-    q = np.random.default_rng(4).normal(3e-9, 1e-8, shape)
-    expected = q.var(axis=0)
-    assert cli._sample_variance(q).tobytes() == expected.tobytes()
+    # simulate's variance of a whole path, and the reducer, which sees
+    # time-major chunks as a run hands them over: sample 0 alone, then
+    # chunks of 1 to 524 rows.  numpy sums the (n, 1) column of a
+    # one-sample path pairwise, and a longer path row by row
+    from levitherm import cli, langevin
+    n_traj, n_samples = shape
+    rng = np.random.default_rng(4)
+    q = rng.normal(3e-9, 1e-8, shape)
+    assert cli._sample_variance(q).tobytes() == q.var(axis=0).tobytes()
+    p = rng.normal(0.0, 1e-20, shape)
+    force = langevin.ForceModel(mass=5e-18, omega0=1.3e5, duffing_xi=2e11)
+    moments = analysis.SampleMoments(force, n_traj, n_samples)
+    i0, sizes = 0, [1, 1, 3, 1, 524, 2]
+    while i0 < n_samples:
+        rows = min(sizes[0], n_samples - i0)
+        sizes = sizes[1:] + sizes[:1]
+        moments(i0, np.ascontiguousarray(q.T[i0:i0 + rows]),
+                np.ascontiguousarray(p.T[i0:i0 + rows]))
+        i0 += rows
+    energy = langevin.mechanical_energy(force, q, p,
+                                        np.full(n_samples, force.omega0))
+    assert moments.q_mean.tobytes() == q.mean(axis=0).tobytes()
+    assert moments.q_var.tobytes() == q.var(axis=0).tobytes()
+    assert moments.energy.tobytes() == energy.mean(axis=0).tobytes()
 
 
 @pytest.mark.parametrize("overrides", [{}, {"record_every": 3},
@@ -728,6 +747,28 @@ def test_simulate_variances_are_numpy_variances(tmp_path, monkeypatch,
     summary = json.loads((out / "simulate_summary.json").read_text())
     assert table["q_var_m2"] == q.var(axis=0).tolist()
     assert summary["q_var_m2"] == float(q.var())
+
+
+def test_modulate_keeps_no_paths(tmp_path):
+    # at 500 x 5001 samples one q path is 20 MB; the whole subcommand,
+    # traced, holds half of one
+    import tracemalloc
+    from levitherm import cli
+    cfg = write_config(tmp_path, {
+        "modulation": {"depths": [0.01]},
+        "simulation": {"duration_ms": 2.0, "n_traj": 500}})
+    # an untraced run first imports what the subcommand calls
+    cli.main.main(["modulate", "--config", str(write_config(
+        tmp_path, {"simulation": {"duration_ms": 0.02}}, "warm.yaml")),
+        "--out", str(tmp_path / "warm")], standalone_mode=False)
+    tracemalloc.start()
+    try:
+        cli.main.main(["modulate", "--config", str(cfg), "--out",
+                       str(tmp_path / "run")], standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_runtime_failure_leaves_incomplete_manifest(tmp_path):
